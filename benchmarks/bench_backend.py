@@ -1,15 +1,12 @@
-"""Measured backend A/B benchmark (not a cost-model regeneration).
+"""Measured K-Means A/B benchmark (not a cost-model regeneration).
 
 Unlike the other benches in this directory — which regenerate the paper's
-tables from the calibrated cost model — this one *measures* the repo's own
-hot paths on the local machine:
-
-* batch-FFT Coulomb apply: numpy reference engine vs the scipy engine
-  (multi-worker pocketfft + rfftn real fast path),
-* weighted K-Means point selection: naive Lloyd vs bound-pruned Hamerly.
+tables from the calibrated cost model — this one *measures* weighted
+K-Means point selection on the local machine: naive Lloyd vs bound-pruned
+Hamerly.
 
 Writes a machine-readable report (default ``BENCH_backend.json`` at the
-repo root) whose equivalence flags double as a numerics check; see
+repo root) whose bit-identity flags double as a numerics check; see
 ``docs/performance.md`` for how to read it.
 
 Usage::

@@ -34,7 +34,6 @@ from repro.api.config import (
 )
 from repro.api.facade import (
     SCFResult,
-    install_fft_fallback,
     load_result,
     reset_deprecation_warnings,
     run_batch,
@@ -69,7 +68,6 @@ __all__ = [
     "SCFResult",
     "TDDFTConfig",
     "execute_request",
-    "install_fft_fallback",
     "load_result",
     "reset_deprecation_warnings",
     "run_batch",

@@ -310,9 +310,6 @@ class ResilienceConfig(_ConfigBase):
     max_retries / backoff / backoff_factor:
         Retry-with-exponential-backoff parameters for transient faults
         (see :class:`repro.resilience.RetryPolicy`).
-    fft_fallback:
-        Degrade the process-wide FFT backend scipy -> numpy on the first
-        transform failure (:class:`repro.resilience.ResilientFFTEngine`).
     selection_fallback:
         ``"qrcp"`` re-selects ISDF points with randomized QRCP when the
         K-Means clustering fails or does not converge; ``None`` fails fast.
@@ -329,7 +326,6 @@ class ResilienceConfig(_ConfigBase):
     max_retries: int = 3
     backoff: float = 0.01
     backoff_factor: float = 2.0
-    fft_fallback: bool = True
     selection_fallback: str | None = "qrcp"
     dense_fallback_max_pairs: int = 512
 

@@ -16,8 +16,7 @@ should build a request::
     gs = request.compute()                 # synchronous, in-process
     handle = request.submit()              # async, cached, warm-started
 
-:func:`load_result` and :func:`install_fft_fallback` are not deprecated —
-they have no request equivalent.
+:func:`load_result` is not deprecated — it has no request equivalent.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from repro.api.config import BatchConfig, ResilienceConfig, RTConfig, SCFConfig,
 from repro.api.request import (
     CalculationRequest,
     execute_request,
-    install_fft_fallback,
 )
 from repro.batch.results import BatchResult
 from repro.core.driver import LRTDDFTResult
@@ -41,7 +39,6 @@ from repro.utils.validation import require
 
 __all__ = [
     "SCFResult",
-    "install_fft_fallback",
     "load_result",
     "reset_deprecation_warnings",
     "run_batch",

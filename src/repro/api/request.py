@@ -326,25 +326,6 @@ class ExecutionOutcome:
     warm: bool = False
 
 
-def install_fft_fallback():
-    """Wrap the process-wide FFT engine in the scipy -> numpy fallback.
-
-    Idempotent: an already-resilient default is returned unchanged.
-    """
-    from repro.backend.fft_engine import default_fft_engine, set_default_fft_engine
-    from repro.resilience.policies import ResilientFFTEngine
-
-    engine = default_fft_engine()
-    if isinstance(engine, ResilientFFTEngine):
-        return engine
-    return set_default_fft_engine(ResilientFFTEngine(engine))
-
-
-def _apply_resilience_process_policies(resilience) -> None:
-    if resilience is not None and resilience.fft_fallback:
-        install_fft_fallback()
-
-
 def _dense_equivalent(method: str) -> str:
     """The dense-diagonalization twin of an iterative method string."""
     m = method
@@ -443,8 +424,6 @@ def execute_request(
     on_result:
         Batch kind only: streaming per-frame callback.
     """
-    _apply_resilience_process_policies(request.resilience)
-
     if request.kind == "batch":
         from repro.batch.engine import run_batch as _run_batch_core
 

@@ -13,7 +13,7 @@ Commands
 ``rt``
     Real-time TDDFT kick-and-propagate run; prints spectrum peaks.
 ``bench-backend``
-    Measured A/B benchmark of the FFT backends and the pruned K-Means;
+    Measured A/B benchmark of naive Lloyd vs bound-pruned Hamerly K-Means;
     writes machine-readable ``BENCH_backend.json``.
 ``bench-spmd``
     Thread vs process SPMD backend comparison (wall time, speedup, and
@@ -517,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rt.add_argument("--damping", type=float, default=0.01)
 
     p_bb = sub.add_parser("bench-backend",
-                          help="benchmark FFT backends and pruned K-Means")
+                          help="benchmark Lloyd vs pruned Hamerly K-Means")
     p_bb.add_argument("--smoke", action="store_true",
                       help="tiny workload for CI (seconds, not minutes)")
     p_bb.add_argument("--out", default=None,

@@ -130,7 +130,7 @@ class HxcKernel:
 
         The Coulomb half runs through :meth:`FourierGrid.convolve_real`
         (batch forward FFT, ``4 pi / G^2`` multiply, batch inverse — lines
-        4-5 of Algorithm 1), on the engine's real fast path when available.
+        4-5 of Algorithm 1), on the real-to-complex fast path.
         """
         fields = np.asarray(fields)
         require(fields.shape[-1] == self.basis.n_r, "field/grid size mismatch")

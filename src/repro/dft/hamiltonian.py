@@ -87,7 +87,7 @@ class KohnShamHamiltonian:
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
         """``H @ psi`` for coefficient blocks of shape ``(..., N_pw)``.
 
-        The dual-space split rides the pluggable FFT engine through
+        The dual-space split rides the batched FFTs through
         ``basis.to_real`` / ``to_recip``; the potential multiply is done
         in place on the freshly transformed block to avoid a second
         ``(..., N_r)`` temporary per application.

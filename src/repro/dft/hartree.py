@@ -57,7 +57,7 @@ def hartree_potential(
 ) -> np.ndarray:
     """Real-space Hartree potential of a real density field ``(..., N_r)``.
 
-    Routed through the FFT engine's real-field convolution fast path
+    Routed through the real-field convolution fast path
     (``4 pi / G^2`` is inversion symmetric, so the half-spectrum product is
     exact).  The kernel and its half-spectrum slice come from the
     process-wide :func:`~repro.pw.fft.default_plan_cache`, so the per-SCF-

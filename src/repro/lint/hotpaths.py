@@ -35,18 +35,18 @@ ARRAY_CONTRACT_DECORATORS = frozenset({"array_contract"})
 
 #: module-path suffix -> qualified function names under allocation discipline.
 HOT_PATH_MANIFEST: dict[str, frozenset[str]] = {
-    "repro/backend/fft_engine.py": frozenset({"FFTEngine.scratch"}),
-    # Reviewed 2026-08: the f_Hxc Coulomb apply ("fhxc/coulomb_fft") runs
+    # ``scratch`` is the per-thread staging pool behind
+    # ``PlaneWaveBasis.to_real``.  Reviewed 2026-08: the f_Hxc Coulomb apply ("fhxc/coulomb_fft") runs
     # through convolve_real, whose transform *outputs* are allocated by
     # pocketfft itself — numpy/scipy expose no ``out=`` for rfftn/irfftn,
     # so the ~2 x batch x N_r spectrum+result allocation per apply cannot
     # be eliminated through any public API.  Everything avoidable has
     # been hoisted: the kernel and its half-spectrum slice are built once
-    # per (grid, kernel) in the PlanCache, and engines with scratch pools
-    # reuse input staging buffers.  The manifest entry keeps the rule
-    # watching so any *new* per-call allocation added here is flagged.
+    # per (grid, kernel) in the PlanCache, and the scratch pool reuses
+    # input staging buffers.  The manifest entry keeps the rule watching
+    # so any *new* per-call allocation added here is flagged.
     "repro/pw/fft.py": frozenset(
-        {"FourierGrid.convolve_real", "ConvolutionPlan.apply"}
+        {"scratch", "FourierGrid.convolve_real", "ConvolutionPlan.apply"}
     ),
     "repro/core/isdf.py": frozenset(
         {"ISDFDecomposition.apply_c", "ISDFDecomposition.apply_ct"}

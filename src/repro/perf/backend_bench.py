@@ -1,19 +1,14 @@
-"""Measured A/B comparison of the pluggable compute backends.
+"""Measured A/B comparison of the K-Means point-selection loops.
 
-Two hot paths, benchmarked at (a scaled-down analogue of) the paper's
-Figure-8 workload and emitted as a machine-readable report
-(``BENCH_backend.json``):
+The naive full-classification Lloyd loop vs the bound-pruned Hamerly loop
+of :func:`repro.core.kmeans.weighted_kmeans`, benchmarked at (a scaled-down
+analogue of) the paper's Figure-8 workload and emitted as a
+machine-readable report (``BENCH_backend.json``), plus a counter sample of
+the instrumented f_Hxc apply.
 
-* **batch-FFT Coulomb apply** — :meth:`HxcKernel.apply` on a block of real
-  fields (lines 4-5 of Algorithm 1), numpy reference engine vs the scipy
-  engine with its multi-worker pocketfft + rfftn real fast path,
-* **K-Means point selection** — the naive full-classification Lloyd loop
-  vs the bound-pruned Hamerly loop of :func:`repro.core.kmeans.weighted_kmeans`.
-
-Both comparisons double as equivalence checks: the FFT outputs must agree
-to 1e-10 and the K-Means labels/inertia must be bit-identical, so a
-backend numerics regression fails the smoke run loudly before any
-benchmark number is believed.
+The comparison doubles as an equivalence check: the K-Means labels,
+inertia and centroids must be bit-identical, so a numerics regression
+fails the smoke run loudly before any benchmark number is believed.
 """
 
 from __future__ import annotations
@@ -25,12 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.backend import (
-    ScipyFFTEngine,
-    available_backends,
-    reset_default_fft_backend,
-    set_default_fft_backend,
-)
 from repro.core.kernel import HxcKernel
 from repro.core.kmeans import weighted_kmeans
 from repro.pw import PlaneWaveBasis, RealSpaceGrid, UnitCell
@@ -89,68 +78,6 @@ def blas_info() -> dict:
     except ImportError:
         info["threadpools"] = None
     return info
-
-
-# -- batch-FFT Coulomb apply ------------------------------------------------
-
-
-def bench_fft_coulomb(
-    *,
-    box: float = 10.0,
-    ecut: float = 114.0,
-    batch: int = 24,
-    repeats: int = 3,
-    seed: int = 7,
-) -> dict:
-    """Time ``HxcKernel.apply`` on a batch of real fields per FFT backend.
-
-    The defaults give a 50^3 grid — the same order as one rank's slab of
-    the paper's Si_1000 Figure-8 run — with a 24-field batch standing in
-    for one LOBPCG block of pair densities.
-    """
-    basis = PlaneWaveBasis(UnitCell.cubic(box), ecut)
-    rng = np.random.default_rng(seed)
-    density = 0.05 + 0.01 * rng.random(basis.n_r)
-    kernel = HxcKernel(basis, density)
-    fields = rng.standard_normal((batch, basis.n_r))
-
-    backends: dict[str, dict] = {}
-    outputs: dict[str, np.ndarray] = {}
-    try:
-        for name in available_backends():
-            engine = set_default_fft_backend(name)
-            seconds, out = _time_best(lambda: kernel.apply(fields), repeats)
-            backends[name] = {
-                "seconds_per_apply": seconds,
-                "workers": engine.workers,
-                "real_fast_path": engine.supports_real,
-            }
-            outputs[name] = np.asarray(out)
-    finally:
-        reset_default_fft_backend()
-
-    report: dict = {
-        "workload": {
-            "grid": list(basis.grid.shape),
-            "n_r": basis.n_r,
-            "batch": batch,
-            "repeats": repeats,
-            "transforms_per_apply": 2 * batch,
-        },
-        "backends": backends,
-    }
-    if "scipy" in backends:
-        ref, opt = outputs["numpy"], outputs["scipy"]
-        scale = float(np.abs(ref).max()) or 1.0
-        max_abs = float(np.abs(ref - opt).max())
-        report["speedup"] = (
-            backends["numpy"]["seconds_per_apply"]
-            / backends["scipy"]["seconds_per_apply"]
-        )
-        report["max_abs_diff"] = max_abs
-        report["max_rel_diff"] = max_abs / scale
-        report["within_1e-10"] = bool(max_abs / scale < 1e-10)
-    return report
 
 
 # -- K-Means point selection ------------------------------------------------
@@ -273,14 +200,12 @@ def run_backend_bench(
     if kmeans_tol is not None:
         km_kwargs["tol"] = kmeans_tol
     if smoke:
-        fft = bench_fft_coulomb(box=6.0, ecut=35.0, batch=4, repeats=1)
         kmeans = bench_kmeans_selection(
             shape=(16, 16, 16), box=8.0, n_clusters=24, n_bumps=12, repeats=1,
             **km_kwargs,
         )
         metrics = _phase_metrics_sample(box=6.0, ecut=35.0, batch=4, seed=7)
     else:
-        fft = bench_fft_coulomb()
         kmeans = bench_kmeans_selection(**km_kwargs)
         metrics = _phase_metrics_sample(box=10.0, ecut=114.0, batch=24, seed=7)
     return {
@@ -289,15 +214,8 @@ def run_backend_bench(
             "python": platform.python_version(),
             "numpy": np.__version__,
             "blas": blas_info(),
-            "fft_backends": list(available_backends()),
             "cpu_count": __import__("os").cpu_count(),
-            "scipy_workers": (
-                ScipyFFTEngine().workers
-                if "scipy" in available_backends()
-                else None
-            ),
         },
-        "fft_coulomb_apply": fft,
         "kmeans_selection": kmeans,
         "phase_metrics": metrics,
     }
@@ -305,20 +223,8 @@ def run_backend_bench(
 
 def format_summary(report: dict) -> str:
     """Terse human-readable digest of :func:`run_backend_bench` output."""
-    fft = report["fft_coulomb_apply"]
     km = report["kmeans_selection"]
     lines = [f"backend bench ({report['meta']['mode']} mode)"]
-    for name, stats in fft["backends"].items():
-        lines.append(
-            f"  fft[{name:<5s}]  {stats['seconds_per_apply'] * 1e3:9.2f} ms/apply"
-            f"  (workers={stats['workers']}, rfft={stats['real_fast_path']})"
-        )
-    if "speedup" in fft:
-        lines.append(
-            f"  fft speedup {fft['speedup']:.2f}x  "
-            f"(max rel diff {fft['max_rel_diff']:.2e}, "
-            f"ok={fft['within_1e-10']})"
-        )
     for name, stats in km["algorithms"].items():
         lines.append(
             f"  kmeans[{name:<7s}] {stats['seconds'] * 1e3:9.2f} ms"

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.pw.cell import UnitCell
-from repro.pw.fft import FourierGrid
+from repro.pw.fft import FourierGrid, scratch
 from repro.pw.grid import RealSpaceGrid
 from repro.pw.gvectors import GVectors
 from repro.utils.validation import check_positive
@@ -68,13 +68,11 @@ class PlaneWaveBasis:
         """Sphere coefficients ``(..., N_pw)`` -> real-space ``(..., N_r)``.
 
         The zero-padded full-spectrum staging block is drawn from the FFT
-        engine's scratch pool, so the SCF/propagator inner loops reuse one
-        buffer instead of allocating ``O(n_bands N_r)`` per application.
+        scratch pool, so the SCF/propagator inner loops reuse one buffer
+        instead of allocating ``O(n_bands N_r)`` per application.
         """
         coeffs = np.asarray(coeffs)
-        full = self.fft.fft_engine.scratch(
-            coeffs.shape[:-1] + (self.n_r,), complex
-        )
+        full = scratch(coeffs.shape[:-1] + (self.n_r,), complex)
         full.fill(0)
         full[..., self.gvectors.sphere] = coeffs
         out = self.fft.backward(full)

@@ -13,46 +13,63 @@ stray volume factors.  Batched transforms operate on the *leading* axes so a
 block of orbitals ``(n_bands, n1, n2, n3)`` is transformed in one call —
 this is the numpy analogue of the batched FFTW plans used by PWDFT.
 
-The actual transforms are delegated to a pluggable :class:`FFTEngine`
-(:mod:`repro.backend.fft_engine`): the default engine is selected from the
-``REPRO_FFT_BACKEND`` / ``REPRO_FFT_WORKERS`` environment (scipy's
-multi-worker pocketfft when available, numpy otherwise), and engines that
-advertise a real fast path route :meth:`FourierGrid.convolve_real` through
-``rfftn``/``irfftn`` — half the transform work for the real Γ-point fields
-dominating the Coulomb apply of the paper's Algorithm 1.
+The transforms are ``scipy.fft``'s pocketfft with ``workers=os.cpu_count()``
+threads per batch call.  :meth:`FourierGrid.convolve_real` routes real
+fields through ``rfftn``/``irfftn`` — half the transform work for the real
+Γ-point fields dominating the Coulomb apply of the paper's Algorithm 1.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
-from repro.backend.fft_engine import FFTEngine, default_fft_engine
 from repro.pw.grid import RealSpaceGrid
 from repro.utils.hot import array_contract
 
 _AXES = (-3, -2, -1)
+_WORKERS = os.cpu_count() or 1
+_SCRATCH_SLOTS = 8
+# Per-thread LRU of reusable staging arrays keyed by (shape, dtype);
+# thread-local because the SPMD runtime drives ranks as threads.
+_scratch_local = threading.local()
+
+
+@array_contract(returns={"contiguous": True})
+def scratch(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A reusable buffer of the requested shape/dtype (contents stale).
+
+    Callers must finish with the buffer before requesting another of the
+    same key — the pool hands out the *same* array again.  Intended for
+    staging copies inside a single transform call.
+    """
+    pool: OrderedDict[tuple, np.ndarray] | None = getattr(
+        _scratch_local, "pool", None
+    )
+    if pool is None:
+        pool = _scratch_local.pool = OrderedDict()
+    key = (tuple(shape), np.dtype(dtype).str)
+    buf = pool.get(key)
+    if buf is None:
+        buf = np.empty(shape, dtype=dtype)  # repro-lint: disable=no-alloc-in-hot -- pool miss: allocates once per (shape, dtype), then reused
+        pool[key] = buf
+        while len(pool) > _SCRATCH_SLOTS:
+            pool.popitem(last=False)
+    else:
+        pool.move_to_end(key)
+    return buf
 
 
 @dataclass(frozen=True)
 class FourierGrid:
-    """Forward/backward FFTs bound to one :class:`RealSpaceGrid`.
-
-    ``engine=None`` (the default) resolves the process-wide default engine
-    at call time, so a ``set_default_fft_backend`` switch applies to every
-    grid already constructed.
-    """
+    """Forward/backward FFTs bound to one :class:`RealSpaceGrid`."""
 
     grid: RealSpaceGrid
-    engine: FFTEngine | None = None
-
-    @property
-    def fft_engine(self) -> FFTEngine:
-        """The engine actually used for transforms."""
-        return self.engine if self.engine is not None else default_fft_engine()
 
     @array_contract(
         shapes={"f_real": ("...", "n_r")},
@@ -62,7 +79,7 @@ class FourierGrid:
     def forward(self, f_real: np.ndarray) -> np.ndarray:
         """Real space -> Fourier-series coefficients on the full grid."""
         f = self.grid.reshape_to_grid(np.asarray(f_real))
-        out = self.fft_engine.fftn(f, axes=_AXES)
+        out = scipy.fft.fftn(f, axes=_AXES, workers=_WORKERS)
         out /= self.grid.n_points
         return self.grid.flatten_from_grid(out)
 
@@ -74,7 +91,7 @@ class FourierGrid:
     def backward(self, f_recip: np.ndarray) -> np.ndarray:
         """Fourier-series coefficients -> real space on the full grid."""
         f = self.grid.reshape_to_grid(np.asarray(f_recip))
-        out = self.fft_engine.ifftn(f, axes=_AXES)
+        out = scipy.fft.ifftn(f, axes=_AXES, workers=_WORKERS)
         out *= self.grid.n_points
         return self.grid.flatten_from_grid(out)
 
@@ -113,26 +130,31 @@ class FourierGrid:
         """Apply a G-diagonal kernel to real fields: ``F^-1[K * F[f]]``.
 
         Equivalent to ``backward(forward(f) * kernel).real`` — exactly
-        lines 4-5 of the paper's Algorithm 1 — but routed through the
-        engine's real-to-complex transforms when available, which halves
-        the flop count and spectrum traffic.  ``kernel`` must be real and
-        inversion symmetric (``K(-G) = K(G)``; both Coulomb kernels are),
-        otherwise the half-spectrum product is not equivalent.
+        lines 4-5 of the paper's Algorithm 1 — but real fields go through
+        the real-to-complex transforms, which halves the flop count and
+        spectrum traffic.  ``kernel`` must be real and inversion symmetric
+        (``K(-G) = K(G)``; both Coulomb kernels are), otherwise the
+        half-spectrum product is not equivalent.
         """
         fields = np.asarray(fields)
-        eng = self.fft_engine
-        if eng.supports_real and np.isrealobj(fields):
-            f = self.grid.reshape_to_grid(fields)
+        if np.isrealobj(fields):
             if kernel_half is None:
                 kernel_half = self.half_kernel(kernel)
-            spec = eng.rfftn(f, axes=_AXES)
-            spec *= kernel_half
-            out = eng.irfftn(spec, s=self.grid.shape, axes=_AXES)
-            return self.grid.flatten_from_grid(out)
-        # Reference path: bit-identical to the seed implementation.
-        f_g = self.forward(fields.astype(complex))  # repro-lint: disable=silent-upcast-in-hot -- deliberate complex round-trip: the reference path must reproduce the seed's full-spectrum numerics bit-for-bit; the real fast path above is the production route
+            return _rfft_convolve(self.grid, fields, kernel_half)
+        # Complex input keeps the full-spectrum round trip.
+        f_g = self.forward(fields.astype(complex))  # repro-lint: disable=silent-upcast-in-hot -- deliberate complex round-trip: complex input keeps the full-spectrum path; real input takes the rfftn path above
         f_g *= kernel
         return self.backward(f_g).real
+
+
+def _rfft_convolve(
+    grid: RealSpaceGrid, fields: np.ndarray, kernel_half: np.ndarray
+) -> np.ndarray:
+    """``irfftn(rfftn(f) * kernel_half)`` over the grid axes, flattened."""
+    spec = scipy.fft.rfftn(grid.reshape_to_grid(fields), axes=_AXES, workers=_WORKERS)
+    spec *= kernel_half
+    out = scipy.fft.irfftn(spec, s=grid.shape, axes=_AXES, workers=_WORKERS)
+    return grid.flatten_from_grid(out)
 
 
 class ConvolutionPlan:
@@ -148,12 +170,11 @@ class ConvolutionPlan:
     ``apply`` only reads (the one-shot ``degraded`` flip is idempotent).
 
     ``dtype=float32`` plans route real fields through single-precision FFT
-    scratch (half the transform flops and spectrum bytes on engines with a
-    real fast path) and upcast the result to float64.  The first fp32 apply
-    is cross-checked against the fp64 path; a relative deviation above
-    ``tol`` permanently degrades the plan to fp64 — the same latch pattern
-    as :class:`repro.resilience.ResilientFFTEngine` — and records a
-    ``fft-convolve`` event in the resilience log.
+    scratch (half the transform flops and spectrum bytes) and upcast the
+    result to float64.  The first fp32 apply is cross-checked against the
+    fp64 path; a relative deviation above ``tol`` permanently degrades the
+    plan to fp64 and records a ``fft-convolve`` event in the resilience
+    log.
     """
 
     __slots__ = (
@@ -218,19 +239,15 @@ class ConvolutionPlan:
     def _apply_fp32(self, fields: np.ndarray) -> np.ndarray | None:
         """The fp32-scratch apply; ``None`` defers to the fp64 path.
 
-        Only engines with a real fast path benefit (the reference complex
-        round-trip would upcast anyway), so other engines defer.
+        Only real fields benefit (the complex round-trip would upcast
+        anyway), so complex input defers.
         """
         fields = np.asarray(fields)
-        eng = self.fourier.fft_engine
-        if not (eng.supports_real and np.isrealobj(fields)):
+        if not np.isrealobj(fields):
             return None
         grid = self.fourier.grid
-        f32 = grid.reshape_to_grid(fields).astype(np.float32)
-        spec = eng.rfftn(f32, axes=_AXES)
-        spec *= self.kernel_half32
-        out = eng.irfftn(spec, s=grid.shape, axes=_AXES)
-        result = grid.flatten_from_grid(out.astype(np.float64))
+        out = _rfft_convolve(grid, fields.astype(np.float32), self.kernel_half32)
+        result = out.astype(np.float64)
         if self.verify and not self._verified:
             self._verified = True
             reference = self.fourier.convolve_real(
@@ -258,14 +275,13 @@ class ConvolutionPlan:
 class PlanCache:
     """Process-wide LRU cache of :class:`ConvolutionPlan` objects.
 
-    Keyed by ``(tag, grid shape, lattice bytes, engine name, plan dtype)``
-    so plans are reused across *calculations* — consecutive trajectory
-    frames that share a lattice and cutoff hit the same plan even though
-    each frame builds a fresh basis — while any change that alters the
-    kernel values (different lattice, different grid, a kernel-variant tag
-    such as a truncation radius), the transform layout (engine switch) or
-    the compute precision (an fp32 plan and an fp64 plan for the same
-    kernel must never collide) misses and rebuilds.
+    Keyed by ``(tag, grid shape, lattice bytes, plan dtype)`` so plans are
+    reused across *calculations* — consecutive trajectory frames that
+    share a lattice and cutoff hit the same plan even though each frame
+    builds a fresh basis — while any change that alters the kernel values
+    (different lattice, different grid, a kernel-variant tag such as a
+    truncation radius) or the compute precision (an fp32 plan and an fp64
+    plan for the same kernel must never collide) misses and rebuilds.
 
     Thread-safe: lookups and insertions hold a lock; the ``build`` callback
     runs outside it, so two threads may race to build the same plan, in
@@ -307,7 +323,6 @@ class PlanCache:
             tag,
             grid.shape,
             grid.cell.lattice.tobytes(),
-            fourier.fft_engine.name,
             np.dtype(dtype).str,
         )
         with self._lock:

@@ -13,8 +13,7 @@ reproduction:
   message, or corrupt a reduce buffer at a configured step;
 * :mod:`repro.resilience.policies` — retry-with-backoff, reliable
   (ack-based) point-to-point delivery, verified collectives, and graceful
-  degradation (scipy->numpy FFT, K-Means->QRCP selection, iterative->dense
-  eigensolver).
+  degradation (K-Means->QRCP selection, iterative->dense eigensolver).
 """
 
 from repro.resilience.checkpoint import (
@@ -36,7 +35,6 @@ from repro.resilience.faults import (
     InjectedRankFailure,
 )
 from repro.resilience.policies import (
-    ResilientFFTEngine,
     RetryPolicy,
     reliable_recv,
     reliable_send,
@@ -57,7 +55,6 @@ __all__ = [
     "FaultSpec",
     "InjectedFault",
     "InjectedRankFailure",
-    "ResilientFFTEngine",
     "RetryPolicy",
     "reliable_recv",
     "reliable_send",

@@ -1,9 +1,9 @@
 """The resilience event log: a process-wide record of degradation events.
 
-The PR 2 degradation ladders (scipy->numpy FFT, K-Means->QRCP selection,
-iterative->dense eigensolver) each fall back *silently* from the caller's
-point of view — the result is still correct, just produced by a slower or
-stricter path.  The mixed-precision tiers add a fourth rung (fp32 stage ->
+The degradation ladders (K-Means->QRCP selection, iterative->dense
+eigensolver) each fall back *silently* from the caller's point of view —
+the result is still correct, just produced by a slower or stricter path.
+The mixed-precision tiers add a third rung (fp32 stage ->
 fp64 recompute) that can fire deep inside an SCF iteration, so operators
 need a single place to see *that* a fallback happened, *where*, and *why*.
 
@@ -30,10 +30,9 @@ class DegradationEvent:
     ----------
     stage:
         The degrading stage (``"kmeans-classify"``, ``"isdf-fit"``,
-        ``"fft-convolve"``, ``"wire-reduce"``, ``"scf-hartree"``,
-        ``"fft-engine"``, ...).
+        ``"fft-convolve"``, ``"wire-reduce"``, ``"scf-hartree"``, ...).
     action:
-        What the ladder did (``"fallback-fp64"``, ``"degrade-numpy"``, ...).
+        What the ladder did (``"fallback-fp64"``, ...).
     reason:
         Human-readable cause, including the estimate and its bound where
         applicable.

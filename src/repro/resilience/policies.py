@@ -1,6 +1,6 @@
 """Recovery policies: retry-with-backoff, reliable delivery, degradation.
 
-Three layers of graceful degradation back the facade's
+Two layers of graceful degradation back the facade's
 ``ResilienceConfig``:
 
 * **transport** — :func:`reliable_send` / :func:`reliable_recv` implement
@@ -8,9 +8,6 @@ Three layers of graceful degradation back the facade's
   (fault-injected) communicator, and :func:`verified_allreduce` re-runs a
   reduction whose combined buffer arrives non-finite (the signature of a
   corrupted contribution);
-* **backend** — :class:`ResilientFFTEngine` delegates to the preferred
-  (scipy) engine and permanently drops to the numpy reference engine the
-  moment a transform call fails;
 * **algorithm** — K-Means -> QRCP point selection on non-convergence and
   iterative -> dense eigensolver fallback live with their call sites
   (:func:`repro.core.isdf.isdf_decompose` and
@@ -26,13 +23,11 @@ from typing import Callable
 
 import numpy as np
 
-from repro.backend.fft_engine import FFTEngine, NumpyFFTEngine, default_fft_engine
 from repro.parallel.comm import Communicator, MessageTimeout
 from repro.resilience.faults import InjectedFault
 from repro.utils.validation import require
 
 __all__ = [
-    "ResilientFFTEngine",
     "RetryPolicy",
     "reliable_recv",
     "reliable_send",
@@ -42,13 +37,6 @@ __all__ = [
 
 #: Tag offset reserved for delivery acknowledgements.
 _ACK_TAG_OFFSET = 1 << 20
-
-#: How a backend transform failure surfaces: a backend bug/limitation
-#: (RuntimeError), a shape/plan problem (ValueError), numerical trouble
-#: (ArithmeticError covers FloatingPointError) or exhaustion (MemoryError).
-#: Anything else — KeyboardInterrupt, injected faults, programming errors —
-#: must propagate instead of silently degrading the backend.
-_TRANSFORM_FAILURES = (RuntimeError, ValueError, ArithmeticError, MemoryError)
 
 
 @dataclass(frozen=True)
@@ -190,54 +178,3 @@ def verified_allreduce(
         f"allreduce({op}) stayed non-finite after "
         f"{policy.max_retries + 1} attempts — corrupt contribution?"
     )
-
-
-# -- backend degradation ----------------------------------------------------
-
-
-class ResilientFFTEngine(FFTEngine):
-    """Delegate to a preferred FFT engine, fall back to numpy on failure.
-
-    The first transform call that raises switches the wrapper permanently
-    to the reference :class:`NumpyFFTEngine` (with the real fast path
-    matching the primary's capability, so in-flight ``rfftn`` callers keep
-    working) and replays the failed call there.
-    """
-
-    name = "resilient"
-
-    def __init__(self, primary: FFTEngine | None = None) -> None:
-        super().__init__()
-        self._primary = primary or default_fft_engine()
-        self._fallback = NumpyFFTEngine(use_rfft=self._primary.supports_real)
-        self._active = self._primary
-        self.degraded = False
-        self.supports_real = self._primary.supports_real
-        self.workers = self._primary.workers
-
-    def _call(self, method: str, *args):
-        try:
-            return getattr(self._active, method)(*args)
-        except _TRANSFORM_FAILURES:
-            if self._active is self._fallback:
-                raise
-            self._active = self._fallback
-            self.degraded = True
-            self.workers = self._fallback.workers
-            return getattr(self._active, method)(*args)
-
-    def fftn(self, a, axes):
-        return self._call("fftn", a, axes)
-
-    def ifftn(self, a, axes):
-        return self._call("ifftn", a, axes)
-
-    def rfftn(self, a, axes):
-        return self._call("rfftn", a, axes)
-
-    def irfftn(self, a, s, axes):
-        return self._call("irfftn", a, s, axes)
-
-    def describe(self) -> str:
-        state = "degraded->numpy" if self.degraded else f"primary={self._primary.name}"
-        return f"ResilientFFTEngine({state})"

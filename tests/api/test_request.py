@@ -17,6 +17,7 @@ from repro.api import (
     structure_from_dict,
     structure_to_dict,
 )
+from repro.atoms import silicon_primitive_cell
 from repro.pw.cell import UnitCell
 
 
@@ -154,6 +155,20 @@ class TestCacheKeyStability:
             resilience=api.ResilienceConfig(max_retries=5),
         )
         assert plain.cache_key() != degraded.cache_key()
+
+    def test_golden_key_is_pinned(self):
+        # A content-addressed store depends on this value never drifting:
+        # any change to a config's to_dict() shows up here first.
+        request = CalculationRequest(
+            kind="tddft", structure=silicon_primitive_cell()
+        )
+        assert request.cache_key() == (
+            "ab567d2b4b291be0fb18aa3df1cf0505da49388a95782192376af787632d360f"
+        )
+
+    def test_removed_resilience_key_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown ResilienceConfig keys"):
+            api.ResilienceConfig.from_dict({"fft_fallback": True})
 
     def test_scf_subrequest_matches_plain_scf_request(self, cell):
         scf = SCFConfig(ecut=5.0)

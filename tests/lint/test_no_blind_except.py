@@ -81,9 +81,7 @@ class TestFixedHandlersStayFixed:
         # The fallback paths are driven by RuntimeError in the resilience
         # suite; the narrowed tuples must still cover it.
         from repro.core.isdf import _SELECTION_FAILURES
-        from repro.resilience.policies import _TRANSFORM_FAILURES
 
-        assert RuntimeError in _TRANSFORM_FAILURES
         assert RuntimeError in _SELECTION_FAILURES
-        for tup in (_TRANSFORM_FAILURES, _SELECTION_FAILURES):
-            assert Exception not in tup and BaseException not in tup
+        assert Exception not in _SELECTION_FAILURES
+        assert BaseException not in _SELECTION_FAILURES

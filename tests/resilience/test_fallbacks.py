@@ -1,38 +1,13 @@
-"""Graceful degradation: FFT engine, ISDF selection, eigensolver fallbacks."""
+"""Graceful degradation: ISDF selection and eigensolver fallbacks."""
 
 import numpy as np
 import pytest
 
 from repro import api
 from repro.atoms import silicon_primitive_cell
-from repro.backend.fft_engine import (
-    FFTEngine,
-    NumpyFFTEngine,
-    default_fft_engine,
-    reset_default_fft_backend,
-)
 from repro.core import isdf as isdf_mod
 from repro.core.isdf import isdf_decompose
-from repro.resilience import ResilientFFTEngine
 from repro.synthetic import synthetic_ground_state
-
-
-class BoomFFTEngine(FFTEngine):
-    """Primary engine that fails on every transform."""
-
-    name = "boom"
-
-    def __init__(self):
-        super().__init__()
-        self.calls = 0
-
-    def fftn(self, a, axes):
-        self.calls += 1
-        raise RuntimeError("simulated FFT backend failure")
-
-    def ifftn(self, a, axes):
-        self.calls += 1
-        raise RuntimeError("simulated FFT backend failure")
 
 
 @pytest.fixture(scope="module")
@@ -40,49 +15,6 @@ def tiny_gs():
     return synthetic_ground_state(
         silicon_primitive_cell(), ecut=4.0, n_valence=4, n_conduction=4, seed=11
     )
-
-
-@pytest.fixture
-def clean_fft_default():
-    reset_default_fft_backend()
-    yield
-    reset_default_fft_backend()
-
-
-class TestFFTFallback:
-    def test_degrades_to_numpy_and_matches(self):
-        engine = ResilientFFTEngine(BoomFFTEngine())
-        assert not engine.degraded
-        a = np.random.default_rng(0).standard_normal((4, 4, 4))
-        out = engine.fftn(a.astype(complex), axes=(0, 1, 2))
-        assert engine.degraded
-        np.testing.assert_allclose(out, np.fft.fftn(a, axes=(0, 1, 2)))
-
-    def test_degradation_is_permanent(self):
-        primary = BoomFFTEngine()
-        engine = ResilientFFTEngine(primary)
-        a = np.ones((2, 2, 2), dtype=complex)
-        engine.fftn(a, axes=(0, 1, 2))
-        engine.fftn(a, axes=(0, 1, 2))
-        assert primary.calls == 1  # never consulted again after the failure
-
-    def test_healthy_primary_is_untouched(self):
-        engine = ResilientFFTEngine(NumpyFFTEngine())
-        a = np.ones((2, 2, 2), dtype=complex)
-        engine.fftn(a, axes=(0, 1, 2))
-        assert not engine.degraded
-
-    def test_round_trip_after_degradation(self):
-        engine = ResilientFFTEngine(BoomFFTEngine())
-        a = np.random.default_rng(1).standard_normal((3, 3, 3)).astype(complex)
-        back = engine.ifftn(engine.fftn(a, axes=(0, 1, 2)), axes=(0, 1, 2))
-        np.testing.assert_allclose(back, a, atol=1e-12)
-
-    def test_install_is_idempotent(self, clean_fft_default):
-        first = api.install_fft_fallback()
-        second = api.install_fft_fallback()
-        assert first is second
-        assert isinstance(default_fft_engine(), ResilientFFTEngine)
 
 
 class TestSelectionFallback:

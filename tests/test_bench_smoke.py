@@ -2,9 +2,9 @@
 
 Runs ``benchmarks/bench_backend.py --smoke`` end-to-end (subprocess, like a
 user would) and checks the emitted JSON: structure, and — more importantly —
-the embedded equivalence flags, which turn the bench into a cross-backend
-numerics test.  Also invokes the ``tools/check_no_pyc.py`` guard so tracked
-bytecode can't creep back in.
+the embedded K-Means bit-identity flags, which turn the bench into a
+Lloyd-vs-Hamerly numerics test.  Also invokes the ``tools/check_no_pyc.py``
+guard so tracked bytecode can't creep back in.
 """
 
 import json
@@ -39,18 +39,10 @@ def smoke_report(tmp_path_factory):
 class TestBenchSmoke:
     def test_report_structure(self, smoke_report):
         assert smoke_report["meta"]["mode"] == "smoke"
-        assert "numpy" in smoke_report["meta"]["fft_backends"]
-        fft = smoke_report["fft_coulomb_apply"]
-        for name in smoke_report["meta"]["fft_backends"]:
-            assert fft["backends"][name]["seconds_per_apply"] > 0
+        assert smoke_report["meta"]["cpu_count"] >= 1
         km = smoke_report["kmeans_selection"]
         assert set(km["algorithms"]) == {"lloyd", "hamerly"}
         assert smoke_report["phase_metrics"]  # counters were recorded
-
-    def test_backends_numerically_equivalent(self, smoke_report):
-        fft = smoke_report["fft_coulomb_apply"]
-        if "scipy" in fft["backends"]:
-            assert fft["within_1e-10"], fft["max_rel_diff"]
 
     def test_kmeans_bit_identical(self, smoke_report):
         km = smoke_report["kmeans_selection"]

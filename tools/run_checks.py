@@ -17,8 +17,8 @@ Runs, in order:
    every hot-path-manifest function must carry a well-formed
    ``@array_contract`` that the abstract interpreter verifies, and the
    four array rules must report zero unsuppressed findings,
-7. **array-contract runtime smoke** — the bench-backend Coulomb-apply
-   workload run twice in subprocesses, with and without
+7. **array-contract runtime smoke** — a batched ``HxcKernel.apply``
+   (the scipy rfftn Coulomb apply) run twice in subprocesses, with and without
    ``REPRO_ARRAY_CONTRACTS=1``: results must be bit-identical, overhead
    must stay within 1.10x, and enforcement must provably reject a
    contract-violating call (so the gate cannot pass with the decorator
