@@ -222,7 +222,9 @@ class _SharedState:
         #: comm layer stays independent of the resilience package).
         self.fault_injector = fault_injector
         #: Optional repro.parallel.sanitizer.SpmdSanitizer (duck-typed for
-        #: the same reason); consulted at the entry of every collective.
+        #: the same reason; the process backend uses the same class):
+        #: consulted at the entry of every collective and told what each
+        #: exchange publishes.
         self.sanitizer = sanitizer
 
     def abort(self, exc: BaseException) -> None:
@@ -260,22 +262,19 @@ class Communicator:
 
     # -- fault-injection / sanitizer hooks -----------------------------------
 
-    def _enter(self, op: str, value=None, detail: str = "", track: bool = True) -> None:
+    def _enter(self, op: str, value=None, detail: str = "") -> None:
         """Collective entry point: fault injection, then sanitizer checks.
 
         The injector runs first so a killed rank never reaches the
         sanitizer's sync (its peers then unwind through the abort path
-        rather than diagnosing a phantom mismatch).  ``track=False``
-        exempts the payload from the sanitizer's shared-write tracking —
-        used by :meth:`ireduce`, which copies its contribution at post
-        time, making later mutation of the caller's buffer legal.
+        rather than diagnosing a phantom mismatch).
         """
         injector = self._shared.fault_injector
         if injector is not None:
             injector.on_collective(self._rank, op)
         sanitizer = self._shared.sanitizer
         if sanitizer is not None:
-            sanitizer.on_collective(self._rank, op, value, detail=detail, track=track)
+            sanitizer.on_collective(self._rank, op, value, detail=detail)
 
     def _fault_corrupt(self, op: str, value):
         """Give the injector a chance to poison a reduce contribution."""
@@ -309,6 +308,11 @@ class Communicator:
         post/complete window.
         """
         self._shared.slots[self._rank] = value
+        sanitizer = self._shared.sanitizer
+        if sanitizer is not None:
+            # Peers read these very arrays by reference: they are the
+            # shared surface whose writes the sanitizer watches.
+            sanitizer.on_publish(self._rank, value)
         self._barrier_wait()
         return list(self._shared.slots)
 
@@ -461,7 +465,7 @@ class Communicator:
             isinstance(value, np.ndarray),
             f"ireduce payload must be an ndarray, got {type(value).__name__}",
         )
-        self._enter("reduce", value, detail=f"root={root},op=sum,async", track=False)
+        self._enter("reduce", value, detail=f"root={root},op=sum,async")
         value = self._fault_corrupt("reduce", value)
         seq = self._ireduce_seq.get(root, 0)
         self._ireduce_seq[root] = seq + 1

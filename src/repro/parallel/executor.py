@@ -31,7 +31,7 @@ import time
 from typing import Callable
 
 from repro.parallel.comm import CommTraffic, Communicator, SpmdAbort, _SharedState
-from repro.parallel.sanitizer import SpmdSanitizer, env_enabled
+from repro.parallel.sanitizer import SpmdSanitizer, board_size, env_enabled
 from repro.utils.validation import require
 
 _ENV_BACKEND = "REPRO_SPMD_BACKEND"
@@ -71,12 +71,11 @@ def spmd_run(
         Optional :class:`~repro.resilience.faults.FaultInjector` consulted
         by every collective, reduce contribution, and p2p send.
     sanitize:
-        Run under the SPMD sanitizer — the in-process
-        :class:`~repro.parallel.sanitizer.SpmdSanitizer` on the thread
-        backend, the shared-memory-board
-        :class:`~repro.parallel.process_sanitizer.ProcessSpmdSanitizer`
-        on the process backend.  Mismatched collectives, unsynchronized
-        shared-array/slab writes and deadlocks become diagnosed
+        Run under the :class:`~repro.parallel.sanitizer.SpmdSanitizer`
+        (its board is a ``bytearray`` on the thread backend, a
+        shared-memory slab on the process backend).  Mismatched
+        collectives, unsynchronized shared-buffer writes and deadlocks
+        become diagnosed
         :class:`~repro.parallel.sanitizer.SanitizerError` instead of
         silent corruption or hangs.  ``None`` (default) consults the
         ``REPRO_SANITIZE`` environment variable.
@@ -109,7 +108,13 @@ def spmd_run(
             sanitize_timeout=sanitize_timeout,
         )
     sanitizer = (
-        SpmdSanitizer(n_ranks, barrier_timeout=sanitize_timeout)
+        SpmdSanitizer(
+            n_ranks,
+            memoryview(bytearray(board_size(n_ranks))),
+            threading.Barrier(n_ranks),
+            threading.Event(),
+            sanitize_timeout,
+        )
         if sanitize
         else None
     )

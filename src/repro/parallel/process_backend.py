@@ -26,10 +26,9 @@ Data movement:
 
 Rank programs and their arguments are inherited through ``fork`` — no
 pickling of closures — which is why this backend requires a POSIX start
-method.  ``sanitize=True`` runs every rank under the cross-process
-:class:`~repro.parallel.process_sanitizer.ProcessSpmdSanitizer`, which
-keeps its per-rank op records on a shared-memory board and gives this
-backend the thread sanitizer's guarantees (matched collectives,
+method.  ``sanitize=True`` runs every rank under the
+:class:`~repro.parallel.sanitizer.SpmdSanitizer`, whose board lives in a
+shared-memory slab created before forking (matched collectives,
 shared-slab write detection, deadlock diagnosis — see
 ``docs/parallelism.md``).
 
@@ -65,6 +64,7 @@ from repro.parallel.comm import (
     _nbytes,
 )
 from repro.parallel import shm
+from repro.parallel.sanitizer import SpmdSanitizer, board_size
 from repro.utils.hot import array_contract
 from repro.utils.validation import require
 
@@ -146,8 +146,8 @@ class _ProcessLocalState:
 
     Exposes the attributes the base :class:`Communicator` methods touch:
     ``size``, ``traffic``, ``queues``, ``fault_injector``, ``sanitizer``
-    (a :class:`~repro.parallel.process_sanitizer.ProcessSpmdSanitizer`
-    when the run is sanitized, else ``None``) and ``error``.
+    (the run's :class:`~repro.parallel.sanitizer.SpmdSanitizer` when it is
+    sanitized, else ``None``) and ``error``.
     """
 
     def __init__(self, runtime: _Runtime, fault_injector, sanitizer=None) -> None:
@@ -186,9 +186,9 @@ class ProcessCommunicator(Communicator):
 
     # -- hooks ---------------------------------------------------------------
 
-    def _enter(self, op: str, value=None, detail: str = "", track: bool = True) -> None:
+    def _enter(self, op: str, value=None, detail: str = "") -> None:
         self._current_op = op
-        super()._enter(op, value, detail=detail, track=track)
+        super()._enter(op, value, detail=detail)
 
     # -- synchronization -----------------------------------------------------
 
@@ -247,10 +247,9 @@ class ProcessCommunicator(Communicator):
         self._published_local = value
         sanitizer = self._shared.sanitizer
         if sanitizer is not None:
-            # Fingerprint the array region just written; rechecked at this
-            # rank's next collective entry to catch writes through shared
-            # views inside the exchange window.
-            sanitizer.on_publish(self._outbox, desc_off)
+            # The array region is what peers map zero-copy; the descriptor
+            # after it is never aliased by their result views.
+            sanitizer.on_publish(self._rank, self._outbox.buf[:desc_off])
         self.traffic.record_transport(
             self._current_op,
             shm_bytes=sum(a.nbytes for a in arrays),
@@ -419,7 +418,7 @@ class ProcessCommunicator(Communicator):
             isinstance(value, np.ndarray),
             f"ireduce payload must be an ndarray, got {type(value).__name__}",
         )
-        self._enter("reduce", value, detail=f"root={root},op=sum,async", track=False)
+        self._enter("reduce", value, detail=f"root={root},op=sum,async")
         value = self._fault_corrupt("reduce", value)
         if wire_dtype is None:
             accumulate = None
@@ -484,6 +483,9 @@ class ProcessCommunicator(Communicator):
 
     def _shutdown(self) -> None:
         """Close every attachment and unlink owned segments (idempotent)."""
+        sanitizer = self._shared.sanitizer
+        if sanitizer is not None:
+            sanitizer.on_publish(self._rank, ())  # drop its view of the outbox
         self._peer_cache.clear()
         self._outbox = None
         self._registry.cleanup()
@@ -553,20 +555,11 @@ def process_spmd_run(
     sanitizer = None
     san_board = None
     if sanitize:
-        from repro.parallel.process_sanitizer import (
-            ProcessSpmdSanitizer,
-            sanitizer_board_size,
-        )
-
         san_board = shm.SharedSlab.create(
-            shm.segment_name(run_id, 0, "san"), sanitizer_board_size(n_ranks)
+            shm.segment_name(run_id, 0, "san"), board_size(n_ranks)
         )
-        sanitizer = ProcessSpmdSanitizer(
-            n_ranks,
-            san_board,
-            ctx.Barrier(n_ranks),
-            abort_event,
-            timeout=sanitize_timeout,
+        sanitizer = SpmdSanitizer(
+            n_ranks, san_board.buf, ctx.Barrier(n_ranks), abort_event, sanitize_timeout
         )
     runtime = _Runtime(
         run_id, n_ranks, barrier, abort_event, queues, inboxes, board, timeout

@@ -60,9 +60,9 @@ class TestBackendSelection:
             spmd_run(2, lambda comm: comm.rank)
 
     def test_sanitizer_supported_on_process_backend(self):
-        # Historically rejected with NotImplementedError; now backed by
-        # the shared-memory ProcessSpmdSanitizer (tests in
-        # test_process_sanitizer.py).
+        # Historically rejected with NotImplementedError; now the same
+        # SpmdSanitizer as the thread backend, on a shared-memory board
+        # (tests in test_sanitizer.py / test_process_sanitizer.py).
         assert spmd_run(
             2, lambda comm: comm.allreduce(comm.rank), sanitize=True,
             backend="process",

@@ -1,156 +1,60 @@
-"""Cross-process SPMD sanitizer: the thread sanitizer's guarantees under
-``backend="process"``.
+"""The SPMD sanitizer under ``backend="process"``.
 
-Mirrors ``test_sanitizer.py`` scenario by scenario: mismatched collectives
-quote every rank's signature and call site, a rank skipping a collective is
-diagnosed from the shared board instead of hanging, writes through shared
-slab views are caught, and clean programs return bit-identical results with
-the sanitizer on or off.  Runs real forked processes, hence the
+Runs the shared scenarios of ``test_sanitizer.py`` on forked ranks (the
+sanitizer board is a shared-memory slab there), plus the cases only this
+backend has: writes through zero-copy outbox views, republishing, own-input
+mutation, and ``/dev/shm`` hygiene.  Runs real forked processes, hence the
 ``process_backend`` marker.
 """
+
+import os
 
 import numpy as np
 import pytest
 
-from repro.parallel import SanitizerError, spmd_run
-from repro.parallel.process_sanitizer import sanitizer_board_size
+import test_sanitizer as shared
+from repro.parallel import SanitizerError
+from repro.parallel.sanitizer import board_size
 
 pytestmark = pytest.mark.process_backend
 
-TIMEOUT = 2.0  # deadlock scenarios must diagnose well inside the suite budget
+
+class _Process:
+    backend = "process"
 
 
-def run(n_ranks, prog, **kwargs):
-    kwargs.setdefault("sanitize", True)
-    kwargs.setdefault("sanitize_timeout", TIMEOUT)
-    return spmd_run(n_ranks, prog, backend="process", **kwargs)
-
-
-class TestCleanPrograms:
-    def test_results_bit_identical_with_and_without_sanitizer(self, rng):
-        payload = rng.standard_normal((3, 5, 4))
-
-        def prog(comm):
-            mine = payload[comm.rank]
-            total = comm.allreduce(mine)
-            rows = comm.allgather(np.full(comm.rank + 1, float(comm.rank)))
-            root_view = comm.bcast(
-                np.arange(3.0) if comm.rank == 0 else None, root=0
-            )
-            handle = comm.ireduce(mine, root=0)
-            comm.barrier()
-            ired = handle.wait()
-            return (
-                np.array(total),
-                [np.array(r) for r in rows],
-                np.array(root_view),
-                None if ired is None else np.array(ired),
-            )
-
-        plain = run(3, prog, sanitize=False)
-        sanitized = run(3, prog)
-        for p_rank, s_rank in zip(plain, sanitized):
-            np.testing.assert_array_equal(p_rank[0], s_rank[0])
-            for a, b in zip(p_rank[1], s_rank[1]):
-                np.testing.assert_array_equal(a, b)
-            np.testing.assert_array_equal(p_rank[2], s_rank[2])
-            if p_rank[3] is None:
-                assert s_rank[3] is None
-            else:
-                np.testing.assert_array_equal(p_rank[3], s_rank[3])
-
-    def test_per_rank_payload_shapes_are_not_a_mismatch(self):
-        def prog(comm):
-            blocks = comm.allgather(np.zeros((comm.rank + 1, 2)))
-            return sum(b.shape[0] for b in blocks)
-
-        assert run(3, prog) == [6, 6, 6]
-
-    def test_single_rank_run_is_trivially_clean(self):
-        assert run(1, lambda comm: comm.allreduce(1.0)) == [1.0]
-
+class TestCleanPrograms(_Process, shared.ScenarioCleanPrograms):
     def test_no_shm_residue_after_sanitized_run(self):
-        import os
-
-        run(2, lambda comm: comm.allreduce(comm.rank))
+        self.run(2, lambda comm: comm.allreduce(comm.rank))
         assert [
             f for f in os.listdir("/dev/shm") if f.startswith("reprospmd")
         ] == []
 
     def test_board_size_covers_slots_and_verdict(self):
-        assert sanitizer_board_size(4) > 4 * 8192
+        assert board_size(4) > 4 * 3 * 4096
 
 
-class TestMismatchedCollectives:
-    def test_divergent_ops_report_both_ranks_call_sites(self):
-        def prog(comm):
-            if comm.rank == 1:
-                return comm.gather(comm.rank, root=0)
-            return comm.allreduce(comm.rank)
-
-        with pytest.raises(SanitizerError) as err:
-            run(2, prog)
-        text = str(err.value)
-        assert "mismatched collectives" in text
-        assert "allreduce" in text and "gather" in text
-        assert "rank 0" in text and "rank 1" in text
-        # both call sites, resolved to user code across the fork
-        assert text.count("test_process_sanitizer.py") >= 2
-
-    def test_divergent_roots_are_a_mismatch(self):
-        def prog(comm):
-            root = 1 if comm.rank == 1 else 0
-            return comm.bcast(comm.rank if comm.rank == root else None, root=root)
-
-        with pytest.raises(SanitizerError, match="root="):
-            run(3, prog)
-
-    def test_divergent_allreduce_shapes_are_a_mismatch(self):
-        def prog(comm):
-            width = 3 if comm.rank == 0 else 2
-            return comm.allreduce(np.ones(width))
-
-        with pytest.raises(SanitizerError, match="ndarray"):
-            run(2, prog)
+class TestMismatchedCollectives(_Process, shared.ScenarioMismatchedCollectives):
+    pass
 
 
-class TestDeadlockDiagnosis:
-    def test_rank_skipping_a_collective_is_diagnosed(self):
-        def prog(comm):
-            if comm.rank == 1:
-                return None  # returns without the collective
-            return comm.allreduce(comm.rank)
-
-        with pytest.raises(SanitizerError) as err:
-            run(3, prog)
-        text = str(err.value)
-        assert "finished" in text
-        assert "rank 1" in text
-
-    def test_stalled_rank_times_out_with_state_table(self):
-        import time
-
-        def prog(comm):
-            if comm.rank == 1:
-                time.sleep(1.5)  # never reaches the collective in time
-                return None
-            return comm.allreduce(comm.rank)
-
-        with pytest.raises(SanitizerError) as err:
-            run(2, prog, sanitize_timeout=0.3)
-        text = str(err.value)
-        assert "did not complete within" in text
-        assert "per-rank state" in text
-        assert "no collective entered yet" in text  # rank 1's row
+class TestDeadlockDiagnosis(_Process, shared.ScenarioDeadlockDiagnosis):
+    pass
 
 
-class TestSharedSlabWriteDetection:
+class TestFailurePropagation(
+    _Process, shared.ScenarioFaultInjection, shared.ScenarioEnvOptIn
+):
+    pass
+
+
+class TestSharedSlabWriteDetection(_Process, shared._Backend):
     def test_write_through_shared_view_is_flagged(self):
         # The outbox slab is the shared surface of this backend: peers
         # combine reductions from zero-copy views into it.  A write
         # through any mapping of that region inside the exchange window
-        # is exactly the torn-buffer race the thread sanitizer catches
-        # for by-reference arrays.
+        # is exactly the torn-buffer race the thread backend has with
+        # by-reference arrays.
         def prog(comm):
             comm.allreduce(np.arange(4.0))
             if comm.rank == 0:
@@ -159,8 +63,8 @@ class TestSharedSlabWriteDetection:
             comm.barrier()
             return None
 
-        with pytest.raises(SanitizerError, match="unsynchronized shared-slab write"):
-            run(2, prog)
+        with pytest.raises(SanitizerError, match="unsynchronized shared-buffer write"):
+            self.run(2, prog)
 
     def test_republishing_is_not_a_false_positive(self):
         # Each collective overwrites the outbox legitimately; the check
@@ -172,7 +76,7 @@ class TestSharedSlabWriteDetection:
             comm.barrier()
             return float(a.sum() + b.sum())
 
-        assert run(2, prog) == [28.0, 28.0]
+        assert self.run(2, prog) == [28.0, 28.0]
 
     def test_mutating_own_input_buffer_is_legal_here(self):
         # Unlike the thread backend, payload bytes are *copied* into the
@@ -185,27 +89,5 @@ class TestSharedSlabWriteDetection:
             comm.barrier()
             return float(np.asarray(total).sum())
 
-        assert run(2, prog) == [12.0, 12.0]
+        assert self.run(2, prog) == [12.0, 12.0]
 
-
-class TestFailurePropagation:
-    def test_rank_exception_propagates_not_misdiagnosed(self):
-        def prog(comm):
-            if comm.rank == 1:
-                raise KeyError("lost key on rank 1")
-            return comm.allreduce(comm.rank)
-
-        with pytest.raises(KeyError, match="lost key on rank 1"):
-            run(3, prog)
-
-    def test_env_opt_in_reaches_process_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        monkeypatch.setenv("REPRO_SANITIZE_TIMEOUT", str(TIMEOUT))
-
-        def prog(comm):
-            if comm.rank == 0:
-                return comm.barrier()
-            return comm.allreduce(comm.rank)
-
-        with pytest.raises(SanitizerError):
-            spmd_run(2, prog, backend="process")  # sanitize=None -> env

@@ -164,10 +164,12 @@ class TestCrossSolverGroundState:
             ham.apply_columns, x0, ham.diagonal(), tol=1e-9, max_iter=300
         )
         # Davidson's crude kinetic-diagonal correction converges the last
-        # (degenerate) band slowly; compare to its achieved accuracy.
-        np.testing.assert_allclose(
-            res_l.eigenvalues, res_d.eigenvalues, atol=5e-6
-        )
+        # (degenerate) band slowly, so compare each band to the accuracy
+        # both solvers achieved: for a Hermitian operator a Ritz value lies
+        # within its residual norm of an exact eigenvalue.
+        bound = res_l.residual_norms + res_d.residual_norms
+        diff = np.abs(res_l.eigenvalues - res_d.eigenvalues)
+        assert np.all(diff <= bound), (diff, bound)
         np.testing.assert_allclose(
             res_l.eigenvalues, gs.energies[:6], atol=1e-6
         )

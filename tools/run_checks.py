@@ -23,34 +23,33 @@ Runs, in order:
    must stay within 1.10x, and enforcement must provably reject a
    contract-violating call (so the gate cannot pass with the decorator
    accidentally inert),
-8. **sanitizer smoke** — a 4-rank SPMD run under the runtime sanitizer plus
-   one deliberately mismatched collective that must be *diagnosed*, proving
-   the sanitizer is alive and not a no-op,
+8. **sanitizer smoke** — on both SPMD backends, the bench-spmd GIL-bound
+   workload under the runtime sanitizer: results bit-identical to
+   unsanitized, overhead within 25%, and a deliberately mismatched
+   collective *diagnosed* with every rank's call site, proving the
+   sanitizer is alive and not a no-op (the process half is skipped where
+   ``fork`` is unavailable),
 9. **process-backend smoke** — a 3-rank ``backend="process"`` run whose
    collectives must match the thread backend bit-for-bit and leave no
    ``/dev/shm`` residue (skipped where ``fork`` is unavailable),
-10. **process-sanitizer smoke** — the cross-process sanitizer on the
-    bench-spmd GIL-bound workload: sanitized results bit-identical to
-    unsanitized, a mismatched collective diagnosed with both call sites,
-    and overhead within 25% (skipped where ``fork`` is unavailable),
-11. **precision smoke** — the mixed precision tier (``repro.precision``)
+10. **precision smoke** — the mixed precision tier (``repro.precision``)
     against strict64: fit and K-Means errors inside their documented
     tolerances with no fallback fired, the fp32 wire provably halving the
     shared-memory reduce bytes on the pipelined GEMM+Reduce, and the
     thread/process backends bit-identical to each other under the fp32
     wire (skip with ``--no-precision``),
-12. **serve smoke** — an in-process job server handling a duplicate
+11. **serve smoke** — an in-process job server handling a duplicate
     request pair: the second submission must be a bit-identical,
     zero-SCF-iteration cache hit, and a perturbed third request must
     warm-start off the cached ground state,
-13. **public API snapshot** — ``tools/check_public_api.py``,
-14. **bytecode guard** — ``tools/check_no_pyc.py``,
-15. **bench gate** — ``tools/check_bench.py``: validates the committed
+12. **public API snapshot** — ``tools/check_public_api.py``,
+13. **bytecode guard** — ``tools/check_no_pyc.py``,
+14. **bench gate** — ``tools/check_bench.py``: validates the committed
     ``BENCH_*.json`` reports and re-runs the smoke benchmarks, gating on
     correctness flags and dimensionless ratios (never raw seconds); skip
     with ``--no-bench`` for the fast loop, refresh the committed reports
     with ``python tools/check_bench.py --update-bench``,
-16. **tier-1 tests** — ``pytest -x -q`` (skip with ``--no-tests`` for the
+15. **tier-1 tests** — ``pytest -x -q`` (skip with ``--no-tests`` for the
     fast pre-commit loop).
 
 Exit status is nonzero if any mandatory stage fails.  Optional tools that
@@ -242,30 +241,59 @@ print(f"array-contract smoke: ok (bit-identical, overhead {{ratio:.3f}}x, "
 
 
 _SANITIZER_SMOKE = """
-import repro  # noqa: F401 - import side effects must not break the sanitizer
+import multiprocessing, os, time
+
 from repro.parallel import SanitizerError, spmd_run
+from repro.perf.spmd_bench import _gil_bound_program
 
-# Clean program: collectives must pass under the sanitizer unchanged.
-def ok(comm):
-    return comm.allreduce(comm.rank)
+STEPS, WORK, RANKS = 10, 50_000, 3
+try:
+    multiprocessing.get_context("fork")
+    BACKENDS = ("thread", "process")
+except ValueError:
+    BACKENDS = ("thread",)
+    print("sanitizer smoke [process]: SKIP (no fork start method)")
 
-assert spmd_run(4, ok, sanitize=True) == [6, 6, 6, 6]
-
-# Divergent program: rank 2 calls a different collective; the sanitizer must
-# diagnose the mismatch (naming both op signatures) instead of hanging.
 def bad(comm):
-    if comm.rank == 2:
+    if comm.rank == 1:
         return comm.gather(comm.rank, root=0)
     return comm.allreduce(comm.rank)
 
-try:
-    spmd_run(4, bad, sanitize=True, sanitize_timeout=5.0)
-except SanitizerError as exc:
-    text = str(exc)
-    assert "allreduce" in text and "gather" in text, text
-else:
-    raise SystemExit("sanitizer missed a mismatched collective")
-print("sanitizer smoke: ok")
+for backend in BACKENDS:
+    def once(sanitize):
+        t0 = time.perf_counter()
+        out = spmd_run(
+            RANKS, _gil_bound_program, STEPS, WORK,
+            backend=backend, sanitize=sanitize, sanitize_timeout=30.0,
+        )
+        return out, time.perf_counter() - t0
+
+    # Bit-identity: the sanitizer must observe, never perturb.
+    plain_times, sane_times = [], []
+    for _ in range(3):
+        plain, t_plain = once(False)
+        sane, t_sane = once(True)
+        assert sane == plain, (backend, sane, plain)
+        plain_times.append(t_plain)
+        sane_times.append(t_sane)
+
+    # Overhead gate: min-of-3 vs min-of-3 (both pay the same spawn costs).
+    ratio = min(sane_times) / min(plain_times)
+    assert ratio <= 1.25, f"{backend}: sanitizer overhead {ratio:.2f}x exceeds 1.25x"
+
+    # A mismatched collective must be diagnosed with every rank's call site.
+    try:
+        spmd_run(RANKS, bad, backend=backend, sanitize=True, sanitize_timeout=5.0)
+    except SanitizerError as exc:
+        text = str(exc)
+        assert "allreduce" in text and "gather" in text, text
+        assert text.count("<string>") == RANKS, text
+    else:
+        raise SystemExit(f"{backend}: sanitizer missed a mismatched collective")
+    residue = [f for f in os.listdir("/dev/shm") if f.startswith("reprospmd")]
+    assert not residue, residue
+    print(f"sanitizer smoke [{backend}]: ok (bit-identical, overhead {ratio:.2f}x, "
+          "mismatch diagnosed)")
 """
 
 
@@ -297,59 +325,6 @@ assert traffic.zero_copy_bytes > 0, "no bytes moved through shared memory?"
 residue = [f for f in os.listdir("/dev/shm") if f.startswith("reprospmd")]
 assert not residue, residue
 print("process smoke: ok (bit-identical, zero-copy, no shm residue)")
-"""
-
-
-_PROCESS_SANITIZER_SMOKE = """
-import multiprocessing, sys, time
-try:
-    multiprocessing.get_context("fork")
-except ValueError:
-    print("process-sanitizer smoke: SKIP (no fork start method)")
-    sys.exit(0)
-
-from repro.parallel import SanitizerError, spmd_run
-from repro.perf.spmd_bench import _gil_bound_program
-
-STEPS, WORK, RANKS = 10, 50_000, 3
-
-def once(sanitize):
-    t0 = time.perf_counter()
-    out = spmd_run(
-        RANKS, _gil_bound_program, STEPS, WORK,
-        backend="process", sanitize=sanitize, sanitize_timeout=30.0,
-    )
-    return out, time.perf_counter() - t0
-
-# Bit-identity: the sanitizer must observe, never perturb.
-plain_times, sane_times = [], []
-for _ in range(3):
-    plain, t_plain = once(False)
-    sane, t_sane = once(True)
-    assert sane == plain, (sane, plain)
-    plain_times.append(t_plain)
-    sane_times.append(t_sane)
-
-# Overhead gate: min-of-3 vs min-of-3 (forks dominate; both pay them).
-ratio = min(sane_times) / min(plain_times)
-assert ratio <= 1.25, f"sanitizer overhead {ratio:.2f}x exceeds 1.25x"
-
-# A mismatched collective must be diagnosed with every rank's call site.
-def bad(comm):
-    if comm.rank == 1:
-        return comm.gather(comm.rank, root=0)
-    return comm.allreduce(comm.rank)
-
-try:
-    spmd_run(RANKS, bad, backend="process", sanitize=True, sanitize_timeout=5.0)
-except SanitizerError as exc:
-    text = str(exc)
-    assert "allreduce" in text and "gather" in text, text
-    assert "run_checks" in text or "<string>" in text or "rank 1" in text, text
-else:
-    raise SystemExit("process sanitizer missed a mismatched collective")
-print(f"process-sanitizer smoke: ok (bit-identical, overhead {ratio:.2f}x, "
-      "mismatch diagnosed)")
 """
 
 
@@ -489,8 +464,6 @@ def main(argv: list[str] | None = None) -> int:
     gate.run("array-contracts", [sys.executable, "-c", _ARRAY_CONTRACT_SMOKE])
     gate.run("sanitizer-smoke", [sys.executable, "-c", _SANITIZER_SMOKE])
     gate.run("process-smoke", [sys.executable, "-c", _PROCESS_SMOKE])
-    gate.run("process-sanitizer-smoke",
-             [sys.executable, "-c", _PROCESS_SANITIZER_SMOKE])
     if not args.no_precision:
         gate.run("precision-smoke", [sys.executable, "-c", _PRECISION_SMOKE])
     else:
