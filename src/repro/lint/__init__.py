@@ -5,9 +5,6 @@ lives in :mod:`repro.lint.engine`.  Per-file passes encoding the
 invariants the reproduction relies on live in :mod:`repro.lint.rules`:
 
 * ``no-alloc-in-hot`` — per-call allocations inside hot kernels,
-* ``collective-in-branch`` — collectives guarded by rank-dependent
-  branches (``if``/``while``/conditional expressions/short-circuits/
-  comprehension filters),
 * ``nondeterminism-in-replay`` — wall-clock/global-RNG/dict-order inside
   checkpoint-replayed loops,
 * ``mutated-recv-buffer`` — in-place writes to arrays received through the
@@ -19,8 +16,6 @@ Whole-program passes run over the project call graph
 (:mod:`repro.lint.callgraph` + :mod:`repro.lint.flow`) and live in
 :mod:`repro.lint.project_rules`:
 
-* ``transitive-collective-in-branch`` — collectives reachable through
-  helper calls from rank-dependent branches,
 * ``impure-cache-key`` — nondeterminism reachable from
   ``CalculationRequest`` serialization (the content-addressed cache key),
 * ``lock-order-cycle`` / ``blocking-under-lock`` — the static lock graph
@@ -36,8 +31,14 @@ symbolic shapes, a dtype lattice, and layout (contiguity) facts:
   contract requires C-contiguity (BLAS packing, pocketfft input copies),
 * ``shape-mismatch`` — inferred shapes contradicting a contract or a
   GEMM's inner dimension,
-* ``collective-buffer-contract`` — rank-dependent buffer shapes fed to
-  reducing collectives.
+* ``undeclared-downcast-in-hot`` — a float64 value narrowed to float32
+  inside a hot kernel whose contract declares no ``precision_policy``.
+
+Whether every rank enters the same collectives with conforming buffers is
+not a lint question: the runtime SPMD sanitizer
+(:mod:`repro.parallel.sanitizer`, ``REPRO_SANITIZE=1``) diagnoses skipped,
+extra, divergent and ragged collectives on both backends, and the test
+suite runs every distributed algorithm under it.
 
 Set ``REPRO_ARRAY_CONTRACTS=1`` to also enforce the same contracts at
 runtime (:mod:`repro.utils.hot`); the default is off with zero overhead.

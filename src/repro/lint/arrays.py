@@ -4,9 +4,7 @@ This module infers three kinds of facts for the numpy values flowing
 through the project call graph (:mod:`repro.lint.callgraph`):
 
 * **symbolic shapes** — tuples of :class:`Dim`, each a literal size, a
-  named symbol (``n_grid``, ``n_pairs``, ...) or unknown, optionally
-  tagged *rank-dependent* when its value derives from ``comm.rank``
-  (composing with the PR-7 rank taint in :mod:`repro.lint.flow`);
+  named symbol (``n_grid``, ``n_pairs``, ...) or unknown;
 * **a dtype lattice** — ``bool < int64 < float32 < float64 < complex128``
   with join = widest (numpy names canonicalize onto these buckets);
 * **layout facts** — C-contiguous, plain view, transposed (F-contiguous),
@@ -16,7 +14,7 @@ Ground truth comes from ``@array_contract`` declarations
 (:func:`repro.utils.hot.array_contract`, re-exported by
 :mod:`repro.lint.hotpaths`): contracts seed parameter facts inside the
 declaring function, and resolved call sites are checked against the
-callee's contract.  On top of the interpreter sit five project rules:
+callee's contract.  On top of the interpreter sit four project rules:
 
 * ``silent-upcast-in-hot`` — a float64 value acquires complex128 (or
   float32 acquires float64) inside a hot kernel via ``astype``, a complex
@@ -40,19 +38,11 @@ callee's contract.  On top of the interpreter sit five project rules:
   contract, malformed/unconfirmable contracts, and broadcasts inside hot
   kernels that materialize a temporary larger than both operands
   (mutual ``(n, 1) x (1, m)`` outer-product style).
-* ``collective-buffer-contract`` — buffers fed to the reducing
-  collectives (``reduce``/``allreduce``/``ireduce``/
-  ``verified_allreduce``) must have rank-invariant shape: a buffer whose
-  inferred shape contains a rank-dependent dim is statically the
-  allreduce-on-ragged-buffer class the runtime sanitizer only sees live.
-  (The ragged-tolerant collectives — gather/allgather/scatter/alltoall/
-  bcast — accept per-rank shapes by design and are not constrained.)
 
 Precision policy: every rule fires only on facts the interpreter *knows*;
 unknown shapes/dtypes/layouts never produce findings.  That keeps the
 committed tree lintable without a flood of suppressions at the cost of
-missing dynamically-constructed hazards — the same precision-first stance
-as the branch rules (see ``docs/static-analysis.md``).
+missing dynamically-constructed hazards (see ``docs/static-analysis.md``).
 """
 
 from __future__ import annotations
@@ -71,7 +61,6 @@ from repro.lint.engine import (
     dotted_name,
     register_project_rule,
 )
-from repro.lint.flow import rank_tainted_names
 from repro.lint.hotpaths import (
     ARRAY_CONTRACT_DECORATORS,
     HOT_DECORATORS,
@@ -91,7 +80,6 @@ __all__ = [
 
 #: The rule names this module registers (CLI ``--no-arrays`` filter).
 ARRAY_RULE_NAMES = (
-    "collective-buffer-contract",
     "hidden-copy-into-kernel",
     "shape-mismatch",
     "silent-upcast-in-hot",
@@ -124,10 +112,6 @@ _GEMM_LEAVES = frozenset({"matmul", "dot"})
 _SLAB_PUBLISH_QUALNAMES = frozenset(
     {"SharedSlab.write", "SlabArena.write_array"}
 )
-#: Collectives whose buffers must be shape-identical on every rank.
-_REDUCING_COLLECTIVES = frozenset(
-    {"allreduce", "ireduce", "reduce", "verified_allreduce"}
-)
 
 _DTYPE_RANK = {name: rank for rank, name in enumerate(DTYPE_LATTICE)}
 
@@ -155,7 +139,6 @@ class Dim:
 
     name: str | None = None
     value: int | None = None
-    rank_dependent: bool = False
 
     def render(self) -> str:
         if self.value is not None:
@@ -181,7 +164,6 @@ def unify_dims(a: Dim, b: Dim) -> tuple[Dim, bool]:
     merged = Dim(
         name=a.name if a.name is not None else b.name,
         value=a.value if a.value is not None else b.value,
-        rank_dependent=a.rank_dependent or b.rank_dependent,
     )
     return merged, False
 
@@ -204,11 +186,6 @@ class ArrayFact:
     @property
     def is_scalar(self) -> bool:
         return self.shape is not None and len(self.shape) == 0
-
-    def rank_dependent_dims(self) -> tuple[Dim, ...]:
-        if self.shape is None:
-            return ()
-        return tuple(d for d in self.shape if d.rank_dependent)
 
     def render_shape(self) -> str:
         if self.shape is None:
@@ -541,7 +518,6 @@ class _Interpreter:
         )
         self.env: dict[str, ArrayFact] = {}
         self.return_fact: ArrayFact | None = None
-        self.tainted = frozenset(rank_tainted_names(self.project, info))
         #: call AST node id -> resolved callee uids.
         self.callees: dict[int, list[str]] = {}
         for edge in self.project.edges_from.get(info.uid, []):
@@ -841,8 +817,7 @@ class _Interpreter:
                     # Unknown scalar-or-slice index.
                     if position > 0:
                         layout = STRIDED
-                    rank_dep = _expr_rank_dependent(element, self.tainted)
-                    dims.append(Dim(rank_dependent=rank_dep))
+                    dims.append(UNKNOWN_DIM)
                     shape = None
                     axis += 1
         if advanced_copy:
@@ -867,12 +842,6 @@ class _Interpreter:
             if shape is not None and axis < len(shape):
                 return shape[axis]
             return UNKNOWN_DIM
-        lower_dep = _expr_rank_dependent(element.lower, self.tainted)
-        upper_dep = _expr_rank_dependent(element.upper, self.tainted)
-        # ``a[:rank]`` / ``a[rank:]`` have rank-dependent extents; a slice
-        # with *both* bounds rank-dependent may still have constant extent
-        # (``a[rank:rank+2]``), so it stays unknown rather than tainted.
-        rank_dep = lower_dep != upper_dep
         lower = element.lower
         upper = element.upper
         if (
@@ -881,8 +850,8 @@ class _Interpreter:
             and isinstance(upper.value, int)
             and upper.value >= 0
         ):
-            return Dim(value=upper.value, rank_dependent=rank_dep)
-        return Dim(rank_dependent=rank_dep)
+            return Dim(value=upper.value)
+        return UNKNOWN_DIM
 
     # -- binary operators ----------------------------------------------------
 
@@ -1034,7 +1003,6 @@ class _Interpreter:
             kw.arg: self._eval(kw.value) for kw in call.keywords if kw.arg
         }
 
-        self._check_collective(call, leaf, arg_facts)
         self._check_fft_entry(call, leaf, arg_facts)
         self._check_gemm_call(call, leaf, root, arg_facts, kw_facts, name)
         self._check_resolved_call(call, arg_facts, kw_facts)
@@ -1042,28 +1010,6 @@ class _Interpreter:
         return self._constructor_fact(
             call, name, head, leaf, root, method_base, arg_facts, kw_facts
         )
-
-    # .. collective buffers ..................................................
-
-    def _check_collective(
-        self, call: ast.Call, leaf: str, arg_facts: list[ArrayFact | None]
-    ) -> None:
-        if leaf not in _REDUCING_COLLECTIVES or not call.args:
-            return
-        fact = arg_facts[0]
-        if fact is None:
-            return
-        bad = fact.rank_dependent_dims()
-        if bad:
-            self.analysis.emit(
-                "collective-buffer-contract",
-                self.info,
-                call,
-                f"{self.info.qualname}: buffer fed to {leaf} has a "
-                f"rank-dependent shape {fact.render_shape()} — reducing "
-                "collectives require every rank to contribute identical "
-                "shapes (the runtime sanitizer would only catch this live)",
-            )
 
     # .. FFT entries .........................................................
 
@@ -1513,30 +1459,16 @@ class _Interpreter:
         return None
 
     def _dim_from_expr(self, expr: ast.expr) -> Dim:
-        rank_dep = _expr_rank_dependent(expr, self.tainted)
         if isinstance(expr, ast.Constant) and isinstance(expr.value, int):
             if expr.value >= 0:
                 return Dim(value=expr.value)
-            return Dim(rank_dependent=rank_dep)  # -1 reshape wildcard
+            return UNKNOWN_DIM  # -1 reshape wildcard
         if isinstance(expr, ast.UnaryOp) and isinstance(expr.op, ast.USub):
-            return Dim(rank_dependent=rank_dep)
+            return UNKNOWN_DIM
         name = dotted_name(expr)
         if name:
-            return Dim(name=name, rank_dependent=rank_dep or name in self.tainted)
-        return Dim(rank_dependent=rank_dep)
-
-
-def _expr_rank_dependent(
-    expr: ast.expr | None, tainted: frozenset[str]
-) -> bool:
-    if expr is None:
-        return False
-    for sub in ast.walk(expr):
-        if isinstance(sub, ast.Name) and (sub.id == "rank" or sub.id in tainted):
-            return True
-        if isinstance(sub, ast.Attribute) and sub.attr in ("rank", "_rank"):
-            return True
-    return False
+            return Dim(name=name)
+        return UNKNOWN_DIM
 
 
 # ---------------------------------------------------------------------------
@@ -1608,17 +1540,4 @@ class ShapeMismatch(_ArrayRule):
     description = (
         "symbolic shape conflict across a call boundary, an unconfirmable "
         "array contract, or a temporary-materializing broadcast"
-    )
-
-
-@register_project_rule
-class CollectiveBufferContract(_ArrayRule):
-    """Reducing collectives combine buffers elementwise: a rank-dependent
-    buffer shape is the allreduce-on-ragged-buffer class the runtime
-    sanitizer only catches live.  Composes with the PR-7 rank taint."""
-
-    name = "collective-buffer-contract"
-    description = (
-        "buffer with rank-dependent shape fed to a reducing collective "
-        "(reduce/allreduce/ireduce/verified_allreduce)"
     )

@@ -1,22 +1,18 @@
-"""Reachability, taint, and lock analyses over the project call graph.
+"""Reachability and lock analyses over the project call graph.
 
 This is the dataflow layer between :mod:`repro.lint.callgraph` (which only
 knows who calls whom) and :mod:`repro.lint.project_rules` (which decide
-what is a finding).  Three analyses live here:
+what is a finding).  Two analyses live here:
 
-* **collective reachability** — for every function, which collective ops
-  (``allreduce``/``barrier``/...) it can enter, directly or through any
-  chain of resolved calls, with one witness chain per op for diagnostics;
-* **rank taint** — which local names of a function are derived from the
-  rank, so ``if my_part == 0:`` is recognized as rank-dependent after
-  ``my_part = rank % 2``;
+* **reachability** — everything a set of root functions can reach over
+  chosen edge kinds, with one witness chain per function for diagnostics;
 * **lock analysis** — a static lock graph: which locks exist (including
   ``Condition(self._lock)`` aliasing back to the lock it wraps), which
   acquisition orders occur (directly or through calls), and which blocking
   operations (``join``/``wait``/collectives/disk I/O/timed queue gets)
   run while a lock is held.
 
-All three are conservative in the same direction the call graph is:
+Both are conservative in the same direction the call graph is:
 unresolvable dynamic dispatch drops edges (documented in
 :mod:`repro.lint.callgraph`), so these analyses can miss, never invent,
 paths — except for timeouts, where a blocking fact bounded by a caller
@@ -29,11 +25,11 @@ from __future__ import annotations
 import ast
 import dataclasses
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from repro.lint.callgraph import ClassInfo, FunctionInfo, ModuleInfo, Project
 from repro.lint.engine import dotted_name
-from repro.lint.rules import _COLLECTIVES, _NUMPY_ALIASES
+from repro.lint.rules import _NUMPY_ALIASES
 
 __all__ = [
     "BlockingFact",
@@ -41,9 +37,6 @@ __all__ = [
     "LockAcquisition",
     "LockAnalysis",
     "LockDecl",
-    "collective_reachability",
-    "expr_is_rank_dependent",
-    "rank_tainted_names",
     "reachable_with_paths",
 ]
 
@@ -78,91 +71,26 @@ def reachable_with_paths(
     return paths
 
 
-def direct_collective_ops(
-    project: Project, info: FunctionInfo
-) -> dict[str, ast.Call]:
-    """Collective calls lexically inside ``info``'s own scope."""
-    ops: dict[str, ast.Call] = {}
-    for node in project.scope_nodes(info):
-        if isinstance(node, ast.Call):
-            leaf = dotted_name(node.func).rpartition(".")[2]
-            if leaf in _COLLECTIVES:
-                ops.setdefault(leaf, node)
-    return ops
-
-
-def collective_reachability(
-    project: Project,
-) -> dict[str, dict[str, tuple[str, ...]]]:
-    """``uid -> {op -> witness chain}`` over resolved ``call`` edges.
-
-    The chain starts at ``uid`` and ends at the function making the direct
-    collective call.  Lambdas only contribute when actually called (a
-    stored lambda is a ``ref`` edge); that keeps branch analysis precise
-    at the cost of missing collectives behind first-class function values.
-    """
-    ops: dict[str, dict[str, tuple[str, ...]]] = {}
-    for uid, info in project.functions.items():
-        ops[uid] = {op: (uid,) for op in direct_collective_ops(project, info)}
-    changed = True
-    while changed:
-        changed = False
-        for uid, edges in project.edges_from.items():
-            mine = ops.setdefault(uid, {})
-            for edge in edges:
-                if edge.kind != "call":
-                    continue
-                for op, chain in ops.get(edge.callee, {}).items():
-                    if op not in mine:
-                        mine[op] = (uid,) + chain
-                        changed = True
-    return ops
-
-
-# ---------------------------------------------------------------------------
-# rank taint
-# ---------------------------------------------------------------------------
-
-
-def expr_is_rank_dependent(
-    expr: ast.AST, tainted: frozenset[str] | set[str] = frozenset()
-) -> bool:
-    """``rank`` / ``.rank`` / ``._rank`` references, or any tainted name."""
-    for sub in ast.walk(expr):
-        if isinstance(sub, ast.Name) and (sub.id == "rank" or sub.id in tainted):
-            return True
-        if isinstance(sub, ast.Attribute) and sub.attr in ("rank", "_rank"):
-            return True
-    return False
-
-
-def rank_tainted_names(project: Project, info: FunctionInfo) -> set[str]:
-    """Local names assigned (possibly transitively) from rank expressions."""
-    tainted: set[str] = set()
-    for _ in range(4):  # chained assignments converge in a few passes
-        grew = False
-        for node in project.scope_nodes(info):
-            if not (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-            ):
-                continue
-            name = node.targets[0].id
-            if name not in tainted and expr_is_rank_dependent(node.value, tainted):
-                tainted.add(name)
-                grew = True
-        if not grew:
-            break
-    return tainted
-
-
 # ---------------------------------------------------------------------------
 # lock analysis
 # ---------------------------------------------------------------------------
 
 _LOCK_CTORS = frozenset({"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"})
 _REENTRANT = frozenset({"RLock"})
+#: comm methods that block until every rank arrives.
+_COLLECTIVES = frozenset(
+    {
+        "allgather",
+        "allreduce",
+        "alltoall",
+        "barrier",
+        "bcast",
+        "gather",
+        "reduce",
+        "scatter",
+        "verified_allreduce",
+    }
+)
 _DISK_LEAVES = frozenset(
     {"open", "replace", "fsync", "read_text", "write_text", "read_bytes",
      "write_bytes", "save", "savez", "savez_compressed", "unlink", "rename"}

@@ -1,11 +1,8 @@
 """Whole-program lint rules over the call graph and flow analyses.
 
-Three rule families, each closing a hole the per-file rules in
+Two rule families, each closing a hole the per-file rules in
 :mod:`repro.lint.rules` cannot see:
 
-* ``transitive-collective-in-branch`` — a collective hidden one or more
-  calls deep inside a rank-dependent branch deadlocks exactly like a
-  lexically visible one; the per-file rule only sees the latter.
 * ``impure-cache-key`` — everything reachable from
   ``CalculationRequest.to_dict``/``canonical_json``/``cache_key`` must be
   bit-deterministic, or the content-addressed store in ``repro.serve``
@@ -32,154 +29,14 @@ from repro.lint.engine import (
     dotted_name,
     register_project_rule,
 )
-from repro.lint.flow import (
-    LockAnalysis,
-    collective_reachability,
-    describe_chain,
-    expr_is_rank_dependent,
-    rank_tainted_names,
-    reachable_with_paths,
-)
-from repro.lint.rules import _COLLECTIVES, _NUMPY_ALIASES, _SEEDED_RNG_FACTORIES
+from repro.lint.flow import LockAnalysis, describe_chain, reachable_with_paths
+from repro.lint.rules import _NUMPY_ALIASES, _SEEDED_RNG_FACTORIES
 
 __all__ = [
     "BlockingUnderLock",
     "ImpureCacheKey",
     "LockOrderCycle",
-    "TransitiveCollectiveInBranch",
 ]
-
-_FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
-_DEFERRED_NODES = (*_FUNC_NODES, ast.Lambda)
-
-
-def _walk_executed(roots: Sequence[ast.AST] | ast.AST) -> Iterator[ast.AST]:
-    """Walk nodes that *execute* when the roots do: skips the bodies of
-    nested defs/lambdas (they only run when later called)."""
-    stack = list(roots) if isinstance(roots, list) else [roots]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, _DEFERRED_NODES):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-# ---------------------------------------------------------------------------
-# transitive-collective-in-branch
-# ---------------------------------------------------------------------------
-
-
-@register_project_rule
-class TransitiveCollectiveInBranch(ProjectRule):
-    """Rank-guarded helper calls that *transitively* enter a collective.
-
-    The per-file ``collective-in-branch`` rule flags collectives lexically
-    inside a rank branch; this rule follows resolved call edges, so
-    ``if rank == 0: finalize()`` is flagged when ``finalize`` (or anything
-    it calls) enters a collective the other arm never reaches.  Branch
-    tests count as rank-dependent through local dataflow too
-    (``color = rank % 2; if color: ...``).
-    """
-
-    name = "transitive-collective-in-branch"
-    description = "collective reachable through calls from a rank-dependent branch"
-
-    def check(
-        self, project: Project, modules: Sequence[SourceModule]
-    ) -> Iterator[Finding]:
-        reach = collective_reachability(project)
-        for uid, info in list(project.functions.items()):
-            calls_by_id: dict[int, list[str]] = {}
-            for edge in project.edges_from.get(uid, []):
-                if edge.kind == "call" and isinstance(edge.node, ast.Call):
-                    calls_by_id.setdefault(id(edge.node), []).append(edge.callee)
-            if not calls_by_id:
-                continue
-            tainted = rank_tainted_names(project, info)
-            for node in project.scope_nodes(info):
-                if isinstance(node, (ast.If, ast.IfExp)) and expr_is_rank_dependent(
-                    node.test, tainted
-                ):
-                    yield from self._check_branch(
-                        info, node, calls_by_id, reach
-                    )
-                elif isinstance(node, ast.While) and expr_is_rank_dependent(
-                    node.test, tainted
-                ):
-                    yield from self._check_loop(info, node, calls_by_id, reach)
-
-    def _arm_ops(
-        self,
-        arm: Sequence[ast.AST] | ast.AST,
-        calls_by_id: dict[int, list[str]],
-        reach: dict[str, dict[str, tuple[str, ...]]],
-    ) -> tuple[set[str], dict[str, tuple[ast.Call, tuple[str, ...]]]]:
-        """(direct ops, transitive op -> (call site, witness chain))."""
-        direct: set[str] = set()
-        transitive: dict[str, tuple[ast.Call, tuple[str, ...]]] = {}
-        for node in _walk_executed(list(arm) if isinstance(arm, list) else arm):
-            if not isinstance(node, ast.Call):
-                continue
-            leaf = dotted_name(node.func).rpartition(".")[2]
-            if leaf in _COLLECTIVES:
-                direct.add(leaf)
-            for callee in calls_by_id.get(id(node), ()):
-                for op, chain in reach.get(callee, {}).items():
-                    transitive.setdefault(op, (node, chain))
-        return direct, transitive
-
-    def _check_branch(
-        self,
-        info: FunctionInfo,
-        node: ast.If | ast.IfExp,
-        calls_by_id: dict[int, list[str]],
-        reach: dict[str, dict[str, tuple[str, ...]]],
-    ) -> Iterator[Finding]:
-        if isinstance(node, ast.If):
-            body: Sequence[ast.AST] | ast.AST = node.body
-            orelse: Sequence[ast.AST] | ast.AST = node.orelse
-        else:
-            body, orelse = node.body, node.orelse
-        body_direct, body_trans = self._arm_ops(body, calls_by_id, reach)
-        else_direct, else_trans = self._arm_ops(orelse, calls_by_id, reach)
-        for mine_direct, mine_trans, other_direct, other_trans in (
-            (body_direct, body_trans, else_direct, else_trans),
-            (else_direct, else_trans, body_direct, body_trans),
-        ):
-            for op, (call, chain) in mine_trans.items():
-                if op in mine_direct:
-                    continue  # the per-file rule already owns direct calls
-                if op in other_direct or op in other_trans:
-                    continue
-                yield self.finding_at(
-                    info.path,
-                    call,
-                    f"collective {op!r} is reachable from this rank-dependent "
-                    f"branch via {describe_chain(chain)} with no matching "
-                    "call on the other arm — ranks taking the other path "
-                    "will deadlock",
-                )
-
-    def _check_loop(
-        self,
-        info: FunctionInfo,
-        node: ast.While,
-        calls_by_id: dict[int, list[str]],
-        reach: dict[str, dict[str, tuple[str, ...]]],
-    ) -> Iterator[Finding]:
-        direct, transitive = self._arm_ops(node.body, calls_by_id, reach)
-        for op, (call, chain) in transitive.items():
-            if op in direct:
-                continue
-            yield self.finding_at(
-                info.path,
-                call,
-                f"collective {op!r} is reachable via {describe_chain(chain)} "
-                "inside a while loop whose condition depends on the rank — "
-                "iteration counts can differ across ranks and desynchronize "
-                "the collective schedule",
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from repro.lint.engine import (
 from repro.lint.hotpaths import HOT_DECORATORS, hot_functions_for
 
 __all__ = [
-    "CollectiveInBranch",
     "MutatedRecvBuffer",
     "NoAllocInHot",
     "NoBlindExcept",
@@ -58,16 +57,6 @@ def _decorator_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
         if name:
             names.add(name.rsplit(".", maxsplit=1)[-1])
     return names
-
-
-def _mentions_rank(node: ast.AST) -> bool:
-    """Does the expression reference a rank (``rank`` name or ``.rank``)?"""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and sub.id == "rank":
-            return True
-        if isinstance(sub, ast.Attribute) and sub.attr in ("rank", "_rank"):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -176,156 +165,6 @@ def _loop_body_lines(fn: ast.AST) -> set[int]:
 
     visit(fn, False)
     return lines
-
-
-# ---------------------------------------------------------------------------
-# collective-in-branch
-# ---------------------------------------------------------------------------
-
-_COLLECTIVES = frozenset(
-    {
-        "allgather",
-        "allreduce",
-        "alltoall",
-        "barrier",
-        "bcast",
-        "gather",
-        "reduce",
-        "scatter",
-        "verified_allreduce",
-    }
-)
-
-
-def _collective_calls(
-    nodes: list[ast.stmt] | list[ast.expr] | ast.AST,
-) -> list[tuple[str, ast.Call]]:
-    calls = []
-    roots = nodes if isinstance(nodes, list) else [nodes]
-    for root in roots:
-        for node in ast.walk(root):
-            if isinstance(node, ast.Call):
-                leaf = dotted_name(node.func).rpartition(".")[2]
-                if leaf in _COLLECTIVES:
-                    calls.append((leaf, node))
-    return calls
-
-
-_COMP_NODES = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
-
-
-@register_rule
-class CollectiveInBranch(LintRule):
-    """A collective on one side of an ``if rank`` branch deadlocks.
-
-    Collectives must be called by *every* rank; lexically guarding one with
-    a rank test means the other ranks never enter it and the program hangs
-    at the barrier (or, worse, pairs the call with the *next* collective).
-    The rule compares the multiset of collective calls on both arms of any
-    ``if`` whose test mentions a rank and flags the unmatched ones; the
-    same logic covers conditional *expressions* (``x if rank else y``),
-    short-circuit operands (``rank == 0 and comm.barrier()``), comprehension
-    filters (``... for x in xs if rank``), and rank-dependent ``while``
-    loops (iteration counts differ across ranks).
-    """
-
-    name = "collective-in-branch"
-    description = "collective call guarded by a rank branch"
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.If) and _mentions_rank(node.test):
-                yield from self._check_arms(
-                    module,
-                    _collective_calls(node.body),
-                    _collective_calls(node.orelse),
-                )
-            elif isinstance(node, ast.IfExp) and _mentions_rank(node.test):
-                yield from self._check_arms(
-                    module,
-                    _collective_calls(node.body),
-                    _collective_calls(node.orelse),
-                )
-            elif isinstance(node, ast.While) and _mentions_rank(node.test):
-                for op, call in _collective_calls(node.body):
-                    yield self.finding(
-                        module,
-                        call,
-                        f"collective {op!r} inside a while loop whose "
-                        "condition depends on the rank — iteration counts "
-                        "can differ across ranks and desynchronize the "
-                        "collective schedule",
-                    )
-            elif isinstance(node, ast.BoolOp):
-                yield from self._check_boolop(module, node)
-            elif isinstance(node, _COMP_NODES):
-                yield from self._check_comprehension(module, node)
-
-    def _check_arms(
-        self,
-        module: SourceModule,
-        body_calls: list[tuple[str, ast.Call]],
-        else_calls: list[tuple[str, ast.Call]],
-    ) -> Iterator[Finding]:
-        body_ops = [op for op, _ in body_calls]
-        else_ops = [op for op, _ in else_calls]
-        for op, call in body_calls + else_calls:
-            mine, other = (
-                (body_ops, else_ops) if (op, call) in body_calls else (else_ops, body_ops)
-            )
-            if mine.count(op) > other.count(op):
-                yield self.finding(
-                    module,
-                    call,
-                    f"collective {op!r} inside a rank-dependent branch has "
-                    "no matching call on the other arm — ranks taking the "
-                    "other path will deadlock",
-                )
-
-    def _check_boolop(
-        self, module: SourceModule, node: ast.BoolOp
-    ) -> Iterator[Finding]:
-        """``rank == 0 and comm.barrier()``: operands after the first are
-        evaluated conditionally, so a collective there is rank-guarded."""
-        rank_seen = _mentions_rank(node.values[0])
-        for operand in node.values[1:]:
-            if rank_seen:
-                for op, call in _collective_calls(operand):
-                    yield self.finding(
-                        module,
-                        call,
-                        f"collective {op!r} short-circuited behind a "
-                        "rank-dependent operand — ranks failing the earlier "
-                        "test never reach it and deadlock",
-                    )
-            rank_seen = rank_seen or _mentions_rank(operand)
-
-    def _check_comprehension(
-        self, module: SourceModule, node: ast.AST
-    ) -> Iterator[Finding]:
-        """A rank-dependent comprehension filter makes the element
-        expression — and any collective inside it — run a rank-dependent
-        number of times."""
-        guarded = any(
-            _mentions_rank(cond)
-            for gen in node.generators  # type: ignore[attr-defined]
-            for cond in gen.ifs
-        )
-        if not guarded:
-            return
-        elements: list[ast.expr] = []
-        if isinstance(node, ast.DictComp):
-            elements = [node.key, node.value]
-        else:
-            elements = [node.elt]  # type: ignore[union-attr]
-        for op, call in _collective_calls(elements):
-            yield self.finding(
-                module,
-                call,
-                f"collective {op!r} inside a comprehension with a "
-                "rank-dependent filter — the call count differs across "
-                "ranks and desynchronizes the collective schedule",
-            )
 
 
 # ---------------------------------------------------------------------------

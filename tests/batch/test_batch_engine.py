@@ -3,7 +3,9 @@
 Every test here runs real SCF + LR-TDDFT pipelines (small silicon frames
 at a reduced cutoff), so the file carries the ``batch`` marker — deselect
 with ``-m "not batch"`` for the fast loop.  The cold and warm trajectory
-runs are module-scoped fixtures shared by the equivalence tests.
+runs are module-scoped fixtures shared by the equivalence tests.  The
+frame-sharding runs (``n_ranks=2``) go through the SPMD sanitizer via the
+``sanitized_spmd`` fixture.
 """
 
 import numpy as np
@@ -123,6 +125,7 @@ class TestDeterminismAndReplay:
         assert result.records[0].total_energy != 0.0
 
 
+@pytest.mark.usefixtures("sanitized_spmd")
 class TestSharding:
     @pytest.fixture(scope="class")
     def sharded_thread(self, trajectory):
@@ -198,6 +201,7 @@ class TestSeededBatch:
         )
         assert not any(r.warm for r in seeded_cold.records)
 
+    @pytest.mark.usefixtures("sanitized_spmd")
     def test_seed_crosses_the_spmd_boundary(self, trajectory, seed):
         sharded = batch_engine.run_batch(
             trajectory,

@@ -37,3 +37,18 @@ def si8_synthetic():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="class")
+def sanitized_spmd():
+    """Run every ``spmd_run`` of the requesting class (or test) under the
+    SPMD sanitizer, so a rank-dependent collective fails as a
+    ``SanitizerError`` instead of hanging or exchanging garbage.
+
+    Class scope, so a class-scoped fixture that runs the distributed
+    algorithm is sanitized too.  The timeout only has to outlast the slowest
+    rank's work between two collectives on a loaded host."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_SANITIZE", "1")
+        mp.setenv("REPRO_SANITIZE_TIMEOUT", "120")
+        yield

@@ -237,27 +237,3 @@ class TestPrecisionFirstSilence:
             )
             == []
         )
-
-    def test_both_bounds_rank_dependent_slice_is_not_ragged(self):
-        # a[rank:rank+2] has rank-INVARIANT extent 2; only one-sided
-        # rank-dependent bounds make a ragged buffer.
-        assert (
-            all_array_findings(
-                "import numpy as np\n"
-                "def prog(comm):\n"
-                "    a = np.zeros(64)\n"
-                "    lo = comm.rank\n"
-                "    return comm.allreduce(a[lo:lo + 2])\n"
-            )
-            == []
-        )
-
-    def test_one_sided_rank_slice_is_ragged(self):
-        findings = one_module(
-            "import numpy as np\n"
-            "def prog(comm):\n"
-            "    a = np.zeros(64)\n"
-            "    return comm.allreduce(a[comm.rank:])\n",
-            "collective-buffer-contract",
-        )
-        assert len(findings) == 1

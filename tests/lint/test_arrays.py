@@ -71,16 +71,6 @@ class TestDimUnification:
         assert merged.name == "n"
         assert merged.value == 5
 
-    def test_rank_dependence_is_sticky(self):
-        merged, _ = unify_dims(
-            Dim(name="n", rank_dependent=True), Dim(value=5)
-        )
-        assert merged.rank_dependent
-        merged, _ = unify_dims(
-            Dim(value=5), Dim(name="n", rank_dependent=True)
-        )
-        assert merged.rank_dependent
-
     def test_unknown_dim_absorbs_either_side(self):
         merged, conflict = unify_dims(Dim(), Dim(name="k", value=2))
         assert not conflict
@@ -343,51 +333,6 @@ class TestShapeMismatch:
         )
         assert len(findings) == 1
         assert "unknown parameter" in findings[0].message
-
-
-class TestCollectiveBufferContract:
-    def test_rank_sized_buffer_into_allreduce(self):
-        findings = one_module(
-            "import numpy as np\n"
-            "def prog(comm):\n"
-            "    buf = np.zeros(comm.rank + 1)\n"
-            "    return comm.allreduce(buf)\n",
-            "collective-buffer-contract",
-        )
-        assert len(findings) == 1
-        assert "rank" in findings[0].message
-
-    def test_rank_taint_flows_through_assignment(self):
-        findings = one_module(
-            "import numpy as np\n"
-            "def prog(comm):\n"
-            "    n = comm.rank + 1\n"
-            "    buf = np.zeros((n, 4))\n"
-            "    return comm.reduce(buf, root=0)\n",
-            "collective-buffer-contract",
-        )
-        assert len(findings) == 1
-
-    def test_rank_invariant_buffer_is_clean(self):
-        findings = one_module(
-            "import numpy as np\n"
-            "def prog(comm):\n"
-            "    buf = np.zeros(comm.size)\n"
-            "    return comm.allreduce(buf)\n",
-            "collective-buffer-contract",
-        )
-        assert findings == []
-
-    def test_ragged_tolerant_collectives_accept_rank_shapes(self):
-        # gather/allgather/alltoall take per-rank shapes by design.
-        findings = one_module(
-            "import numpy as np\n"
-            "def prog(comm):\n"
-            "    buf = np.zeros(comm.rank + 1)\n"
-            "    return comm.allgather(buf)\n",
-            "collective-buffer-contract",
-        )
-        assert findings == []
 
 
 class TestUndeclaredDowncastInHot:

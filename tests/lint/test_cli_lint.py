@@ -75,12 +75,12 @@ def test_deleting_a_copy_exits_nonzero_with_rule_and_line(tmp_path, capsys):
 def test_list_rules(capsys):
     assert main(["lint", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for name in ("no-alloc-in-hot", "collective-in-branch", "no-blind-except",
+    for name in ("no-alloc-in-hot", "no-blind-except",
                  "mutated-recv-buffer", "nondeterminism-in-replay"):
         assert name in out
     # The array-contract rules register as project rules.
     for name in ("silent-upcast-in-hot", "hidden-copy-into-kernel",
-                 "shape-mismatch", "collective-buffer-contract"):
+                 "shape-mismatch", "undeclared-downcast-in-hot"):
         assert f"{name} [project]:" in out
 
 
@@ -119,7 +119,7 @@ def test_json_inventory_includes_array_rules(tmp_path, capsys):
     assert main(["lint", str(target), "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     for name in ("silent-upcast-in-hot", "hidden-copy-into-kernel",
-                 "shape-mismatch", "collective-buffer-contract"):
+                 "shape-mismatch", "undeclared-downcast-in-hot"):
         assert name in payload["rules_enabled"]
 
 

@@ -28,7 +28,6 @@ class TestRegistry:
         names = {r.name for r in get_rules()}
         assert names >= {
             "no-alloc-in-hot",
-            "collective-in-branch",
             "nondeterminism-in-replay",
             "mutated-recv-buffer",
             "no-blind-except",

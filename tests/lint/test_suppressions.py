@@ -102,12 +102,12 @@ class TestStaleDetection:
         path = write(
             tmp_path,
             "proj.py",
-            "def finalize(comm):\n"
-            "    comm.barrier()\n"
-            "def step(comm, rank):\n"
-            "    if rank == 0:\n"
-            "        finalize(comm)"
-            "  # repro-lint: disable=transitive-collective-in-branch -- demo\n",
+            "import threading, time\n"
+            "_lock = threading.Lock()\n"
+            "def slow():\n"
+            "    with _lock:\n"
+            "        time.sleep(0.1)"
+            "  # repro-lint: disable=blocking-under-lock -- demo\n",
         )
         assert check_suppressions([path]) == []
 

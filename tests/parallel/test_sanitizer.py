@@ -29,10 +29,24 @@ from repro.resilience.faults import (
     FaultSpec,
     InjectedRankFailure,
 )
-from repro.resilience.policies import RetryPolicy, reliable_recv, reliable_send
+from repro.resilience.policies import (
+    RetryPolicy,
+    reliable_recv,
+    reliable_send,
+    verified_allreduce,
+)
 
 FAST = RetryPolicy(max_retries=2, backoff=0.0, timeout=0.2)
 TIMEOUT = 2.0  # deadlock scenarios must diagnose well inside the suite budget
+
+#: Every way rank code combines buffers element-wise; each needs the same
+#: payload shape and dtype on all ranks.
+REDUCING_OPS = [
+    pytest.param(lambda comm, buf: comm.allreduce(buf), id="allreduce"),
+    pytest.param(lambda comm, buf: comm.reduce(buf, root=0), id="reduce"),
+    pytest.param(lambda comm, buf: comm.ireduce(buf, root=0).wait(), id="ireduce"),
+    pytest.param(lambda comm, buf: verified_allreduce(comm, buf), id="verified_allreduce"),
+]
 
 
 class _Backend:
@@ -117,10 +131,11 @@ class ScenarioMismatchedCollectives(_Backend):
         with pytest.raises(SanitizerError, match="root="):
             self.run(3, prog)
 
-    def test_divergent_allreduce_shapes_are_a_mismatch(self):
+    @pytest.mark.parametrize("combine", REDUCING_OPS)
+    def test_divergent_allreduce_shapes_are_a_mismatch(self, combine):
         def prog(comm):
             width = 3 if comm.rank == 0 else 2
-            return comm.allreduce(np.ones(width))
+            return combine(comm, np.ones(width))
 
         with pytest.raises(SanitizerError, match="ndarray"):
             self.run(2, prog)

@@ -15,8 +15,9 @@ Runs, in order:
    versus the committed baseline, and no silently-vanished rules,
 6. **arrays static pass** — the array-contract analyzer over ``src``:
    every hot-path-manifest function must carry a well-formed
-   ``@array_contract`` that the abstract interpreter verifies, and the
-   four array rules must report zero unsuppressed findings,
+   ``@array_contract`` that the abstract interpreter verifies (that the
+   array rules find nothing in ``src`` is already part of stage 3, which
+   runs them by default),
 7. **array-contract runtime smoke** — a batched ``HxcKernel.apply``
    (the scipy rfftn Coulomb apply) run twice in subprocesses, with and without
    ``REPRO_ARRAY_CONTRACTS=1``: results must be bit-identical, overhead
@@ -120,9 +121,9 @@ _ARRAYS_STATIC_SMOKE = """
 import ast
 from pathlib import Path
 
-from repro.lint.arrays import ARRAY_RULE_NAMES, analyze_arrays
+from repro.lint.arrays import analyze_arrays
 from repro.lint.callgraph import build_project
-from repro.lint.engine import SourceModule, iter_python_files, lint_paths
+from repro.lint.engine import SourceModule, iter_python_files
 from repro.lint.hotpaths import hot_functions_for
 
 modules = []
@@ -145,15 +146,6 @@ for uid, info in sorted(project.functions.items()):
         unverified.append(uid)
 assert not missing, f"manifest functions without @array_contract: {missing}"
 assert not unverified, f"contracts the static pass could not verify: {unverified}"
-
-# The four array rules must be clean (modulo reviewed suppressions) on src.
-findings = [
-    f for f in lint_paths(["src"], rules=list(ARRAY_RULE_NAMES))
-    if f.rule in ARRAY_RULE_NAMES
-]
-assert not findings, "unsuppressed array-rule findings:\\n" + "\\n".join(
-    f"{f.path}:{f.line}: {f.rule}: {f.message}" for f in findings
-)
 print(
     f"arrays static pass: ok ({len(analysis.contracts)} contracts, "
     f"{sum(analysis.verified.values())} verified, manifest fully covered)"
