@@ -12,6 +12,7 @@
 import numpy as np
 import pytest
 
+from repro.api import TDDFTConfig
 from repro.core import (
     HxcKernel,
     ImplicitCasidaOperator,
@@ -66,15 +67,17 @@ def test_ablation_prune_threshold(benchmark, si8_state, save_table):
 
 
 def test_ablation_rank_sweep(benchmark, solver, save_table):
-    reference = solver.solve("naive", n_excitations=4)
+    reference = solver.solve(TDDFTConfig(method="naive", n_excitations=4))
 
     def sweep():
         rows = []
         for fraction in (0.2, 0.4, 0.6, 0.8, 1.0):
             n_mu = max(4, int(fraction * solver.n_pairs))
             res = solver.solve(
-                "implicit-kmeans-isdf-lobpcg", n_excitations=4,
-                n_mu=n_mu, tol=1e-9,
+                TDDFTConfig(
+                    method="implicit-kmeans-isdf-lobpcg", n_excitations=4, n_mu=n_mu,
+                    tol=1e-9,
+                )
             )
             err = np.abs(
                 (res.energies - reference.energies[:4]) / reference.energies[:4]

@@ -16,6 +16,7 @@ import pytest
 
 from repro.analysis import density_of_states, excitation_dos
 from repro.analysis.dos import fermi_level_estimate
+from repro.api import SCFConfig, TDDFTConfig
 from repro.atoms import graphene_bilayer
 from repro.constants import ANGSTROM_TO_BOHR, HARTREE_TO_EV
 from repro.core import LRTDDFTSolver
@@ -28,8 +29,11 @@ def bilayer_states():
     for d_angstrom in (2.6, 4.0):
         cell = graphene_bilayer(interlayer_distance=d_angstrom * ANGSTROM_TO_BOHR)
         states[d_angstrom] = run_scf(
-            cell, ecut=10.0, n_bands=14, tol=1e-6,
-            smearing_width=0.01, max_iter=80, seed=0,
+            cell,
+            SCFConfig(
+                ecut=10.0, n_bands=14, tol=1e-6, smearing_width=0.01, max_iter=80,
+                seed=0,
+            ),
         )
     return states
 
@@ -75,7 +79,9 @@ def test_fig9b_excitation_dos(benchmark, bilayer_states, save_table):
         solver = LRTDDFTSolver(gs, seed=0)
         n_exc = min(16, solver.n_pairs)
         res = solver.solve(
-            "implicit-kmeans-isdf-lobpcg", n_excitations=n_exc, tol=1e-7
+            TDDFTConfig(
+                method="implicit-kmeans-isdf-lobpcg", n_excitations=n_exc, tol=1e-7,
+            )
         )
         grid = np.linspace(0.0, float(res.energies.max()) * 1.2, 300)
         return res.energies, grid, excitation_dos(res.energies, grid, broadening=0.01)

@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.api import TDDFTConfig
 from repro.core import LRTDDFTSolver
 from repro.perf import silicon_workload
 
@@ -55,7 +56,7 @@ def test_measured_peak_memory(benchmark, si8_state, save_table):
 
     def measure(method, **kwargs):
         tracemalloc.start()
-        solver.solve(method, n_excitations=4, **kwargs)
+        solver.solve(TDDFTConfig(method=method, n_excitations=4, **kwargs))
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         return peak

@@ -9,6 +9,7 @@ profile-before-optimizing discipline the implementation notes call for.
 
 import pytest
 
+from repro.api import TDDFTConfig
 from repro.core import LRTDDFTSolver
 
 
@@ -16,7 +17,9 @@ def test_naive_phase_ordering(benchmark, si64_like_state, save_table):
     solver = LRTDDFTSolver(si64_like_state, n_valence=32, n_conduction=16, seed=0)
 
     result = benchmark.pedantic(
-        lambda: solver.solve("naive", n_excitations=4), rounds=1, iterations=1
+        lambda: solver.solve(
+            TDDFTConfig(method="naive", n_excitations=4)
+        ), rounds=1, iterations=1
     )
     timings = result.timings
 

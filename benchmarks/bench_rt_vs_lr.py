@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.api import SCFConfig, TDDFTConfig
 from repro.constants import HARTREE_TO_EV
 from repro.core import LRTDDFTSolver, oscillator_strengths, transition_dipoles
 from repro.dft import run_scf
@@ -30,14 +31,14 @@ def h2_state():
     )
     # Generous conduction space: the RT response implicitly sums over all
     # virtuals, so the Casida space must be near-converged to compare.
-    return run_scf(cell, ecut=10.0, n_bands=24, tol=1e-8, seed=0)
+    return run_scf(cell, SCFConfig(ecut=10.0, n_bands=24, tol=1e-8, seed=0))
 
 
 def test_rt_peak_matches_full_casida(benchmark, h2_state, save_table):
     solver = LRTDDFTSolver(h2_state, seed=0)
 
     t0 = time.perf_counter()
-    lr = solver.solve("naive", tda=False)
+    lr = solver.solve(TDDFTConfig(method="naive", tda=False))
     t_lr = time.perf_counter() - t0
     dip = transition_dipoles(solver.psi_v, solver.psi_c, solver.basis)
     strengths = oscillator_strengths(lr.energies, lr.wavefunctions, dip)

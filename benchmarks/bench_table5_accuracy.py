@@ -17,21 +17,25 @@ import pytest
 
 from repro.analysis import accuracy_table
 from repro.analysis.accuracy import format_accuracy_table
+from repro.api import TDDFTConfig
 from repro.core import LRTDDFTSolver
 from repro.data import PAPER_TABLE5_H2O, PAPER_TABLE5_SI64
 
 
 def _table5_run(ground_state, n_valence, n_conduction, n_mu_fraction, seed):
-    reference = LRTDDFTSolver(ground_state, seed=seed).solve("naive")
+    reference = LRTDDFTSolver(ground_state, seed=seed).solve(
+        TDDFTConfig(method="naive")
+    )
     truncated = LRTDDFTSolver(
         ground_state, n_valence=n_valence, n_conduction=n_conduction, seed=seed
     )
-    naive = truncated.solve("naive")
+    naive = truncated.solve(TDDFTConfig(method="naive"))
     n_mu = max(4, int(n_mu_fraction * truncated.n_pairs))
     implicit = truncated.solve(
-        "implicit-kmeans-isdf-lobpcg",
-        n_excitations=min(6, truncated.n_pairs),
-        n_mu=n_mu, tol=1e-10,
+        TDDFTConfig(
+            method="implicit-kmeans-isdf-lobpcg",
+            n_excitations=min(6, truncated.n_pairs), n_mu=n_mu, tol=1e-10,
+        )
     )
     return reference, naive, implicit
 
@@ -87,9 +91,9 @@ def test_isdf_error_negligible_at_production_rank(benchmark, si2_real_state):
     solver = LRTDDFTSolver(si2_real_state, seed=7)
 
     def run():
-        dense = solver.solve("naive", n_excitations=3)
+        dense = solver.solve(TDDFTConfig(method="naive", n_excitations=3))
         implicit = solver.solve(
-            "implicit-qrcp-isdf-lobpcg", n_excitations=3, tol=1e-10
+            TDDFTConfig(method="implicit-qrcp-isdf-lobpcg", n_excitations=3, tol=1e-10)
         )
         return dense, implicit
 

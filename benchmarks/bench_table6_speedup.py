@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.api import TDDFTConfig
 from repro.atoms import bulk_silicon, silicon_primitive_cell
 from repro.core import LRTDDFTSolver
 from repro.data import PAPER_SPEEDUP_TABLE6
@@ -39,12 +40,14 @@ def _measured_pair(n_atoms, n_v, n_c, ecut, seed=0):
     n_mu = max(8, int(0.4 * solver.n_pairs))
 
     t0 = time.perf_counter()
-    solver.solve("naive")
+    solver.solve(TDDFTConfig(method="naive"))
     t_naive = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     solver.solve(
-        "implicit-kmeans-isdf-lobpcg", n_excitations=8, n_mu=n_mu, tol=1e-6,
+        TDDFTConfig(
+            method="implicit-kmeans-isdf-lobpcg", n_excitations=8, n_mu=n_mu, tol=1e-6,
+        ),
         isdf_kwargs={"prune_threshold": 1e-2, "max_iter": 30},
     )
     t_impl = time.perf_counter() - t0

@@ -12,6 +12,7 @@ import pathlib
 
 import pytest
 
+from repro.api import SCFConfig
 from repro.atoms import bulk_silicon
 from repro.dft import run_scf
 from repro.synthetic import synthetic_ground_state
@@ -58,7 +59,10 @@ def si2_real_state():
     """Real converged Si_2 ground state (for accuracy benches)."""
     from repro.atoms import silicon_primitive_cell
 
-    return run_scf(silicon_primitive_cell(), ecut=10.0, n_bands=10, tol=1e-8, seed=1)
+    return run_scf(
+        silicon_primitive_cell(),
+        SCFConfig(ecut=10.0, n_bands=10, tol=1e-8, seed=1),
+    )
 
 
 @pytest.fixture(scope="session")
@@ -69,5 +73,5 @@ def water_real_state():
 
     return run_scf(
         water_molecule(box=8.0 * ANGSTROM_TO_BOHR),
-        ecut=12.0, n_bands=10, tol=1e-7, seed=2,
+        SCFConfig(ecut=12.0, n_bands=10, tol=1e-7, seed=2),
     )

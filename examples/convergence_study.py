@@ -21,6 +21,7 @@ import time
 import numpy as np
 
 from repro import LRTDDFTSolver, run_scf, silicon_primitive_cell
+from repro.api import SCFConfig, TDDFTConfig
 from repro.constants import HARTREE_TO_EV
 from repro.dft import load_ground_state, save_ground_state
 
@@ -32,9 +33,9 @@ def sweep_ecut() -> None:
     cell = silicon_primitive_cell()
     for ecut in (6.0, 8.0, 10.0, 12.0, 14.0):
         t0 = time.perf_counter()
-        gs = run_scf(cell, ecut=ecut, n_bands=10, tol=1e-7, seed=0)
+        gs = run_scf(cell, SCFConfig(ecut=ecut, n_bands=10, tol=1e-7, seed=0))
         solver = LRTDDFTSolver(gs, seed=0)
-        e1 = solver.solve("naive", n_excitations=1).energies[0]
+        e1 = solver.solve(TDDFTConfig(method="naive", n_excitations=1)).energies[0]
         print(f"{ecut:10.1f} {gs.basis.n_pw:7d} "
               f"{gs.homo_lumo_gap() * HARTREE_TO_EV:12.4f} "
               f"{e1 * HARTREE_TO_EV:10.4f} {time.perf_counter() - t0:8.2f}")
@@ -43,11 +44,11 @@ def sweep_ecut() -> None:
 def sweep_conduction() -> None:
     print("\n=== 2. Conduction-space truncation (N_c sweep) ===")
     cell = silicon_primitive_cell()
-    gs = run_scf(cell, ecut=10.0, n_bands=20, tol=1e-8, seed=0)
+    gs = run_scf(cell, SCFConfig(ecut=10.0, n_bands=20, tol=1e-8, seed=0))
     print(f"{'N_c':>5s} {'N_cv':>6s} {'E_1 (eV)':>10s} {'E_2 (eV)':>10s}")
     for n_c in (2, 4, 8, 12, 16):
         solver = LRTDDFTSolver(gs, n_conduction=n_c, seed=0)
-        res = solver.solve("naive", n_excitations=2)
+        res = solver.solve(TDDFTConfig(method="naive", n_excitations=2))
         print(f"{n_c:5d} {solver.n_pairs:6d} "
               f"{res.energies[0] * HARTREE_TO_EV:10.4f} "
               f"{res.energies[1] * HARTREE_TO_EV:10.4f}")
@@ -57,20 +58,22 @@ def sweep_conduction() -> None:
 def sweep_rank() -> None:
     print("\n=== 3. ISDF rank (N_mu sweep on a saved ground state) ===")
     cell = silicon_primitive_cell()
-    gs = run_scf(cell, ecut=10.0, n_bands=12, tol=1e-8, seed=0)
+    gs = run_scf(cell, SCFConfig(ecut=10.0, n_bands=12, tol=1e-8, seed=0))
     with tempfile.TemporaryDirectory() as tmp:
         path = save_ground_state(gs, f"{tmp}/si2")
         print(f"ground state saved to {path.name} "
               f"({path.stat().st_size / 1e6:.1f} MB); sweeping rank...")
         gs = load_ground_state(path)
         solver = LRTDDFTSolver(gs, seed=0)
-        reference = solver.solve("naive", n_excitations=3)
+        reference = solver.solve(TDDFTConfig(method="naive", n_excitations=3))
         print(f"{'N_mu/N_cv':>10s} {'N_mu':>6s} {'max rel err':>12s}")
         for fraction in (0.3, 0.5, 0.7, 0.9, 1.0):
             n_mu = max(4, int(fraction * solver.n_pairs))
             res = solver.solve(
-                "implicit-kmeans-isdf-lobpcg",
-                n_excitations=3, n_mu=n_mu, tol=1e-10,
+                TDDFTConfig(
+                    method="implicit-kmeans-isdf-lobpcg", n_excitations=3, n_mu=n_mu,
+                    tol=1e-10,
+                )
             )
             err = np.abs(
                 (res.energies - reference.energies[:3]) / reference.energies[:3]

@@ -16,6 +16,7 @@ import time
 import numpy as np
 
 from repro import LRTDDFTSolver, run_scf, water_molecule
+from repro.api import SCFConfig, TDDFTConfig
 from repro.constants import ANGSTROM_TO_BOHR
 from repro.core import isdf_decompose, pair_weights, select_points_kmeans
 from repro.utils.rng import default_rng
@@ -42,7 +43,7 @@ def projection_plot(weights, points_xy, chosen_xy, shape_xy, extent):
 def main() -> None:
     print("=== Ground state: H2O (the weight function is strongly localized) ===")
     cell = water_molecule(box=8.0 * ANGSTROM_TO_BOHR)
-    gs = run_scf(cell, ecut=10.0, n_bands=8, tol=1e-7, seed=0)
+    gs = run_scf(cell, SCFConfig(ecut=10.0, n_bands=8, tol=1e-7, seed=0))
     psi_v, _, psi_c, _ = gs.select_transition_space()
     grid = gs.basis.grid
 
@@ -68,7 +69,7 @@ def main() -> None:
 
     print("\n=== Rank sweep: ISDF error and excitation-energy error ===")
     solver = LRTDDFTSolver(gs, seed=0)
-    reference = solver.solve("naive", n_excitations=3)
+    reference = solver.solve(TDDFTConfig(method="naive", n_excitations=3))
     n_cv = solver.n_pairs
     print(f"{'N_mu':>6s} {'N_mu/N_cv':>10s} {'ISDF Frob err':>14s} "
           f"{'energy rel err':>15s} {'kmeans':>8s} {'qrcp':>8s}")
@@ -85,7 +86,10 @@ def main() -> None:
         t_q = time.perf_counter() - t0
         frob = isdf.relative_error(psi_v, psi_c)
         res = solver.solve(
-            "implicit-kmeans-isdf-lobpcg", n_excitations=3, n_mu=n_mu, tol=1e-9
+            TDDFTConfig(
+                method="implicit-kmeans-isdf-lobpcg", n_excitations=3, n_mu=n_mu,
+                tol=1e-9,
+            )
         )
         err = np.abs(
             (res.energies - reference.energies[:3]) / reference.energies[:3]

@@ -26,6 +26,7 @@ import numpy as np
 from repro import LRTDDFTSolver, graphene_bilayer, run_scf, twisted_bilayer_graphene
 from repro.analysis import density_of_states, excitation_dos
 from repro.analysis.dos import fermi_level_estimate
+from repro.api import SCFConfig, TDDFTConfig
 from repro.constants import ANGSTROM_TO_BOHR, HARTREE_TO_EV
 
 
@@ -44,12 +45,10 @@ def run_system(cell, label, ecut, n_extra_bands, smearing):
     n_occ = sum(2 for _ in cell.species)  # 4 valence e / C, 2 e per band
     gs = run_scf(
         cell,
-        ecut=ecut,
-        n_bands=n_occ + n_extra_bands,
-        tol=1e-6,
-        smearing_width=smearing,
-        max_iter=80,
-        seed=0,
+        SCFConfig(
+            ecut=ecut, n_bands=n_occ + n_extra_bands, tol=1e-6, smearing_width=smearing,
+            max_iter=80, seed=0,
+        ),
     )
     print(f"SCF {'converged' if gs.converged else 'NOT converged'} "
           f"in {time.perf_counter() - t0:.1f} s")
@@ -110,7 +109,11 @@ def main() -> None:
     gs = states["D = 2.6 A (coupled)"]
     solver = LRTDDFTSolver(gs, seed=0)
     n_exc = min(24, solver.n_pairs)
-    res = solver.solve("implicit-kmeans-isdf-lobpcg", n_excitations=n_exc, tol=1e-7)
+    res = solver.solve(
+        TDDFTConfig(
+            method="implicit-kmeans-isdf-lobpcg", n_excitations=n_exc, tol=1e-7,
+        )
+    )
     grid = np.linspace(0.0, max(res.energies.max() * 1.2, 0.02), 300)
     xdos = excitation_dos(res.energies, grid, broadening=0.01)
     print(f"lowest excitation: {res.energies[0] * HARTREE_TO_EV:.3f} eV; "

@@ -18,6 +18,7 @@ import time
 import numpy as np
 
 from repro import LRTDDFTSolver, run_scf, silicon_primitive_cell
+from repro.api import SCFConfig, TDDFTConfig
 from repro.constants import HARTREE_TO_EV
 
 
@@ -25,7 +26,7 @@ def main() -> None:
     print("=== Ground state (plane-wave KS-DFT, LDA, HGH pseudopotentials) ===")
     cell = silicon_primitive_cell()
     t0 = time.perf_counter()
-    gs = run_scf(cell, ecut=10.0, n_bands=10, tol=1e-8, seed=0)
+    gs = run_scf(cell, SCFConfig(ecut=10.0, n_bands=10, tol=1e-8, seed=0))
     print(f"SCF converged: {gs.converged} in {time.perf_counter() - t0:.2f} s")
     print(f"KS gap: {gs.homo_lumo_gap() * HARTREE_TO_EV:.3f} eV "
           f"(Gamma-point LDA silicon: ~2.5 eV at converged cutoff)")
@@ -47,7 +48,7 @@ def main() -> None:
           f"{'max rel err':>11s}")
     for method in methods:
         t0 = time.perf_counter()
-        res = solver.solve(method, n_excitations=4, tol=1e-9)
+        res = solver.solve(TDDFTConfig(method=method, n_excitations=4, tol=1e-9))
         elapsed = time.perf_counter() - t0
         ev = res.energies[:4] * HARTREE_TO_EV
         if reference is None:

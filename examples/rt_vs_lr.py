@@ -24,6 +24,7 @@ import time
 import numpy as np
 
 from repro import LRTDDFTSolver, run_scf
+from repro.api import SCFConfig, TDDFTConfig
 from repro.constants import HARTREE_TO_EV
 from repro.core import oscillator_strengths, transition_dipoles
 from repro.pw import UnitCell
@@ -42,15 +43,17 @@ def h2_cell(box: float = 12.0, bond: float = 1.4) -> UnitCell:
 
 def main() -> None:
     print("=== Ground state: H2 ===")
-    gs = run_scf(h2_cell(), ecut=10.0, n_bands=24, tol=1e-8, seed=0)
+    gs = run_scf(h2_cell(), SCFConfig(ecut=10.0, n_bands=24, tol=1e-8, seed=0))
     print(f"KS gap {gs.homo_lumo_gap() * HARTREE_TO_EV:.2f} eV")
 
     print("\n=== Route 1: LR-TDDFT (full Casida, implicit ISDF solver) ===")
     solver = LRTDDFTSolver(gs, seed=0)
     t0 = time.perf_counter()
     lr = solver.solve(
-        "implicit-kmeans-isdf-lobpcg",
-        n_excitations=min(10, solver.n_pairs), tda=False, tol=1e-9,
+        TDDFTConfig(
+            method="implicit-kmeans-isdf-lobpcg", n_excitations=min(10, solver.n_pairs),
+            tda=False, tol=1e-9,
+        )
     )
     t_lr = time.perf_counter() - t0
     dip = transition_dipoles(solver.psi_v, solver.psi_c, solver.basis)

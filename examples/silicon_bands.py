@@ -16,6 +16,7 @@ import time
 import numpy as np
 
 from repro import run_scf, silicon_primitive_cell
+from repro.api import SCFConfig
 from repro.constants import HARTREE_TO_EV
 from repro.dft.bands import band_structure
 
@@ -45,7 +46,10 @@ def ascii_bands(bs, n_occ, height=24):
 def main() -> None:
     print("=== SCF (Gamma point) ===")
     t0 = time.perf_counter()
-    gs = run_scf(silicon_primitive_cell(), ecut=12.0, n_bands=10, tol=1e-8, seed=1)
+    gs = run_scf(
+        silicon_primitive_cell(),
+        SCFConfig(ecut=12.0, n_bands=10, tol=1e-8, seed=1),
+    )
     print(f"done in {time.perf_counter() - t0:.1f} s; "
           f"direct Gamma gap {gs.homo_lumo_gap() * HARTREE_TO_EV:.2f} eV")
 

@@ -21,6 +21,7 @@ import numpy as np
 from repro import LRTDDFTSolver, run_scf, water_molecule
 from repro.analysis import accuracy_table
 from repro.analysis.accuracy import format_accuracy_table
+from repro.api import SCFConfig, TDDFTConfig
 from repro.constants import ANGSTROM_TO_BOHR, HARTREE_TO_EV
 from repro.core import oscillator_strengths, transition_dipoles
 from repro.core.spectra import lorentzian_spectrum
@@ -50,15 +51,20 @@ def main() -> None:
 
     print(f"=== H2O in a {box:.1f} Bohr box, Ecut = {ecut:g} Ha ===")
     t0 = time.perf_counter()
-    gs = run_scf(water_molecule(box=box), ecut=ecut, n_bands=10, tol=1e-7, seed=0)
+    gs = run_scf(
+        water_molecule(box=box),
+        SCFConfig(ecut=ecut, n_bands=10, tol=1e-7, seed=0),
+    )
     print(f"SCF done in {time.perf_counter() - t0:.1f} s; "
           f"HOMO-LUMO gap {gs.homo_lumo_gap() * HARTREE_TO_EV:.2f} eV")
 
     solver = LRTDDFTSolver(gs, seed=0)
     n_exc = min(12, solver.n_pairs)
-    reference = solver.solve("naive")
+    reference = solver.solve(TDDFTConfig(method="naive"))
     implicit = solver.solve(
-        "implicit-kmeans-isdf-lobpcg", n_excitations=n_exc, tol=1e-9
+        TDDFTConfig(
+            method="implicit-kmeans-isdf-lobpcg", n_excitations=n_exc, tol=1e-9,
+        )
     )
 
     rows = accuracy_table(

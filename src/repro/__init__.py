@@ -20,8 +20,13 @@ Quick start (the typed facade — see :mod:`repro.api` and ``docs/api.md``)::
 
     from repro import api, silicon_primitive_cell
 
-    gs = api.run_scf(silicon_primitive_cell(), api.SCFConfig(ecut=10.0, n_bands=10))
-    result = api.solve_tddft(gs, api.TDDFTConfig(n_excitations=5))
+    request = api.CalculationRequest(
+        kind="tddft",
+        structure=silicon_primitive_cell(),
+        scf=api.SCFConfig(ecut=10.0, n_bands=10),
+        tddft=api.TDDFTConfig(n_excitations=5),
+    )
+    result = request.compute()
     print(result.energies)
 """
 

@@ -6,19 +6,21 @@ Everything a downstream user needs lives here:
   content-hashable object (kind + structure + configs + resilience) with
   synchronous :meth:`~CalculationRequest.compute` and asynchronous
   :meth:`~CalculationRequest.submit` (job server with content-addressed
-  result cache and warm starts, see :mod:`repro.serve`);
+  result cache and warm starts, see :mod:`repro.serve`).  It is the one
+  calling convention: every stage takes a frozen config, never loose
+  option keywords;
 * config objects: :class:`SCFConfig`, :class:`TDDFTConfig`,
   :class:`RTConfig`, :class:`BatchConfig`, :class:`ResilienceConfig`
-  (frozen dataclasses with exact dict round-trip);
-* legacy entry points: :func:`run_scf`, :func:`solve_tddft`,
-  :func:`run_batch`, :func:`run_rt` — deprecation shims that build a
-  request and execute it through the same path;
+  (frozen dataclasses with exact dict round-trip) — the same objects the
+  stage functions :func:`repro.dft.run_scf` and
+  :meth:`repro.core.LRTDDFTSolver.solve` take;
 * result types: :class:`SCFResult` (= :class:`~repro.dft.GroundState`),
   :class:`LRTDDFTResult`, :class:`RTResult` — all with ``save``/``load`` —
   and the batch containers :class:`BatchResult` / :class:`FrameRecord`;
 * :func:`load_result` — load any saved result by its embedded class tag;
 * :func:`execute_request` — the shared execution path (power users /
-  the job server).
+  the job server); ``execute_request(request, ground_state=gs)`` runs a
+  tddft/rt request on an existing ground state.
 
 The exported surface is snapshot-tested against
 ``tools/public_api_manifest.json`` (see ``tools/check_public_api.py``), so
@@ -32,15 +34,6 @@ from repro.api.config import (
     SCFConfig,
     TDDFTConfig,
 )
-from repro.api.facade import (
-    SCFResult,
-    load_result,
-    reset_deprecation_warnings,
-    run_batch,
-    run_rt,
-    run_scf,
-    solve_tddft,
-)
 from repro.api.request import (
     REQUEST_KINDS,
     CalculationRequest,
@@ -50,6 +43,12 @@ from repro.api.request import (
     structure_to_dict,
 )
 from repro.batch.results import BatchResult, FrameRecord
+
+# Imported after ``repro.batch``: this order decides the call depth at
+# which scipy is first imported, and on CPython 3.11 scipy's import-time
+# docstring processing runs ~4x slower at some depths (measured as
+# ``setup_s`` in bench/).
+from repro.api.facade import SCFResult, load_result
 from repro.core.driver import LRTDDFTResult
 from repro.rt.tddft import RTResult
 
@@ -69,11 +68,6 @@ __all__ = [
     "TDDFTConfig",
     "execute_request",
     "load_result",
-    "reset_deprecation_warnings",
-    "run_batch",
-    "run_rt",
-    "run_scf",
-    "solve_tddft",
     "structure_from_dict",
     "structure_to_dict",
 ]

@@ -41,7 +41,8 @@ class _ConfigBase:
 
 @dataclass(frozen=True)
 class SCFConfig(_ConfigBase):
-    """Ground-state SCF parameters (mirrors ``repro.dft.SCFOptions``).
+    """Ground-state SCF parameters: the one config :func:`repro.dft.run_scf`
+    takes (directly, or through a ``CalculationRequest``).
 
     ``precision`` is the mixed-precision execution tier (``"strict64"`` /
     ``"mixed"`` / ``"fast32"``, see :mod:`repro.precision`).  It is a plain
@@ -51,16 +52,18 @@ class SCFConfig(_ConfigBase):
     """
 
     ecut: float = 10.0
-    n_bands: int | None = None
-    tol: float = 1e-6
+    n_bands: int | None = None  #: total bands; default = n_occ + max(4, n_occ//2)
+    tol: float = 1e-6  #: density residual convergence (per electron)
     max_iter: int = 60
-    mixer: str = "anderson"
+    mixer: str = "anderson"  #: "anderson" or "linear"
     mixing_beta: float = 0.5
     mixing_history: int = 5
-    smearing_width: float = 0.0
+    smearing_width: float = 0.0  #: Fermi-Dirac width in Ha; 0 = integer fill
     eig_tol_final: float = 1e-8
     seed: int | None = None
     verbose: bool = False
+    #: SCF convergence-critical algebra stays fp64 in every tier; only
+    #: ``fast32`` routes the Hartree solve through fp32 FFT scratch.
     precision: str = "strict64"
 
     def __post_init__(self) -> None:
@@ -125,7 +128,7 @@ class TDDFTConfig(_ConfigBase):
 
 @dataclass(frozen=True)
 class RTConfig(_ConfigBase):
-    """Real-time TDDFT propagation parameters (mirrors :func:`repro.api.run_rt`).
+    """Real-time TDDFT propagation parameters of a ``kind="rt"`` request.
 
     Attributes
     ----------
@@ -182,7 +185,8 @@ class RTConfig(_ConfigBase):
 
 @dataclass(frozen=True)
 class BatchConfig(_ConfigBase):
-    """Cross-calculation batch parameters (see :func:`repro.api.run_batch`).
+    """Cross-calculation batch parameters of a ``kind="batch"`` request
+    (see :func:`repro.batch.run_batch`).
 
     Attributes
     ----------
@@ -190,9 +194,8 @@ class BatchConfig(_ConfigBase):
         Per-frame pipeline configs, shared by every frame.
     warm_start:
         Master switch for all cross-frame reuse.  Off, every frame runs
-        exactly as a standalone calculation (bit-identical to calling
-        :func:`repro.api.run_scf` + :func:`repro.api.solve_tddft` per
-        frame).
+        exactly as a standalone calculation (bit-identical to a
+        ``kind="tddft"`` request per frame).
     density_extrapolation:
         Starting-density policy under warm start: ``"quadratic"``
         (default; three-frame extrapolation), ``"linear"``, or ``"none"``

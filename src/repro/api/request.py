@@ -3,9 +3,10 @@
 A :class:`CalculationRequest` describes a complete calculation — *what* to
 compute (``kind``), *on which* structure(s), and *how* (the nested frozen
 config objects plus an optional :class:`~repro.api.config.ResilienceConfig`).
-It replaces the four parallel facade entry points (``run_scf`` /
-``solve_tddft`` / ``run_rt`` / ``run_batch``), which survive as thin
-deprecation shims that build a request and execute it.
+It is the one way to run a calculation through the facade; the stage
+functions underneath (:func:`repro.dft.run_scf`,
+:meth:`repro.core.LRTDDFTSolver.solve`, :func:`repro.batch.run_batch`) take
+the same frozen configs.
 
 The request's **canonical serialization is its identity**: ``to_dict()``
 produces a nested tree of primitives (configs via their exact dict
@@ -15,13 +16,12 @@ that tree.  Python's JSON float encoding uses ``repr`` (shortest
 round-trip), so the key is invariant under serialize/deserialize cycles and
 under dict-key ordering, and two requests that would produce bit-identical
 results hash equal while any physical or numerical difference — a perturbed
-atom, a changed tolerance — changes the key.  The facade, the job server
-(:mod:`repro.serve`) and the result store all use this one hash path.
+atom, a changed tolerance — changes the key.  The job server
+(:mod:`repro.serve`) and the result store both use this one hash path.
 
 Execution:
 
-* :meth:`CalculationRequest.compute` — synchronous, in-process, no cache:
-  exactly what the legacy entry points did.
+* :meth:`CalculationRequest.compute` — synchronous, in-process, no cache.
 * :meth:`CalculationRequest.submit` — hand the request to a
   :class:`repro.serve.CalculationServer` (the process-default one when none
   is given) and get a :class:`repro.serve.JobHandle` back; repeat requests
@@ -245,9 +245,9 @@ class CalculationRequest:
     def cache_key(self) -> str:
         """Content hash (sha256 hex) of the canonical serialization.
 
-        This is *the* dedup/cache identity used by the facade shims, the
-        job server and the result store: equal keys license serving a
-        stored result bit-identically.
+        This is *the* dedup/cache identity used by the job server and the
+        result store: equal keys license serving a stored result
+        bit-identically.
         """
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
@@ -274,8 +274,7 @@ class CalculationRequest:
     def compute(self):
         """Run this request synchronously in the current process.
 
-        No queue, no cache — the direct equivalent of the legacy entry
-        points.  Returns the kind's result object (:class:`~repro.dft.
+        No queue, no cache.  Returns the kind's result object (:class:`~repro.dft.
         GroundState`, :class:`~repro.core.driver.LRTDDFTResult`,
         :class:`~repro.rt.tddft.RTResult` or
         :class:`~repro.batch.results.BatchResult`).
@@ -339,7 +338,6 @@ def _dense_equivalent(method: str) -> str:
 
 def _run_scf_stage(request, *, warm=None, progress=None, timers=None):
     """The ground-state stage shared by scf/tddft/rt kinds."""
-    from repro.dft.scf import SCFOptions
     from repro.dft.scf import run_scf as _run_scf_core
 
     resilience = request.resilience
@@ -348,7 +346,7 @@ def _run_scf_stage(request, *, warm=None, progress=None, timers=None):
     )
     return _run_scf_core(
         request.structure,
-        SCFOptions(**request.scf.to_dict()),
+        request.scf,
         timers=timers,
         checkpoint=checkpoint,
         warm_start=warm,
@@ -358,18 +356,11 @@ def _run_scf_stage(request, *, warm=None, progress=None, timers=None):
 
 def _solve_tddft_stage(request, ground_state, *, progress=None):
     """The LR-TDDFT stage, including the dense-degradation policy."""
-    from repro.core.driver import LRTDDFTSolver
+    from repro.core.driver import _solver_for
 
     config = request.tddft
     resilience = request.resilience
-    solver = LRTDDFTSolver(
-        ground_state,
-        n_valence=config.n_valence,
-        n_conduction=config.n_conduction,
-        include_xc=config.include_xc,
-        spin=config.spin,
-        seed=config.seed,
-    )
+    solver = _solver_for(ground_state, config)
     result = solver.solve(config, resilience=resilience, progress=progress)
 
     if (
@@ -403,15 +394,15 @@ def execute_request(
     """Execute a request in-process and return result + reusable artifacts.
 
     This is the single execution path behind :meth:`CalculationRequest.
-    compute`, the legacy facade shims, and the job-server workers.
+    compute` and the job-server workers.
 
     Parameters
     ----------
     ground_state:
         Precomputed ground state for tddft/rt kinds: the SCF stage is
-        skipped entirely (``scf_iterations=0``).  Used by the legacy
-        ``solve_tddft(gs, ...)`` / ``run_rt(gs, ...)`` shims and by the
-        server on an SCF-subrequest cache hit.
+        skipped entirely (``scf_iterations=0``).  Use it to run several
+        excited-state requests on one ground state; the server passes it
+        on an SCF-subrequest cache hit.
     scf_warm:
         Optional :class:`~repro.dft.scf.SCFWarmStart` seeding the SCF
         stage (the server's nearest-cached-ground-state warm start).

@@ -30,9 +30,8 @@ from dataclasses import replace
 from repro.batch.results import BatchResult, FrameRecord, FrameResult
 from repro.batch.trajectory import frame_fingerprint
 from repro.batch.warm import BatchWarmState
-from repro.core.driver import LRTDDFTResult, LRTDDFTSolver
+from repro.core.driver import LRTDDFTResult, _solver_for
 from repro.dft.groundstate import GroundState
-from repro.dft.scf import SCFOptions
 from repro.dft.scf import run_scf as _run_scf_core
 from repro.utils.validation import require
 
@@ -52,21 +51,14 @@ def _solve_frame(index, cell, config, resilience, state, rank):
     t0 = time.perf_counter()
     gs = _run_scf_core(
         cell,
-        SCFOptions(**config.scf.to_dict()),
+        config.scf,
         warm_start=scf_warm,
         checkpoint=_frame_checkpoint(resilience, index),
     )
     t1 = time.perf_counter()
 
     td = config.tddft
-    solver = LRTDDFTSolver(
-        gs,
-        n_valence=td.n_valence,
-        n_conduction=td.n_conduction,
-        include_xc=td.include_xc,
-        spin=td.spin,
-        seed=td.seed,
-    )
+    solver = _solver_for(gs, td)
     tddft_warm = state.tddft_warm_start(solver) if state is not None else None
     frame_resilience = (
         resilience.replace(checkpoint_dir=None) if resilience is not None else None

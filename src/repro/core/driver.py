@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.api.config import TDDFTConfig
 from repro.core.casida import build_casida_hamiltonian, solve_casida_dense
 from repro.core.full_casida import (
     ImplicitFullCasidaOperator,
@@ -36,7 +37,6 @@ from repro.dft.groundstate import GroundState
 from repro.eigen.davidson import davidson
 from repro.eigen.lobpcg import lobpcg
 from repro.precision import resolve_precision
-from repro.utils.deprecation import warn_once
 from repro.utils.rng import default_rng
 from repro.utils.serialization import SerializableResult
 from repro.utils.timers import TimerRegistry
@@ -54,11 +54,6 @@ METHODS: tuple[str, ...] = (
     "kmeans-isdf-davidson",
     "implicit-kmeans-isdf-davidson",
 )
-
-#: Sentinel distinguishing "keyword not passed" from an explicit value, so
-#: the legacy kwarg signature of :meth:`LRTDDFTSolver.solve` can be detected
-#: (and deprecation-warned) without changing its behavior.
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -168,13 +163,20 @@ class LRTDDFTSolver:
         ``"singlet"`` (default) or ``"triplet"`` — triplet response drops
         the Hartree term and uses the spin-flip kernel
         (:func:`repro.dft.xc_spin.lda_kernel_triplet`).
+    seed:
+        Seed of the ISDF point selection and the eigensolver start block.
     precision:
         Initial precision tier (mode string or
         :class:`repro.precision.PrecisionConfig`) for the Hxc kernel and
-        the ISDF pipeline.  When :meth:`solve` is called with a
-        :class:`repro.api.TDDFTConfig`, the config's ``precision`` takes
+        the ISDF pipeline.  The ``precision`` of the
+        :class:`repro.api.TDDFTConfig` passed to :meth:`solve` takes
         precedence (the kernel is rebuilt if the tier changed — cheap, the
         FFT plan cache is keyed by dtype).
+
+    ``n_valence``, ``n_conduction``, ``include_xc``, ``spin`` and ``seed``
+    are also :class:`repro.api.TDDFTConfig` fields; :meth:`solve` rejects a
+    config that sets one of them to something other than the default or
+    this solver's value.
     """
 
     def __init__(
@@ -201,6 +203,14 @@ class LRTDDFTSolver:
             precision=self.precision,
         )
         self._seed = seed
+        #: The TDDFTConfig fields fixed at construction (checked by solve).
+        self._construction = {
+            "spin": spin,
+            "include_xc": include_xc,
+            "n_valence": n_valence,
+            "n_conduction": n_conduction,
+            "seed": seed,
+        }
         self._warm: TDDFTWarmStart | None = None
         self._selection_fallback: str | None = None
         self._isdf_checkpoint = None
@@ -227,42 +237,32 @@ class LRTDDFTSolver:
 
     def solve(
         self,
-        method="implicit-kmeans-isdf-lobpcg",
+        config: TDDFTConfig | None = None,
         *,
-        n_excitations: int | None = _UNSET,
-        n_mu: int | None = _UNSET,
-        rank_factor: float = _UNSET,
-        tol: float = _UNSET,
-        max_iter: int = _UNSET,
-        tda: bool = _UNSET,
-        isdf_kwargs: dict | None = _UNSET,
         resilience=None,
         warm: TDDFTWarmStart | None = None,
         progress=None,
+        isdf_kwargs: dict | None = None,
     ) -> LRTDDFTResult:
         """Solve for the lowest excitations with the chosen Table 4 version.
 
         Parameters
         ----------
-        method:
-            Either a :class:`repro.api.TDDFTConfig` (preferred) or a Table 4
-            method string.  Passing the individual solver keywords alongside
-            a method string is the legacy signature and emits a one-time
-            ``DeprecationWarning`` — build a ``TDDFTConfig`` instead.
-        n_excitations:
-            How many lowest pairs to return.  Iterative versions default to
-            ``min(10, N_cv)``; dense versions return the full spectrum when
-            omitted.
-        n_mu:
-            ISDF rank override (default: :meth:`default_n_mu`).
-        tol / max_iter:
-            LOBPCG controls (iterative versions).
-        tda:
-            ``True`` (default) solves within the Tamm-Dancoff approximation
-            (the paper's Eq. 2); ``False`` solves the *full* Casida problem
-            of Eq. 1 via the Hermitian reduction (see
-            :mod:`repro.core.full_casida`) — including a matrix-free
-            implicit variant.
+        config:
+            A :class:`repro.api.TDDFTConfig` (default-constructed when
+            omitted).  Its ``method`` picks the Table 4 version;
+            ``n_excitations`` is how many lowest pairs to return (iterative
+            versions default to ``min(10, N_cv)``, dense versions return
+            the full spectrum); ``n_mu`` / ``rank_factor`` set the ISDF
+            rank (default: :meth:`default_n_mu`); ``tol`` / ``max_iter``
+            control the iterative eigensolver; ``tda=False`` solves the
+            *full* Casida problem of Eq. 1 via the Hermitian reduction (see
+            :mod:`repro.core.full_casida`) instead of the Tamm-Dancoff
+            Eq. 2; ``precision`` selects the execution tier.  The
+            transition-space fields (``spin``, ``include_xc``,
+            ``n_valence``, ``n_conduction``, ``seed``) belong to the
+            solver's construction: a value that is neither the default nor
+            the constructor's raises ``ValueError`` naming the field.
         resilience:
             Optional :class:`repro.api.ResilienceConfig`.  Enables the
             K-Means -> QRCP selection fallback and, when ``checkpoint_dir``
@@ -280,52 +280,28 @@ class LRTDDFTSolver:
             "eigenvalues": (...), "max_residual": r}`` after every
             Rayleigh-Ritz step — the partial-spectrum stream of the job
             server.  Dense and Davidson paths emit no events.
+        isdf_kwargs:
+            Extra keywords for :func:`repro.core.isdf.isdf_decompose`
+            (selection ablations).
         """
-        legacy = {
-            k: v
-            for k, v in {
-                "n_excitations": n_excitations,
-                "n_mu": n_mu,
-                "rank_factor": rank_factor,
-                "tol": tol,
-                "max_iter": max_iter,
-                "tda": tda,
-                "isdf_kwargs": isdf_kwargs,
-            }.items()
-            if v is not _UNSET
-        }
-        if isinstance(method, str):
-            if legacy:
-                warn_once(
-                    "LRTDDFTSolver.solve:kwargs",
-                    "passing solver keywords to LRTDDFTSolver.solve() is "
-                    "deprecated; build a repro.api.TDDFTConfig and call "
-                    "solve(config) (or use repro.api.solve_tddft)",
-                )
-            n_excitations = legacy.get("n_excitations")
-            n_mu = legacy.get("n_mu")
-            rank_factor = legacy.get("rank_factor", 10.0)
-            tol = legacy.get("tol", 1e-8)
-            max_iter = legacy.get("max_iter", 400)
-            tda = legacy.get("tda", True)
-            isdf_kwargs = legacy.get("isdf_kwargs")
-        else:
-            require(
-                not legacy,
-                "solve(config) does not accept additional solver keywords; "
-                f"set them on the config instead (got {sorted(legacy)})",
+        if config is None:
+            config = TDDFTConfig()
+        if not isinstance(config, TDDFTConfig):
+            raise TypeError(
+                "LRTDDFTSolver.solve takes a repro.api.TDDFTConfig, got "
+                f"{type(config).__name__}; e.g. solve(TDDFTConfig(method=...))"
             )
-            config = method
-            method = config.method
-            n_excitations = config.n_excitations
-            n_mu = config.n_mu
-            rank_factor = config.rank_factor
-            tol = config.tol
-            max_iter = config.max_iter
-            tda = config.tda
-            isdf_kwargs = None
-            self._set_precision(getattr(config, "precision", None))
-        require(method in METHODS, f"unknown method {method!r}; choose from {METHODS}")
+        defaults = TDDFTConfig()
+        for name, built in self._construction.items():
+            value = getattr(config, name)
+            require(
+                value == getattr(defaults, name) or value == built,
+                f"config.{name}={value!r} differs from this solver's "
+                f"{name}={built!r}, which is fixed at construction; build "
+                f"LRTDDFTSolver(..., {name}={value!r}) instead",
+            )
+        self._set_precision(config.precision)
+        method, k, tda = config.method, config.n_excitations, config.tda
         timers = TimerRegistry()
         isdf_kwargs = dict(isdf_kwargs or {})
         self._warm = warm
@@ -336,20 +312,21 @@ class LRTDDFTSolver:
         self._rng = default_rng(self._seed)
 
         if method == "naive":
-            result = self._solve_naive(n_excitations, timers, tda)
+            result = self._solve_naive(k, timers, tda)
         else:
             selection = "qrcp" if method.startswith(("qrcp", "implicit-qrcp")) else "kmeans"
             eigensolver = "davidson" if method.endswith("davidson") else "lobpcg"
             if "implicit" in method:
                 result = self._solve_implicit(
-                    selection, n_excitations, n_mu, rank_factor, tol, max_iter,
-                    timers, isdf_kwargs, tda, eigensolver,
+                    selection, k, config.n_mu, config.rank_factor, config.tol,
+                    config.max_iter, timers, isdf_kwargs, tda, eigensolver,
                 )
             else:
                 use_iterative = method.endswith(("lobpcg", "davidson"))
                 result = self._solve_isdf_explicit(
-                    selection, use_iterative, n_excitations, n_mu, rank_factor,
-                    tol, max_iter, timers, isdf_kwargs, tda, eigensolver,
+                    selection, use_iterative, k, config.n_mu, config.rank_factor,
+                    config.tol, config.max_iter, timers, isdf_kwargs, tda,
+                    eigensolver,
                 )
         result.method = method
         result.timings = timers.as_dict()
@@ -608,3 +585,15 @@ class LRTDDFTSolver:
         x0[lowest, np.arange(k)] = 1.0
         x0 += 1e-3 * self._rng.standard_normal(x0.shape)
         return x0
+
+
+def _solver_for(ground_state: GroundState, config: TDDFTConfig) -> LRTDDFTSolver:
+    """The solver a request's ``TDDFTConfig`` describes on ``ground_state``."""
+    return LRTDDFTSolver(
+        ground_state,
+        n_valence=config.n_valence,
+        n_conduction=config.n_conduction,
+        include_xc=config.include_xc,
+        spin=config.spin,
+        seed=config.seed,
+    )

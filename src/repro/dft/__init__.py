@@ -19,7 +19,7 @@ from repro.dft.mixing import AndersonMixer, LinearMixer
 from repro.dft.ewald import ewald_energy
 from repro.dft.groundstate import GroundState
 from repro.dft.io import load_ground_state, save_ground_state
-from repro.dft.scf import SCFOptions, SCFResultInfo, SCFWarmStart, run_scf
+from repro.dft.scf import SCFResultInfo, SCFWarmStart, run_scf
 from repro.dft.scf_spin import SpinGroundState, run_scf_spin
 from repro.dft.bands import BandStructure, band_structure, bands_at_k
 
@@ -40,7 +40,6 @@ __all__ = [
     "GroundState",
     "save_ground_state",
     "load_ground_state",
-    "SCFOptions",
     "SCFResultInfo",
     "SCFWarmStart",
     "run_scf",

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.api.config import SCFConfig
 from repro.atoms.elements import valence_electron_count
 from repro.dft.density import atomic_guess_density, density_from_orbitals
 from repro.dft.ewald import ewald_energy
@@ -25,34 +26,7 @@ from repro.pw.basis import PlaneWaveBasis
 from repro.pw.cell import UnitCell
 from repro.utils.rng import default_rng
 from repro.utils.timers import TimerRegistry
-from repro.utils.validation import check_positive, require
-
-
-@dataclass
-class SCFOptions:
-    """Knobs of the SCF loop (defaults tuned for the small test systems)."""
-
-    ecut: float = 10.0
-    n_bands: int | None = None  #: total bands; default = n_occ + max(4, n_occ//2)
-    tol: float = 1e-6  #: density residual convergence (per electron)
-    max_iter: int = 60
-    mixer: str = "anderson"  #: "anderson" or "linear"
-    mixing_beta: float = 0.5
-    mixing_history: int = 5
-    smearing_width: float = 0.0  #: Fermi-Dirac width in Ha; 0 = integer fill
-    eig_tol_final: float = 1e-8
-    seed: int | None = None
-    verbose: bool = False
-    #: Precision tier ("strict64" / "mixed" / "fast32") or a
-    #: :class:`repro.precision.PrecisionConfig`.  SCF convergence-critical
-    #: algebra stays fp64 in every tier; only ``fast32`` routes the Hartree
-    #: solve through fp32 FFT scratch (verified, with permanent fp64
-    #: fallback recorded in the resilience log).
-    precision: object = "strict64"
-    # -- resilience (see repro.resilience.checkpoint) ----------------------
-    checkpoint_dir: str | None = None  #: snapshot directory; None = disabled
-    checkpoint_every: int = 1  #: snapshot every N-th SCF iteration
-    restart: bool = False  #: resume from the newest snapshot when present
+from repro.utils.validation import require
 
 
 @dataclass(frozen=True)
@@ -154,18 +128,17 @@ def _total_energy(
 
 def run_scf(
     cell: UnitCell,
-    options: SCFOptions | None = None,
+    config: SCFConfig | None = None,
     *,
     timers: TimerRegistry | None = None,
     checkpoint=None,
     warm_start: SCFWarmStart | None = None,
     progress=None,
-    **overrides,
 ) -> GroundState:
     """Run a Gamma-point SCF and return the converged :class:`GroundState`.
 
-    Keyword overrides are applied on top of ``options``:
-    ``run_scf(cell, ecut=8.0, n_bands=12)``.
+    ``config`` is a frozen :class:`repro.api.SCFConfig` (default-constructed
+    when omitted): ``run_scf(cell, SCFConfig(ecut=8.0, n_bands=12))``.
 
     ``warm_start`` seeds the loop from a nearby converged calculation (see
     :class:`SCFWarmStart`); a checkpoint restart, when present, takes
@@ -179,46 +152,33 @@ def run_scf(
     corrupt a silent result).
 
     Checkpoint/restart: pass a
-    :class:`~repro.resilience.checkpoint.LoopCheckpointer` (or set
-    ``checkpoint_dir`` / ``restart`` in the options) and the loop snapshots
+    :class:`~repro.resilience.checkpoint.LoopCheckpointer` (for example
+    ``ResilienceConfig.checkpointer("scf")``) and the loop snapshots
     its full iteration-boundary state — mixed density, orbital
     coefficients, residual, mixer history, diagnostics — after each
     iteration.  A restarted run replays the remaining iterations
     bit-identically to an uninterrupted one.
     """
-    opts = options or SCFOptions()
-    for key, value in overrides.items():
-        require(hasattr(opts, key), f"unknown SCF option {key!r}")
-        setattr(opts, key, value)
-    check_positive(opts.ecut, "ecut")
+    config = config if config is not None else SCFConfig()
     timers = timers or TimerRegistry()
-
-    if checkpoint is None and opts.checkpoint_dir is not None:
-        from repro.resilience.checkpoint import CheckpointManager, LoopCheckpointer
-
-        checkpoint = LoopCheckpointer(
-            CheckpointManager(opts.checkpoint_dir, tag="scf"),
-            every=opts.checkpoint_every,
-            restart=opts.restart,
-        )
 
     n_electrons = valence_electron_count(cell.species)
     n_occ = int(np.ceil(n_electrons / 2.0))
-    n_bands = opts.n_bands if opts.n_bands is not None else n_occ + max(4, n_occ // 2)
+    n_bands = config.n_bands if config.n_bands is not None else n_occ + max(4, n_occ // 2)
     require(n_bands >= n_occ, f"n_bands={n_bands} < occupied bands {n_occ}")
 
-    basis = PlaneWaveBasis(cell, opts.ecut)
+    basis = PlaneWaveBasis(cell, config.ecut)
     require(
         n_bands <= basis.n_pw,
         f"n_bands={n_bands} exceeds basis size N_pw={basis.n_pw}; raise ecut",
     )
-    ham = KohnShamHamiltonian(basis, precision=opts.precision)
-    rng = default_rng(opts.seed)
+    ham = KohnShamHamiltonian(basis, precision=config.precision)
+    rng = default_rng(config.seed)
 
     mixer = (
-        AndersonMixer(opts.mixing_beta, opts.mixing_history)
-        if opts.mixer == "anderson"
-        else LinearMixer(opts.mixing_beta)
+        AndersonMixer(config.mixing_beta, config.mixing_history)
+        if config.mixer == "anderson"
+        else LinearMixer(config.mixing_beta)
     )
     info = SCFResultInfo(iterations=0, converged=False)
     history: list[dict] = []
@@ -271,9 +231,9 @@ def run_scf(
             for i, (r, e) in enumerate(zip(residuals, energies_hist))
         ]
 
-    for iteration in range(start_iteration + 1, opts.max_iter + 1):
+    for iteration in range(start_iteration + 1, config.max_iter + 1):
         ham.update_density(density)
-        eig_tol = float(np.clip(0.03 * residual, opts.eig_tol_final, 1e-3))
+        eig_tol = float(np.clip(0.03 * residual, config.eig_tol_final, 1e-3))
         with timers.scope("scf/bands"):
             result = lobpcg(
                 ham.apply_columns,
@@ -284,7 +244,7 @@ def run_scf(
             )
         coeffs = result.eigenvectors.T
         energies = result.eigenvalues
-        occupations = _occupations(energies, n_electrons, opts.smearing_width)
+        occupations = _occupations(energies, n_electrons, config.smearing_width)
 
         psi_real = basis.to_real(coeffs)
         density_out = density_from_orbitals(psi_real, occupations, basis.grid.dv)
@@ -298,7 +258,7 @@ def run_scf(
         history.append(
             {"iteration": iteration, "residual": residual, "e_total": e_total}
         )
-        if opts.verbose:  # pragma: no cover - console path
+        if config.verbose:  # pragma: no cover - console path
             print(f"SCF {iteration:3d}: residual={residual:.3e}, E={e_total:.8f} Ha")
         if progress is not None:
             progress(
@@ -306,11 +266,11 @@ def run_scf(
                     "iteration": iteration,
                     "residual": residual,
                     "e_total": e_total,
-                    "converged": residual < opts.tol,
+                    "converged": residual < config.tol,
                 }
             )
 
-        if residual < opts.tol:
+        if residual < config.tol:
             info.converged = True
             info.iterations = iteration
             density = density_out
@@ -330,7 +290,7 @@ def run_scf(
                 },
             )
     else:
-        info.iterations = opts.max_iter
+        info.iterations = config.max_iter
 
     # Final polish with the converged potential, then rotate to real gauge.
     ham.update_density(density)
@@ -339,12 +299,12 @@ def run_scf(
             ham.apply_columns,
             coeffs.T,
             preconditioner=ham.preconditioner,
-            tol=opts.eig_tol_final,
+            tol=config.eig_tol_final,
             max_iter=200,
         )
     coeffs = result.eigenvectors.T
     energies = result.eigenvalues
-    occupations = _occupations(energies, n_electrons, opts.smearing_width)
+    occupations = _occupations(energies, n_electrons, config.smearing_width)
     orbitals_real, energies = realify_orbitals(coeffs, energies, basis, ham.apply)
     density = density_from_orbitals(orbitals_real, occupations, basis.grid.dv)
     e_total = _total_energy(ham, energies, occupations, density, e_ii)

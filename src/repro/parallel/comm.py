@@ -519,6 +519,10 @@ class Communicator:
             if spec is not None and spec.kind == "delay_message":
                 time.sleep(spec.delay)
         self.traffic.record("p2p", _nbytes(value))
+        sanitizer = self._shared.sanitizer
+        if sanitizer is not None:
+            # The receiver gets this very object, as with a collective post.
+            sanitizer.on_publish(self._rank, value, f"send(dest={dest}, tag={tag})")
         self._shared.queues[(self._rank, dest)].put((tag, value))
 
     def recv(

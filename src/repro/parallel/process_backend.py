@@ -485,7 +485,7 @@ class ProcessCommunicator(Communicator):
         """Close every attachment and unlink owned segments (idempotent)."""
         sanitizer = self._shared.sanitizer
         if sanitizer is not None:
-            sanitizer.on_publish(self._rank, ())  # drop its view of the outbox
+            sanitizer.release(self._rank)  # drop its view of the outbox
         self._peer_cache.clear()
         self._outbox = None
         self._registry.cleanup()

@@ -13,13 +13,14 @@ not have:
   quoting *all* ranks' signatures and call sites instead of silently
   exchanging mismatched payloads.
 * **Shared-write detection** — the communicator reports the surface it
-  hands to peers (:meth:`SpmdSanitizer.on_publish`): the posted arrays
-  themselves on the thread backend, the outbox slab region on the process
-  backend.  It is fingerprinted at publish time and re-checked by its
-  owner after the next epoch's first barrier, so a write by *any* rank
-  inside the window is seen; the verdict names the publishing rank, op and
-  call site.  (Mutating a buffer *after* the next barrier is synchronized
-  and legal — the one-epoch window is exactly the race window.)
+  hands to peers (:meth:`SpmdSanitizer.on_publish`): the posted and
+  ``send`` arrays themselves on the thread backend, the outbox slab region
+  on the process backend.  It is fingerprinted at publish time and
+  re-checked by its owner after the next epoch's first barrier, so a
+  write by *any* rank inside the window is seen; the verdict names the
+  publishing rank, op and call site.  (Mutating a buffer *after* the next
+  barrier is synchronized and legal — the one-epoch window is exactly the
+  race window.)
 * **Deadlock diagnosis** — the sanitizer's barrier carries a timeout, and
   a rank returning from its program is recorded.  A collective that can
   never complete (a rank skipped it, or already finished) turns into a
@@ -220,7 +221,8 @@ class SpmdSanitizer:
         self._buf = buf
         self._barrier = barrier
         self._abort_event = abort_event
-        #: per rank: (buffer, fingerprint) pairs published this epoch.
+        #: per rank: (buffer, fingerprint, origin) published this epoch;
+        #: origin is None for a collective's payload.
         self._tracked: list[list] = [[] for _ in range(size)]
 
     # -- board access --------------------------------------------------------
@@ -313,19 +315,28 @@ class SpmdSanitizer:
             raise SanitizerError(verdict)
         self._put(rank, _LAST, blob)
 
-    def on_publish(self, rank: int, buffers) -> None:
+    def on_publish(self, rank: int, buffers, op: str | None = None) -> None:
         """Fingerprint the surface ``rank`` just handed to its peers.
 
         ``buffers`` is an ndarray, a memoryview or a list/tuple nest of
-        them (other leaves are ignored); the owner re-checks them in its
-        next collective.  Publishing ``()`` drops the sanitizer's hold on
-        earlier buffers — an owner must do so before unmapping them.
+        them (other leaves are ignored).  They join whatever ``rank``
+        already published this epoch — a collective's payload and any
+        point-to-point ``send`` after it — and the owner re-checks them
+        all in its next collective.  ``op`` names a point-to-point publish
+        (``"send(dest=1, tag=0)"``); a collective's payload leaves it
+        ``None`` and is attributed to the collective's own record.
         """
-        self._tracked[rank] = (
-            [(buf, _fingerprint(buf)) for buf in _published_buffers(buffers)]
-            if self.size > 1  # a single rank has nobody to race with
-            else []
-        )
+        if self.size > 1:  # a single rank has nobody to race with
+            origin = None if op is None else f"rank {rank}: {op} at {_call_site()}"
+            self._tracked[rank].extend(
+                (buf, _fingerprint(buf), origin)
+                for buf in _published_buffers(buffers)
+            )
+
+    def release(self, rank: int) -> None:
+        """Drop the hold on ``rank``'s published buffers — an owner must do
+        so before unmapping them."""
+        self._tracked[rank] = []
 
     def rank_done(self, rank: int) -> None:
         """Called by the executor when a rank's program returns."""
@@ -358,10 +369,11 @@ class SpmdSanitizer:
         """Re-fingerprint ``rank``'s buffers from the previous epoch, whose
         record is still the slot's last-completed one."""
         tracked, self._tracked[rank] = self._tracked[rank], []
-        for buf, fingerprint in tracked:
+        for buf, fingerprint, published in tracked:
             if _fingerprint(buf) != fingerprint:
-                record = self._record(rank, _LAST)
-                published = record.render() if record else f"rank {rank}"
+                if published is None:
+                    record = self._record(rank, _LAST)
+                    published = record.render() if record else f"rank {rank}"
                 return (
                     "unsynchronized shared-buffer write: "
                     f"{describe_payload(buf)} published by "

@@ -10,8 +10,8 @@ Two layers of graceful degradation back the facade's
   corrupted contribution);
 * **algorithm** — K-Means -> QRCP point selection on non-convergence and
   iterative -> dense eigensolver fallback live with their call sites
-  (:func:`repro.core.isdf.isdf_decompose` and
-  :func:`repro.api.solve_tddft`) and are driven by the same
+  (:func:`repro.core.isdf.isdf_decompose` and the tddft stage of
+  :func:`repro.api.execute_request`) and are driven by the same
   :class:`RetryPolicy` knobs.
 """
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import TDDFTConfig
 from repro.analysis import (
     dominant_transitions,
     electron_hole_densities,
@@ -91,7 +92,7 @@ class TestElectronHoleDensities:
         from repro.core import LRTDDFTSolver
 
         solver = LRTDDFTSolver(si2_ground_state, seed=0)
-        res = solver.solve("naive", n_excitations=1)
+        res = solver.solve(TDDFTConfig(method="naive", n_excitations=1))
         n_e, n_h = electron_hole_densities(
             res.wavefunctions[:, 0], solver.psi_v, solver.psi_c
         )

@@ -1,15 +1,14 @@
-"""Config objects: round-trip, immutability, validation, deprecation shims."""
+"""Config objects: round-trip, immutability, validation, the solve signature."""
 
 import dataclasses
-import warnings
 
+import numpy as np
 import pytest
 
 from repro import api
 from repro.atoms import silicon_primitive_cell
 from repro.core import LRTDDFTSolver
 from repro.synthetic import synthetic_ground_state
-from repro.utils.deprecation import reset_deprecation_warnings, warn_once
 
 
 @pytest.fixture(scope="module")
@@ -152,64 +151,69 @@ class TestPrecisionThreading:
 
 
 class TestDeprecationShims:
-    def test_warn_once_is_once(self):
-        reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert warn_once("test:key", "legacy thing")
-            assert not warn_once("test:key", "legacy thing")
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1
+    """The deprecated call styles are gone: ``LRTDDFTSolver.solve`` takes a
+    ``TDDFTConfig`` and nothing else describes the solve."""
 
-    def test_solve_tddft_legacy_kwargs_warn_exactly_once(self, tiny_gs):
-        reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            api.solve_tddft(tiny_gs, method="naive", n_excitations=2)
-            api.solve_tddft(tiny_gs, method="naive", n_excitations=2)
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1
-        assert "TDDFTConfig" in str(dep[0].message)
-
-    def test_solver_legacy_kwargs_warn_exactly_once(self, tiny_gs):
-        reset_deprecation_warnings()
+    def test_legacy_kwargs_are_rejected(self, tiny_gs):
         solver = LRTDDFTSolver(tiny_gs, seed=0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with pytest.raises(TypeError):
             solver.solve("naive", n_excitations=2)
-            solver.solve("naive", n_excitations=2)
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1
+        with pytest.raises(TypeError, match="TDDFTConfig"):
+            solver.solve("naive")
 
     def test_config_plus_legacy_kwargs_is_an_error(self, tiny_gs):
-        with pytest.raises(ValueError, match="config"):
-            api.solve_tddft(tiny_gs, api.TDDFTConfig(), n_excitations=2)
+        with pytest.raises(TypeError):
+            LRTDDFTSolver(tiny_gs).solve(api.TDDFTConfig(), n_excitations=2)
 
-    def test_config_path_warns_once_for_the_function(self, tiny_gs):
-        # Since the CalculationRequest redesign the *function itself* is the
-        # deprecated surface: even the config path warns (exactly once),
-        # pointing at CalculationRequest.
-        reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            api.solve_tddft(
-                tiny_gs, api.TDDFTConfig(method="naive", n_excitations=2)
-            )
-            api.solve_tddft(
-                tiny_gs, api.TDDFTConfig(method="naive", n_excitations=2)
-            )
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1
-        assert "CalculationRequest" in str(dep[0].message)
-
-    def test_legacy_and_config_paths_agree(self, tiny_gs):
-        reset_deprecation_warnings()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            legacy = api.solve_tddft(tiny_gs, method="naive", n_excitations=3)
-        modern = api.solve_tddft(
-            tiny_gs, api.TDDFTConfig(method="naive", n_excitations=3)
+    def test_request_and_solver_paths_agree(self, tiny_gs):
+        config = api.TDDFTConfig(method="naive", n_excitations=3)
+        request = api.CalculationRequest(
+            kind="tddft", structure=tiny_gs.basis.cell, tddft=config
         )
-        import numpy as np
+        via_request = api.execute_request(request, ground_state=tiny_gs).result
+        direct = LRTDDFTSolver(tiny_gs).solve(config)
+        np.testing.assert_array_equal(via_request.energies, direct.energies)
 
-        np.testing.assert_array_equal(legacy.energies, modern.energies)
+
+class TestSolverFieldsFixedAtConstruction:
+    """``spin`` / ``include_xc`` / ``n_valence`` / ``n_conduction`` /
+    ``seed`` shape the solver when it is built; a config that disagrees
+    must fail instead of being silently ignored."""
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("spin", "triplet"),
+            ("include_xc", False),
+            ("n_valence", 2),
+            ("n_conduction", 2),
+            ("seed", 7),
+        ],
+    )
+    def test_disagreeing_field_is_named(self, tiny_gs, field, value):
+        config = api.TDDFTConfig(method="naive", n_excitations=2, **{field: value})
+        with pytest.raises(ValueError, match=f"config.{field}="):
+            LRTDDFTSolver(tiny_gs).solve(config)
+
+    def test_triplet_window_config_is_not_answered_with_the_singlet(self, tiny_gs):
+        config = api.TDDFTConfig(
+            method="naive", n_excitations=2, spin="triplet", n_conduction=2
+        )
+        with pytest.raises(ValueError, match="config.spin="):
+            LRTDDFTSolver(tiny_gs).solve(config)
+        matching = LRTDDFTSolver(tiny_gs, spin="triplet", n_conduction=2)
+        triplet = matching.solve(config)
+        singlet = LRTDDFTSolver(tiny_gs).solve(
+            api.TDDFTConfig(method="naive", n_excitations=2)
+        )
+        assert not np.array_equal(triplet.energies, singlet.energies)
+
+    def test_matching_or_default_fields_are_accepted(self, tiny_gs):
+        solver = LRTDDFTSolver(tiny_gs, spin="triplet", n_conduction=2, seed=3)
+        same = api.TDDFTConfig(
+            method="naive", n_excitations=2, spin="triplet", n_conduction=2, seed=3
+        )
+        defaults = api.TDDFTConfig(method="naive", n_excitations=2)
+        np.testing.assert_array_equal(
+            solver.solve(same).energies, solver.solve(defaults).energies
+        )

@@ -1,7 +1,6 @@
-"""CalculationRequest: canonical identity, cache-key stability, shims."""
+"""CalculationRequest: canonical identity, cache-key stability, execution."""
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -13,11 +12,11 @@ from repro.api import (
     SCFConfig,
     TDDFTConfig,
     execute_request,
-    reset_deprecation_warnings,
     structure_from_dict,
     structure_to_dict,
 )
 from repro.atoms import silicon_primitive_cell
+from repro.dft import run_scf
 from repro.pw.cell import UnitCell
 
 
@@ -214,55 +213,37 @@ class TestExecution:
         assert events[-1]["converged"]
 
 
-class TestLegacyShimsRouteThroughRequests:
+class TestRequestsReplaceTheShims:
+    """What the removed facade functions did, done with requests."""
+
     @pytest.fixture()
     def tiny_gs(self, cell):
-        reset_deprecation_warnings()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return api.run_scf(cell, SCFConfig(ecut=4.0, tol=1e-6))
-
-    def _deprecations(self, caught):
-        return [w for w in caught if issubclass(w.category, DeprecationWarning)]
-
-    def test_run_scf_warns_once_and_matches_request(self, cell):
-        reset_deprecation_warnings()
-        request = CalculationRequest(
+        return CalculationRequest(
             kind="scf", structure=cell, scf=SCFConfig(ecut=4.0, tol=1e-6)
+        ).compute()
+
+    def test_run_scf_matches_request(self, cell):
+        direct = CalculationRequest(
+            kind="scf", structure=cell, scf=SCFConfig(ecut=4.0, tol=1e-6)
+        ).compute()
+        stage = run_scf(cell, SCFConfig(ecut=4.0, tol=1e-6))
+        assert stage.total_energy == direct.total_energy
+        np.testing.assert_array_equal(stage.density, direct.density)
+
+    def test_rt_request_on_an_existing_ground_state(self, cell, tiny_gs):
+        request = CalculationRequest(
+            kind="rt", structure=cell, rt=RTConfig(n_steps=3, dt=0.1)
         )
-        direct = request.compute()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = api.run_scf(cell, SCFConfig(ecut=4.0, tol=1e-6))
-            api.run_scf(cell, SCFConfig(ecut=4.0, tol=1e-6))
-        dep = self._deprecations(caught)
-        assert len(dep) == 1
-        assert "CalculationRequest" in str(dep[0].message)
-        assert legacy.total_energy == direct.total_energy
-        np.testing.assert_array_equal(legacy.density, direct.density)
+        outcome = execute_request(request, ground_state=tiny_gs)
+        assert outcome.scf_iterations == 0
+        assert len(outcome.result.times) > 0
 
-    def test_run_rt_warns_once(self, tiny_gs):
-        reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = api.run_rt(tiny_gs, n_steps=3, dt=0.1)
-            api.run_rt(tiny_gs, n_steps=3, dt=0.1)
-        dep = self._deprecations(caught)
-        assert len(dep) == 1
-        assert "RTConfig" in str(dep[0].message)
-        assert len(result.times) > 0
-
-    def test_run_batch_warns_once(self, cell):
-        reset_deprecation_warnings()
+    def test_batch_request_replays_identical_frames(self, cell):
         config = api.BatchConfig(
             scf=SCFConfig(ecut=4.0, tol=1e-6),
             tddft=TDDFTConfig(n_excitations=2, n_valence=1, n_conduction=2, seed=0),
         )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = api.run_batch([cell, cell], config)
-            api.run_batch([cell, cell], config)
-        dep = self._deprecations(caught)
-        assert len(dep) == 1
-        assert "BatchConfig" in str(dep[0].message)
+        result = CalculationRequest(
+            kind="batch", structure=[cell, cell], batch=config
+        ).compute()
         assert result.records[1].reused_identical

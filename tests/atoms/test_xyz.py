@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import SCFConfig
 from repro.atoms import silicon_primitive_cell, water_molecule
 from repro.atoms.xyz import read_xyz, write_xyz
 from repro.constants import ANGSTROM_TO_BOHR
@@ -77,5 +78,5 @@ class TestPlainXYZ:
 
         path = write_xyz(silicon_primitive_cell(), tmp_path / "si.xyz")
         cell = read_xyz(path)
-        gs = run_scf(cell, ecut=6.0, n_bands=6, tol=1e-5, seed=0)
+        gs = run_scf(cell, SCFConfig(ecut=6.0, n_bands=6, tol=1e-5, seed=0))
         assert gs.converged

@@ -11,10 +11,10 @@ frame-sharding runs (``n_ranks=2``) go through the SPMD sanitizer via the
 import numpy as np
 import pytest
 
-from repro.api import BatchConfig, CalculationRequest, SCFConfig, TDDFTConfig, run_batch
+from repro.api import BatchConfig, CalculationRequest, SCFConfig, TDDFTConfig
 from repro.batch import engine as batch_engine
 from repro.atoms import silicon_primitive_cell
-from repro.batch import perturbed_trajectory
+from repro.batch import perturbed_trajectory, run_batch
 
 pytestmark = pytest.mark.batch
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import SCFConfig
 from repro.atoms import bulk_silicon, silicon_primitive_cell, water_molecule
 from repro.constants import ANGSTROM_TO_BOHR
 from repro.dft import run_scf
@@ -16,14 +17,14 @@ from repro.synthetic import synthetic_ground_state
 def si2_ground_state():
     """Si_2 primitive cell, Ecut = 10 Ha: the workhorse real ground state."""
     cell = silicon_primitive_cell()
-    return run_scf(cell, ecut=10.0, n_bands=10, tol=1e-8, seed=1)
+    return run_scf(cell, SCFConfig(ecut=10.0, n_bands=10, tol=1e-8, seed=1))
 
 
 @pytest.fixture(scope="session")
 def water_ground_state():
     """H2O in an 8 Angstrom box at Ecut = 10 Ha (kept small for speed)."""
     cell = water_molecule(box=8.0 * ANGSTROM_TO_BOHR)
-    return run_scf(cell, ecut=10.0, n_bands=8, tol=1e-7, seed=2)
+    return run_scf(cell, SCFConfig(ecut=10.0, n_bands=8, tol=1e-7, seed=2))
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import TDDFTConfig
 from repro.core import HxcKernel, LRTDDFTSolver, isdf_decompose
 from repro.core.full_casida import (
     ImplicitFullCasidaOperator,
@@ -56,14 +57,14 @@ class TestPhysics:
     def test_full_below_tda(self, solver):
         """The B-block coupling lowers the lowest excitation vs TDA
         (standard variational ordering for stable references)."""
-        tda = solver.solve("naive", n_excitations=3)
-        full = solver.solve("naive", n_excitations=3, tda=False)
+        tda = solver.solve(TDDFTConfig(method="naive", n_excitations=3))
+        full = solver.solve(TDDFTConfig(method="naive", n_excitations=3, tda=False))
         assert full.energies[0] <= tda.energies[0] + 1e-12
 
     def test_full_and_tda_close_for_weak_coupling(self, solver):
         """For silicon's weakly coupled transitions, TDA error is small."""
-        tda = solver.solve("naive", n_excitations=3)
-        full = solver.solve("naive", n_excitations=3, tda=False)
+        tda = solver.solve(TDDFTConfig(method="naive", n_excitations=3))
+        full = solver.solve(TDDFTConfig(method="naive", n_excitations=3, tda=False))
         rel = np.abs((tda.energies - full.energies) / full.energies)
         assert rel.max() < 0.05
 
@@ -102,28 +103,39 @@ class TestImplicitOperator:
 
 class TestDriverIntegration:
     def test_all_methods_support_full_casida(self, solver):
-        reference = solver.solve("naive", n_excitations=4, tda=False)
+        reference = solver.solve(
+            TDDFTConfig(method="naive", n_excitations=4, tda=False)
+        )
         for method in (
             "qrcp-isdf",
             "kmeans-isdf-lobpcg",
             "implicit-kmeans-isdf-lobpcg",
             "implicit-qrcp-isdf-lobpcg",
         ):
-            res = solver.solve(method, n_excitations=4, tda=False, tol=1e-11)
+            res = solver.solve(
+                TDDFTConfig(method=method, n_excitations=4, tda=False, tol=1e-11)
+            )
             rel = np.abs(
                 (res.energies - reference.energies[:4]) / reference.energies[:4]
             )
             assert rel.max() < 0.03, method
 
     def test_qrcp_full_rank_exact(self, solver):
-        reference = solver.solve("naive", n_excitations=4, tda=False)
-        res = solver.solve("qrcp-isdf", n_excitations=4, tda=False)
+        reference = solver.solve(
+            TDDFTConfig(method="naive", n_excitations=4, tda=False)
+        )
+        res = solver.solve(TDDFTConfig(method="qrcp-isdf", n_excitations=4, tda=False))
         np.testing.assert_allclose(res.energies, reference.energies[:4], atol=1e-8)
 
     def test_implicit_matches_explicit_same_isdf(self, solver):
-        dense = solver.solve("kmeans-isdf", n_excitations=4, tda=False)
+        dense = solver.solve(
+            TDDFTConfig(method="kmeans-isdf", n_excitations=4, tda=False)
+        )
         implicit = solver.solve(
-            "implicit-kmeans-isdf-lobpcg", n_excitations=4, tda=False, tol=1e-12
+            TDDFTConfig(
+                method="implicit-kmeans-isdf-lobpcg", n_excitations=4, tda=False,
+                tol=1e-12,
+            )
         )
         np.testing.assert_allclose(
             implicit.energies, dense.energies[:4], atol=1e-7

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import TDDFTConfig
 from repro.core import (
     LRTDDFTSolver,
     oscillator_strengths,
@@ -14,7 +15,7 @@ from repro.core.spectra import lorentzian_spectrum
 @pytest.fixture(scope="module")
 def water_excitations(water_ground_state):
     solver = LRTDDFTSolver(water_ground_state, seed=3)
-    res = solver.solve("naive", n_excitations=8)
+    res = solver.solve(TDDFTConfig(method="naive", n_excitations=8))
     dip = transition_dipoles(solver.psi_v, solver.psi_c, solver.basis)
     return solver, res, dip
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import TDDFTConfig
 from repro.core import LRTDDFTSolver, oscillator_strengths, transition_dipoles
 
 
@@ -15,7 +16,7 @@ class TestThomasReicheKuhn:
 
     def test_sum_positive_and_bounded(self, water_ground_state):
         solver = LRTDDFTSolver(water_ground_state, seed=0)
-        res = solver.solve("naive")
+        res = solver.solve(TDDFTConfig(method="naive"))
         dip = transition_dipoles(solver.psi_v, solver.psi_c, solver.basis)
         f = oscillator_strengths(res.energies, res.wavefunctions, dip)
         total = f.sum()
@@ -25,7 +26,7 @@ class TestThomasReicheKuhn:
         totals = []
         for n_c in (2, 4, 6):
             solver = LRTDDFTSolver(si2_ground_state, n_conduction=n_c, seed=0)
-            res = solver.solve("naive")
+            res = solver.solve(TDDFTConfig(method="naive"))
             dip = transition_dipoles(solver.psi_v, solver.psi_c, solver.basis)
             f = oscillator_strengths(res.energies, res.wavefunctions, dip)
             totals.append(f.sum())
@@ -38,9 +39,9 @@ class TestSpectralConsistency:
         its energy error band."""
         solver = LRTDDFTSolver(water_ground_state, seed=0)
         dip = transition_dipoles(solver.psi_v, solver.psi_c, solver.basis)
-        naive = solver.solve("naive")
+        naive = solver.solve(TDDFTConfig(method="naive"))
         f_naive = oscillator_strengths(naive.energies, naive.wavefunctions, dip)
-        isdf = solver.solve("kmeans-isdf")
+        isdf = solver.solve(TDDFTConfig(method="kmeans-isdf"))
         f_isdf = oscillator_strengths(isdf.energies, isdf.wavefunctions, dip)
         assert f_isdf.sum() == pytest.approx(f_naive.sum(), rel=0.05)
 
@@ -48,7 +49,7 @@ class TestSpectralConsistency:
         """TDA eigenvalues live within [min D - ||2K||, max D + ||2K||];
         loosely: all positive and below twice the largest KS transition."""
         solver = LRTDDFTSolver(si2_ground_state, seed=0)
-        res = solver.solve("naive")
+        res = solver.solve(TDDFTConfig(method="naive"))
         from repro.core.pair_products import pair_energies
 
         d = pair_energies(solver.eps_v, solver.eps_c)
@@ -58,7 +59,7 @@ class TestSpectralConsistency:
     def test_hermiticity_of_full_spectrum(self, si2_ground_state):
         """All N_cv eigenvalues are real and the eigenvectors unitary."""
         solver = LRTDDFTSolver(si2_ground_state, seed=0)
-        res = solver.solve("naive")
+        res = solver.solve(TDDFTConfig(method="naive"))
         assert res.energies.shape[0] == solver.n_pairs
         gram = res.wavefunctions.T @ res.wavefunctions
         np.testing.assert_allclose(gram, np.eye(solver.n_pairs), atol=1e-10)

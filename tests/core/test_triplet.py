@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import TDDFTConfig
 from repro.core import HxcKernel, LRTDDFTSolver
 from repro.pw import PlaneWaveBasis, UnitCell
 from repro.utils.rng import default_rng
@@ -45,8 +46,8 @@ class TestTripletExcitations:
     def test_triplets_below_singlets(self, solvers):
         """Hund-like ordering: every low triplet sits below its singlet."""
         singlet, triplet = solvers
-        e_s = singlet.solve("naive", n_excitations=3).energies
-        e_t = triplet.solve("naive", n_excitations=3).energies
+        e_s = singlet.solve(TDDFTConfig(method="naive", n_excitations=3)).energies
+        e_t = triplet.solve(TDDFTConfig(method="naive", n_excitations=3)).energies
         assert (e_t < e_s).all()
 
     def test_triplets_below_ks_transitions(self, solvers):
@@ -55,21 +56,23 @@ class TestTripletExcitations:
         _, triplet = solvers
         from repro.core.pair_products import pair_energies
 
-        e_t = triplet.solve("naive", n_excitations=3).energies
+        e_t = triplet.solve(TDDFTConfig(method="naive", n_excitations=3)).energies
         d = np.sort(pair_energies(triplet.eps_v, triplet.eps_c))
         assert (e_t <= d[:3] + 1e-10).all()
 
     def test_isdf_versions_work_for_triplet(self, solvers):
         _, triplet = solvers
-        dense = triplet.solve("naive", n_excitations=3)
+        dense = triplet.solve(TDDFTConfig(method="naive", n_excitations=3))
         implicit = triplet.solve(
-            "implicit-kmeans-isdf-lobpcg", n_excitations=3, tol=1e-10
+            TDDFTConfig(
+                method="implicit-kmeans-isdf-lobpcg", n_excitations=3, tol=1e-10,
+            )
         )
         rel = np.abs((implicit.energies - dense.energies[:3]) / dense.energies[:3])
         assert rel.max() < 0.02
 
     def test_full_casida_triplet(self, solvers):
         _, triplet = solvers
-        tda = triplet.solve("naive", n_excitations=3)
-        full = triplet.solve("naive", n_excitations=3, tda=False)
+        tda = triplet.solve(TDDFTConfig(method="naive", n_excitations=3))
+        full = triplet.solve(TDDFTConfig(method="naive", n_excitations=3, tda=False))
         assert full.energies[0] <= tda.energies[0] + 1e-12

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import TDDFTConfig
 from repro.dft.io import load_ground_state, save_ground_state
 
 
@@ -38,8 +39,12 @@ class TestRoundtrip:
 
         path = save_ground_state(si2_ground_state, tmp_path / "si2")
         loaded = load_ground_state(path)
-        a = LRTDDFTSolver(si2_ground_state, seed=0).solve("naive", n_excitations=3)
-        b = LRTDDFTSolver(loaded, seed=0).solve("naive", n_excitations=3)
+        a = LRTDDFTSolver(si2_ground_state, seed=0).solve(
+            TDDFTConfig(method="naive", n_excitations=3)
+        )
+        b = LRTDDFTSolver(loaded, seed=0).solve(
+            TDDFTConfig(method="naive", n_excitations=3)
+        )
         np.testing.assert_array_equal(a.energies, b.energies)
 
     def test_synthetic_state_roundtrip(self, si8_synthetic, tmp_path):

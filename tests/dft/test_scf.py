@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.api import SCFConfig
 from repro.atoms import silicon_primitive_cell
 from repro.constants import HARTREE_TO_EV
 from repro.dft import run_scf
-from repro.dft.scf import SCFOptions, _occupations
+from repro.dft.scf import _occupations
 
 
 class TestOccupations:
@@ -70,22 +71,31 @@ class TestSiliconSCF:
 
     def test_seed_reproducibility(self):
         cell = silicon_primitive_cell()
-        a = run_scf(cell, ecut=6.0, n_bands=6, tol=1e-6, seed=5)
-        b = run_scf(cell, ecut=6.0, n_bands=6, tol=1e-6, seed=5)
+        a = run_scf(cell, SCFConfig(ecut=6.0, n_bands=6, tol=1e-6, seed=5))
+        b = run_scf(cell, SCFConfig(ecut=6.0, n_bands=6, tol=1e-6, seed=5))
         np.testing.assert_allclose(a.energies, b.energies, atol=1e-9)
 
     def test_total_energy_decreases_with_cutoff(self):
         """Variational property: richer basis lowers the total energy."""
         cell = silicon_primitive_cell()
-        e_lo = run_scf(cell, ecut=5.0, n_bands=6, tol=1e-6, seed=1).total_energy
-        e_hi = run_scf(cell, ecut=9.0, n_bands=6, tol=1e-6, seed=1).total_energy
+        e_lo = run_scf(
+            cell,
+            SCFConfig(ecut=5.0, n_bands=6, tol=1e-6, seed=1),
+        ).total_energy
+        e_hi = run_scf(
+            cell,
+            SCFConfig(ecut=9.0, n_bands=6, tol=1e-6, seed=1),
+        ).total_energy
         assert e_hi < e_lo
 
     def test_linear_mixer_also_converges(self):
         cell = silicon_primitive_cell()
         gs = run_scf(
-            cell, ecut=6.0, n_bands=6, tol=1e-6, mixer="linear",
-            mixing_beta=0.4, max_iter=80, seed=1,
+            cell,
+            SCFConfig(
+                ecut=6.0, n_bands=6, tol=1e-6, mixer="linear", mixing_beta=0.4,
+                max_iter=80, seed=1,
+            ),
         )
         assert gs.converged
 
@@ -109,14 +119,24 @@ class TestWaterSCF:
 
 class TestOptions:
     def test_unknown_override_rejected(self):
-        with pytest.raises(ValueError, match="unknown SCF option"):
+        # Options live only on the frozen SCFConfig: run_scf takes no
+        # option keywords, known or not.
+        with pytest.raises(TypeError):
             run_scf(silicon_primitive_cell(), not_an_option=1)
+        with pytest.raises(TypeError):
+            run_scf(silicon_primitive_cell(), ecut=8.0)
+
+    def test_override_keyword_leaves_the_config_untouched(self):
+        config = SCFConfig(ecut=8.0)
+        with pytest.raises(TypeError):
+            run_scf(silicon_primitive_cell(), config, ecut=-1.0)
+        assert config.ecut == 8.0
 
     def test_too_many_bands_rejected(self):
         with pytest.raises(ValueError, match="exceeds basis size"):
-            run_scf(silicon_primitive_cell(), ecut=2.0, n_bands=1000)
+            run_scf(silicon_primitive_cell(), SCFConfig(ecut=2.0, n_bands=1000))
 
     def test_options_dataclass_defaults(self):
-        opts = SCFOptions()
+        opts = SCFConfig()
         assert opts.mixer == "anderson"
         assert opts.smearing_width == 0.0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import SCFConfig
 from repro.dft import run_scf
 from repro.dft.scf_spin import _common_fermi_occupations, run_scf_spin
 from repro.pw import UnitCell
@@ -93,7 +94,7 @@ class TestClosedShellConsistency:
             cell, ecut=8.0, n_bands=3, initial_magnetization=0.0,
             tol=1e-7, seed=0,
         )
-        restricted = run_scf(cell, ecut=8.0, n_bands=3, tol=1e-7, seed=0)
+        restricted = run_scf(cell, SCFConfig(ecut=8.0, n_bands=3, tol=1e-7, seed=0))
         assert unrestricted.total_magnetization == pytest.approx(0.0, abs=1e-6)
         assert unrestricted.energies[0][0] == pytest.approx(
             restricted.energies[0], abs=2e-4

@@ -4,6 +4,7 @@ and consistent with the serial optimized solver."""
 import numpy as np
 import pytest
 
+from repro.api import TDDFTConfig
 from repro.core import HxcKernel, LRTDDFTSolver
 from repro.parallel import BlockDistribution1D, spmd_run
 from repro.parallel.parallel_isdf import (
@@ -119,7 +120,7 @@ class TestEndToEnd:
         band as the serial solver (point selection differs in detail)."""
         gs, psi_v, eps_v, psi_c, eps_c, kernel = problem
         solver = LRTDDFTSolver(gs, seed=11)
-        serial = solver.solve("naive", n_excitations=4)
+        serial = solver.solve(TDDFTConfig(method="naive", n_excitations=4))
         grid_dist = BlockDistribution1D(gs.basis.n_r, 2)
 
         def prog(comm):

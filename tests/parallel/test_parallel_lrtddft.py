@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import TDDFTConfig
 from repro.core import (
     HxcKernel,
     LRTDDFTSolver,
@@ -69,7 +70,7 @@ class TestDistributedSolve:
     def test_matches_serial_excitations(self, problem):
         gs, psi_v, eps_v, psi_c, eps_c, kernel = problem
         solver = LRTDDFTSolver(gs, n_valence=8, n_conduction=6, seed=1)
-        serial = solver.solve("naive", n_excitations=5)
+        serial = solver.solve(TDDFTConfig(method="naive", n_excitations=5))
         dist = BlockDistribution1D(gs.basis.n_r, 3)
 
         def prog(comm):

@@ -363,6 +363,43 @@ class TestSharedWriteDetection(_Backend):
         assert "rank 0 seq 0: bcast(ndarray[float64,4], root=0)" in text
         assert "test_sanitizer.py" in text and "in prog" in text
 
+    def test_receiver_mutating_a_recv_array_is_flagged(self):
+        # Point-to-point hands the sent object over by reference too; the
+        # send joins the buffers rank 0 already published this epoch (the
+        # bcast payload stays tracked) and the write is caught at rank 0's
+        # next collective.
+        def prog(comm):
+            comm.bcast(np.arange(3.0) if comm.rank == 0 else None, root=0)
+            if comm.rank == 0:
+                comm.send(np.arange(4.0), dest=1, tag=7)
+            else:
+                got = comm.recv(source=0, tag=7)
+                got[0] = 99.0  # rank 0's own array, by reference
+            comm.barrier()
+            return None
+
+        with pytest.raises(SanitizerError) as err:
+            self.run(2, prog)
+        text = str(err.value)
+        assert "unsynchronized shared-buffer write" in text
+        assert "ndarray[float64,4] published by rank 0: send(dest=1, tag=7)" in text
+        assert "test_sanitizer.py" in text and "in prog" in text
+
+    def test_send_keeps_the_epochs_collective_payload_tracked(self):
+        def prog(comm):
+            buf = np.arange(3.0)
+            comm.bcast(buf if comm.rank == 0 else None, root=0)
+            if comm.rank == 0:
+                comm.send(np.arange(4.0), dest=1)
+                buf[0] = 99.0  # peers still hold the bcast payload
+            else:
+                comm.recv(source=0)
+            comm.barrier()
+            return None
+
+        with pytest.raises(SanitizerError, match=r"published by rank 0 seq 0: bcast"):
+            self.run(2, prog)
+
     def test_mutation_after_the_next_barrier_is_legal(self):
         # The one-epoch window IS the race window: after every aliasing
         # rank has synchronized again, in-place reuse is the documented

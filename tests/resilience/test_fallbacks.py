@@ -83,13 +83,25 @@ class TestSelectionFallback:
             )
 
 
+def _tddft(ground_state, config, resilience=None):
+    """A tddft request on an existing ground state: the path that carries
+    the dense-eigensolver fallback."""
+    request = api.CalculationRequest(
+        kind="tddft",
+        structure=ground_state.basis.cell,
+        tddft=config,
+        resilience=resilience,
+    )
+    return api.execute_request(request, ground_state=ground_state).result
+
+
 class TestDenseEigFallback:
     def test_unconverged_implicit_solve_falls_back_to_dense(self, tiny_gs):
         config = api.TDDFTConfig(
             method="implicit-kmeans-isdf-lobpcg",
             n_excitations=3, max_iter=1, tol=1e-14, seed=0,
         )
-        result = api.solve_tddft(
+        result = _tddft(
             tiny_gs, config, resilience=api.ResilienceConfig()
         )
         assert result.converged
@@ -100,7 +112,7 @@ class TestDenseEigFallback:
             method="implicit-kmeans-isdf-lobpcg",
             n_excitations=3, max_iter=1, tol=1e-14, seed=0,
         )
-        result = api.solve_tddft(
+        result = _tddft(
             tiny_gs, config,
             resilience=api.ResilienceConfig(dense_fallback_max_pairs=0),
         )
@@ -112,7 +124,7 @@ class TestDenseEigFallback:
             method="implicit-kmeans-isdf-lobpcg",
             n_excitations=3, max_iter=1, tol=1e-14, seed=0,
         )
-        result = api.solve_tddft(tiny_gs, config)
+        result = _tddft(tiny_gs, config)
         assert not result.converged
         assert result.method == "implicit-kmeans-isdf-lobpcg"
 
@@ -121,10 +133,10 @@ class TestDenseEigFallback:
             method="implicit-kmeans-isdf-lobpcg",
             n_excitations=3, max_iter=1, tol=1e-14, seed=0,
         )
-        fallback = api.solve_tddft(
+        fallback = _tddft(
             tiny_gs, config, resilience=api.ResilienceConfig()
         )
-        direct = api.solve_tddft(
+        direct = _tddft(
             tiny_gs, config.replace(method="kmeans-isdf", max_iter=400)
         )
         np.testing.assert_allclose(

@@ -10,8 +10,10 @@ in the process-wide resilience log.
 import numpy as np
 import pytest
 
+from repro.api import SCFConfig
 from repro.atoms import silicon_primitive_cell
 from repro.dft import run_scf
+from repro import precision
 from repro.precision import resolve_precision
 from repro.pw.fft import default_plan_cache
 from repro.resilience import resilience_log
@@ -30,28 +32,31 @@ def clean_plan_cache():
 @pytest.fixture(scope="module")
 def strict_gs():
     return run_scf(
-        silicon_primitive_cell(), ecut=6.0, n_bands=8, tol=1e-7, seed=3
+        silicon_primitive_cell(),
+        SCFConfig(ecut=6.0, n_bands=8, tol=1e-7, seed=3),
     )
 
 
 def _run(precision):
     return run_scf(
-        silicon_primitive_cell(), ecut=6.0, n_bands=8, tol=1e-7, seed=3,
-        precision=precision,
+        silicon_primitive_cell(),
+        SCFConfig(ecut=6.0, n_bands=8, tol=1e-7, seed=3, precision=precision),
     )
 
 
 class TestMidScfFallback:
     def test_forced_fft_fallback_is_bit_identical_to_strict64(
-        self, strict_gs, clean_plan_cache
+        self, strict_gs, clean_plan_cache, monkeypatch
     ):
         log = resilience_log()
         before = len(log)
         # fft_tol=0.0 makes the very first fp32 Hartree apply fail its
         # fp64 cross-check: the plan degrades immediately, so every
-        # Hartree potential the SCF ever sees is the fp64 one.
+        # Hartree potential the SCF ever sees is the fp64 one.  SCFConfig
+        # carries only the tier name, so the tier itself is swapped.
         forced = resolve_precision("fast32").replace(fft_tol=0.0)
-        gs = _run(forced)
+        monkeypatch.setitem(precision._MODE_CONFIGS, "fast32", forced)
+        gs = _run("fast32")
         events = [
             e for e in log.events()[before:] if e.stage == "scf-hartree"
         ]

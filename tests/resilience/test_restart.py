@@ -9,8 +9,9 @@ run — not merely close, ``np.array_equal``-equal.
 import numpy as np
 import pytest
 
+from repro.api import CalculationRequest, ResilienceConfig, SCFConfig
 from repro.atoms import silicon_primitive_cell
-from repro.dft.scf import SCFOptions, run_scf
+from repro.dft.scf import run_scf
 from repro.eigen.lobpcg import lobpcg
 from repro.core.isdf import isdf_decompose
 from repro.parallel import BlockDistribution1D, spmd_run
@@ -193,17 +194,17 @@ class TestDistributedLOBPCGRestart:
 class TestSCFRestart:
     def test_kill_then_restart_is_bit_identical(self, tmp_path):
         cell = silicon_primitive_cell()
-        opts = SCFOptions(ecut=5.0, n_bands=6, tol=1e-6, seed=0)
+        opts = SCFConfig(ecut=5.0, n_bands=6, tol=1e-6, seed=0)
         reference = run_scf(cell, opts)
 
         with pytest.raises(InjectedFault):
             run_scf(
-                cell, SCFOptions(ecut=5.0, n_bands=6, tol=1e-6, seed=0),
+                cell, SCFConfig(ecut=5.0, n_bands=6, tol=1e-6, seed=0),
                 checkpoint=_killing_checkpointer(tmp_path, "scf", step=2),
             )
 
         restarted = run_scf(
-            cell, SCFOptions(ecut=5.0, n_bands=6, tol=1e-6, seed=0),
+            cell, SCFConfig(ecut=5.0, n_bands=6, tol=1e-6, seed=0),
             checkpoint=LoopCheckpointer(
                 CheckpointManager(tmp_path, tag="scf"), restart=True
             ),
@@ -219,15 +220,13 @@ class TestSCFRestart:
             h["residual"] for h in reference.history
         ]
 
-    def test_options_driven_checkpointing_writes_snapshots(self, tmp_path):
-        cell = silicon_primitive_cell()
-        run_scf(
-            cell,
-            SCFOptions(
-                ecut=5.0, n_bands=6, tol=1e-6, seed=0,
-                checkpoint_dir=str(tmp_path),
-            ),
-        )
+    def test_resilience_config_checkpointing_writes_snapshots(self, tmp_path):
+        CalculationRequest(
+            kind="scf",
+            structure=silicon_primitive_cell(),
+            scf=SCFConfig(ecut=5.0, n_bands=6, tol=1e-6, seed=0),
+            resilience=ResilienceConfig(checkpoint_dir=str(tmp_path)),
+        ).compute()
         assert CheckpointManager(tmp_path, tag="scf").steps()
 
 

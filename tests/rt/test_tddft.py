@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.api import SCFConfig
 from repro.constants import HARTREE_TO_EV
-from repro.pw import UnitCell
 from repro.dft import run_scf
+from repro.pw import UnitCell
 from repro.rt import RealTimeTDDFT, dipole_spectrum, find_peaks
 
 
@@ -20,7 +21,7 @@ def h2_ground_state():
             [[0.5, 0.5, 0.5 - bond / 2 / box], [0.5, 0.5, 0.5 + bond / 2 / box]]
         ),
     )
-    return run_scf(cell, ecut=8.0, n_bands=5, tol=1e-8, seed=0)
+    return run_scf(cell, SCFConfig(ecut=8.0, n_bands=5, tol=1e-8, seed=0))
 
 
 class TestSetup:

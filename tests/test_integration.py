@@ -7,6 +7,7 @@ asserting cross-layer consistency rather than unit behaviour.
 import numpy as np
 import pytest
 
+from repro.api import TDDFTConfig
 from repro import LRTDDFTSolver
 from repro.analysis import (
     density_of_states,
@@ -24,7 +25,11 @@ class TestSCFToSpectrum:
     @pytest.fixture(scope="class")
     def pipeline(self, water_ground_state):
         solver = LRTDDFTSolver(water_ground_state, seed=0)
-        result = solver.solve("implicit-kmeans-isdf-lobpcg", n_excitations=6, tol=1e-9)
+        result = solver.solve(
+            TDDFTConfig(
+                method="implicit-kmeans-isdf-lobpcg", n_excitations=6, tol=1e-9,
+            )
+        )
         return water_ground_state, solver, result
 
     def test_excitations_above_gap_minus_binding(self, pipeline):
@@ -72,9 +77,11 @@ class TestPersistencePipeline:
         loaded = load_ground_state(path)
 
         a = LRTDDFTSolver(si2_ground_state, seed=3).solve(
-            "kmeans-isdf", n_excitations=3
+            TDDFTConfig(method="kmeans-isdf", n_excitations=3)
         )
-        b = LRTDDFTSolver(loaded, seed=3).solve("kmeans-isdf", n_excitations=3)
+        b = LRTDDFTSolver(loaded, seed=3).solve(
+            TDDFTConfig(method="kmeans-isdf", n_excitations=3)
+        )
         np.testing.assert_array_equal(a.energies, b.energies)
 
         e_a = bands_at_k(si2_ground_state, [0.25, 0.0, 0.25], 6)
@@ -88,17 +95,23 @@ class TestTDAvsFullvsTriplet:
     def test_ordering_ladder(self, water_ground_state):
         singlet = LRTDDFTSolver(water_ground_state, seed=0)
         triplet = LRTDDFTSolver(water_ground_state, spin="triplet", seed=0)
-        e_tda = singlet.solve("naive", n_excitations=1).energies[0]
-        e_full = singlet.solve("naive", n_excitations=1, tda=False).energies[0]
-        e_trip = triplet.solve("naive", n_excitations=1).energies[0]
+        e_tda = singlet.solve(TDDFTConfig(method="naive", n_excitations=1)).energies[0]
+        e_full = singlet.solve(
+            TDDFTConfig(method="naive", n_excitations=1, tda=False)
+        ).energies[0]
+        e_trip = triplet.solve(TDDFTConfig(method="naive", n_excitations=1)).energies[0]
         assert e_full <= e_tda + 1e-12
         assert e_trip < e_tda
 
     def test_all_methods_agree_on_full_casida(self, si2_ground_state):
         solver = LRTDDFTSolver(si2_ground_state, seed=5)
-        reference = solver.solve("naive", n_excitations=3, tda=False)
+        reference = solver.solve(
+            TDDFTConfig(method="naive", n_excitations=3, tda=False)
+        )
         for method in ("qrcp-isdf", "implicit-kmeans-isdf-lobpcg"):
-            res = solver.solve(method, n_excitations=3, tda=False, tol=1e-11)
+            res = solver.solve(
+                TDDFTConfig(method=method, n_excitations=3, tda=False, tol=1e-11)
+            )
             rel = np.abs(
                 (res.energies - reference.energies[:3]) / reference.energies[:3]
             )

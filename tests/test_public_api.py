@@ -28,11 +28,13 @@ class TestManifest:
         assert drift == [], "\n".join(drift)
 
     def test_manifest_covers_all_exports(self, tool):
+        import repro
         from repro import api, serve
 
         with open(tool.MANIFEST_PATH) as fh:
             manifest = json.load(fh)
         assert sorted(manifest) == sorted(tool.TRACKED_MODULES)
+        assert sorted(manifest["repro"]) == sorted(repro.__all__)
         assert sorted(manifest["repro.api"]) == sorted(api.__all__)
         assert sorted(manifest["repro.serve"]) == sorted(serve.__all__)
 
@@ -46,9 +48,9 @@ class TestDescribe:
         assert scf["fields"]["mixer"] == "'anderson'"
 
     def test_functions_record_signatures(self, tool):
-        surface = tool.describe_api()
+        surface = tool.describe_api("repro")
         assert surface["run_scf"]["kind"] == "function"
-        assert "resilience" in surface["run_scf"]["signature"]
+        assert "config: 'SCFConfig | None'" in surface["run_scf"]["signature"]
 
     def test_request_methods_are_covered(self, tool):
         surface = tool.describe_api()

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Snapshot test for the exported public surfaces (``repro.api``, ``repro.serve``).
+"""Snapshot test for the exported public surfaces (``repro``, ``repro.api``, ``repro.serve``).
 
 Describes every name in each tracked module's ``__all__`` — kind, dataclass
 fields with default reprs, callable signatures, and public method
@@ -30,7 +30,7 @@ MANIFEST_PATH = os.path.join(_TOOLS_DIR, "public_api_manifest.json")
 _SRC_DIR = os.path.join(os.path.dirname(_TOOLS_DIR), "src")
 
 #: Modules whose exported surface is snapshot-tested.
-TRACKED_MODULES = ("repro.api", "repro.serve")
+TRACKED_MODULES = ("repro", "repro.api", "repro.serve")
 
 
 def _field_default(f: dataclasses.Field) -> str:
