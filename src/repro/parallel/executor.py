@@ -10,9 +10,12 @@ Two interchangeable backends (``backend=`` or ``REPRO_SPMD_BACKEND``):
 
 Both produce bit-identical results for the same rank program (same
 deterministic rank-ordered combine trees) and the same logical traffic
-totals.  A rank that raises aborts the shared barrier; every surviving
-rank unwinds with :class:`~repro.parallel.comm.SpmdAbort` and the
-*original* exception is re-raised to the caller.
+totals.  On both, the ranks split the host's thread budget: the OpenBLAS
+pools and FFT workers run at ``budget // n_ranks`` for the run
+(:func:`repro.utils.threads.split_for_ranks`).  A rank that raises aborts
+the shared barrier; every surviving rank unwinds with
+:class:`~repro.parallel.comm.SpmdAbort` and the *original* exception is
+re-raised to the caller.
 
 Fault tolerance: :func:`spmd_run` accepts a
 :class:`~repro.resilience.faults.FaultInjector` that can kill a rank,
@@ -32,6 +35,7 @@ from typing import Callable
 
 from repro.parallel.comm import CommTraffic, Communicator, SpmdAbort, _SharedState
 from repro.parallel.sanitizer import SpmdSanitizer, board_size, env_enabled
+from repro.utils.threads import split_for_ranks
 from repro.utils.validation import require
 
 _ENV_BACKEND = "REPRO_SPMD_BACKEND"
@@ -96,9 +100,13 @@ def spmd_run(
     if sanitize is None:
         sanitize = env_enabled()
     if backend == "process":
-        from repro.parallel.process_backend import process_spmd_run
-
-        return process_spmd_run(
+        from repro.parallel.process_backend import process_spmd_run as run
+    else:
+        run = _thread_spmd_run
+    # The OpenBLAS setters are process-wide: split the budget once, before
+    # the rank threads start or the ranks fork.
+    with split_for_ranks(n_ranks):
+        return run(
             n_ranks,
             fn,
             *args,
@@ -107,6 +115,18 @@ def spmd_run(
             sanitize=sanitize,
             sanitize_timeout=sanitize_timeout,
         )
+
+
+def _thread_spmd_run(
+    n_ranks: int,
+    fn: Callable[..., object],
+    *args,
+    return_traffic: bool,
+    fault_injector,
+    sanitize: bool,
+    sanitize_timeout: float | None,
+):
+    """The thread backend: one ``threading.Thread`` per rank."""
     sanitizer = (
         SpmdSanitizer(
             n_ranks,

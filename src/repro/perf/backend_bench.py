@@ -23,6 +23,7 @@ import numpy as np
 from repro.core.kernel import HxcKernel
 from repro.core.kmeans import weighted_kmeans
 from repro.pw import PlaneWaveBasis, RealSpaceGrid, UnitCell
+from repro.utils import threads
 from repro.utils.timers import TimerRegistry
 
 
@@ -41,9 +42,9 @@ def blas_info() -> dict:
     """BLAS vendor / version / threading facts for benchmark ``meta`` blocks.
 
     GEMM-heavy numbers are meaningless without knowing which BLAS ran them
-    and on how many threads, so every measured report embeds this.  Works
-    from numpy's build metadata alone; ``threadpoolctl`` (optional) adds
-    the *live* per-pool thread counts when present.
+    and on how many threads, so every measured report embeds this: numpy's
+    build metadata, the process's thread budget and the *live* thread count
+    of each OpenBLAS pool (:mod:`repro.utils.threads`).
     """
     import os
 
@@ -51,6 +52,8 @@ def blas_info() -> dict:
         "cpu_count": os.cpu_count(),
         "omp_num_threads": os.environ.get("OMP_NUM_THREADS"),
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "thread_budget": threads.budget(),
+        "threadpools": threads.pool_threads(),
         "vendor": None,
         "version": None,
     }
@@ -64,19 +67,6 @@ def blas_info() -> dict:
             info["configuration"] = str(configuration)
     except (TypeError, AttributeError, ValueError):
         pass  # older numpy without mode="dicts" — vendor stays None
-    try:
-        import threadpoolctl
-
-        info["threadpools"] = [
-            {
-                "api": pool.get("internal_api"),
-                "version": pool.get("version"),
-                "num_threads": pool.get("num_threads"),
-            }
-            for pool in threadpoolctl.threadpool_info()
-        ]
-    except ImportError:
-        info["threadpools"] = None
     return info
 
 

@@ -13,15 +13,16 @@ stray volume factors.  Batched transforms operate on the *leading* axes so a
 block of orbitals ``(n_bands, n1, n2, n3)`` is transformed in one call —
 this is the numpy analogue of the batched FFTW plans used by PWDFT.
 
-The transforms are ``scipy.fft``'s pocketfft with ``workers=os.cpu_count()``
-threads per batch call.  :meth:`FourierGrid.convolve_real` routes real
-fields through ``rfftn``/``irfftn`` — half the transform work for the real
-Γ-point fields dominating the Coulomb apply of the paper's Algorithm 1.
+The transforms are ``scipy.fft``'s pocketfft with
+:func:`repro.utils.threads.fft_workers` threads per batch call, read at call
+time: the process's thread budget, or an SPMD rank's share of it.
+:meth:`FourierGrid.convolve_real` routes real fields through
+``rfftn``/``irfftn`` — half the transform work for the real Γ-point fields
+dominating the Coulomb apply of the paper's Algorithm 1.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -31,9 +32,9 @@ import scipy.fft
 
 from repro.pw.grid import RealSpaceGrid
 from repro.utils.hot import array_contract
+from repro.utils.threads import fft_workers
 
 _AXES = (-3, -2, -1)
-_WORKERS = os.cpu_count() or 1
 _SCRATCH_SLOTS = 8
 # Per-thread LRU of reusable staging arrays keyed by (shape, dtype);
 # thread-local because the SPMD runtime drives ranks as threads.
@@ -79,7 +80,7 @@ class FourierGrid:
     def forward(self, f_real: np.ndarray) -> np.ndarray:
         """Real space -> Fourier-series coefficients on the full grid."""
         f = self.grid.reshape_to_grid(np.asarray(f_real))
-        out = scipy.fft.fftn(f, axes=_AXES, workers=_WORKERS)
+        out = scipy.fft.fftn(f, axes=_AXES, workers=fft_workers())
         out /= self.grid.n_points
         return self.grid.flatten_from_grid(out)
 
@@ -91,7 +92,7 @@ class FourierGrid:
     def backward(self, f_recip: np.ndarray) -> np.ndarray:
         """Fourier-series coefficients -> real space on the full grid."""
         f = self.grid.reshape_to_grid(np.asarray(f_recip))
-        out = scipy.fft.ifftn(f, axes=_AXES, workers=_WORKERS)
+        out = scipy.fft.ifftn(f, axes=_AXES, workers=fft_workers())
         out *= self.grid.n_points
         return self.grid.flatten_from_grid(out)
 
@@ -151,9 +152,10 @@ def _rfft_convolve(
     grid: RealSpaceGrid, fields: np.ndarray, kernel_half: np.ndarray
 ) -> np.ndarray:
     """``irfftn(rfftn(f) * kernel_half)`` over the grid axes, flattened."""
-    spec = scipy.fft.rfftn(grid.reshape_to_grid(fields), axes=_AXES, workers=_WORKERS)
+    workers = fft_workers()
+    spec = scipy.fft.rfftn(grid.reshape_to_grid(fields), axes=_AXES, workers=workers)
     spec *= kernel_half
-    out = scipy.fft.irfftn(spec, s=grid.shape, axes=_AXES, workers=_WORKERS)
+    out = scipy.fft.irfftn(spec, s=grid.shape, axes=_AXES, workers=workers)
     return grid.flatten_from_grid(out)
 
 

@@ -143,15 +143,18 @@ class TestCollectives:
             spmd_run(3, prog)
 
     def test_barrier_order_independence(self):
-        """Ranks arriving at different times still synchronize."""
-        import time
+        """Ranks arriving one after another still synchronize."""
 
         def prog(comm):
-            time.sleep(0.002 * comm.rank)
+            # A token passed rank to rank: rank r reaches the barrier only
+            # after rank r - 1 has handed it on, just before its own barrier.
+            token = comm.recv(source=comm.rank - 1) if comm.rank else 0
+            if comm.rank + 1 < comm.size:
+                comm.send(token + 1, dest=comm.rank + 1)
             comm.barrier()
-            return True
+            return token
 
-        assert spmd_run(4, prog) == [True] * 4
+        assert spmd_run(4, prog) == [0, 1, 2, 3]
 
 
 class TestPointToPoint:
