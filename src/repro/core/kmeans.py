@@ -15,8 +15,9 @@ representative point per cluster.  Three ingredients the paper calls out:
    distance (Eq. 12), centroid update by the weighted mean (Eq. 13).
 
 Cost per iteration is ``O(N_mu N_r')`` and the loop is embarrassingly
-data-parallel (see :mod:`repro.parallel.parallel_kmeans` for the
-distributed version).
+data-parallel: its few cross-point steps go through a reducer, the
+identity here and collectives in the distributed version
+(:func:`repro.parallel.parallel_kmeans.distributed_kmeans`).
 
 Two execution strategies share one code path (``algorithm=``):
 
@@ -171,6 +172,12 @@ DEFAULT_TILE_BYTES = 1 << 26  # 64 MiB
 #: rounding in the bound bookkeeping can never unsafely prune a point.
 _BOUND_RTOL = 1e-12
 
+#: fp64 slack per unit of the largest point or centroid norm ``X``, so the
+#: bounds never skip a point the full classification would move: expanded-
+#: form squared distances err by up to ~32 eps X^2, i.e. up to sqrt(32 eps) X
+#: in distance near zero, on each of the two distances a bound test orders.
+_BOUND_NOISE = (2.0 + np.sqrt(2.0)) * np.sqrt(32.0 * np.finfo(float).eps)
+
 #: Enlarged Hamerly slack for fp32 classification: must cover the relative
 #: error of a single-precision expanded-form distance (~eps_fp32 * norm
 #: scale, with headroom), so the bounds still only skip provably-unchanged
@@ -258,6 +265,28 @@ def classify_points(
     return labels
 
 
+class SerialReducer:
+    """The cross-point steps of :func:`weighted_kmeans`, all points local.
+
+    Sums and maxima over the point slabs are the identity here;
+    :class:`repro.parallel.parallel_kmeans.CommReducer` runs them as
+    collectives.
+    """
+
+    def sum(self, array: np.ndarray) -> np.ndarray:
+        return array
+
+    def max(self, value: float) -> float:
+        return value
+
+    def worst(self, penalty: np.ndarray, points: np.ndarray, n: int) -> np.ndarray:
+        """The ``n`` points of largest ``penalty`` (ties: lowest index)."""
+        return points[np.argsort(-penalty, kind="stable")[:n]]
+
+
+_SERIAL = SerialReducer()
+
+
 def weighted_kmeans(
     points: np.ndarray,
     weights: np.ndarray,
@@ -271,12 +300,13 @@ def weighted_kmeans(
     algorithm: str = "hamerly",
     tile_bytes: int = DEFAULT_TILE_BYTES,
     precision=None,
+    reduce=_SERIAL,
 ) -> tuple[np.ndarray, np.ndarray, float, int, bool]:
     """Weighted Lloyd iterations (Eqs. 11-13), optionally bound-pruned.
 
     Returns ``(centroids, labels, inertia, n_iter, converged)``.
-    Empty clusters are reseeded at the point with the largest weighted
-    distance to its current centroid.
+    Empty clusters are reseeded at the points with the largest weighted
+    distance to their current centroid (ties: lowest index first).
 
     Parameters
     ----------
@@ -307,10 +337,18 @@ def weighted_kmeans(
         from the same initial centroids (recorded as a ``kmeans-classify``
         degradation event) — so the returned result is one a pure-fp64 run
         would accept.
+    reduce:
+        A :class:`SerialReducer` or a distributed one with its methods; then
+        ``points``/``weights`` and the returned labels are this rank's slab,
+        and ``initial_centroids`` (required) and the other outputs are
+        replicated.
     """
     require(points.ndim == 2, "points must be (n, d)")
     n = points.shape[0]
-    require(0 < n_clusters <= n, f"n_clusters must be in [1, {n}]")
+    if reduce is _SERIAL:
+        require(0 < n_clusters <= n, f"n_clusters must be in [1, {n}]")
+    else:
+        require(initial_centroids is not None, "reduce needs initial_centroids")
     weights = np.asarray(weights, dtype=float)
     require(weights.shape == (n,), "weights/points mismatch")
     require((weights >= 0).all(), "weights must be non-negative")
@@ -363,7 +401,11 @@ def weighted_kmeans(
     upper = np.full(n, np.inf)
     lower = np.zeros(n)
     bound_rtol = _BOUND_RTOL_FP32 if fp32 else _BOUND_RTOL
-    slack = bound_rtol * (float(np.sqrt(points_sq.max(initial=0.0))) + 1.0)
+    x_max = float(np.sqrt(reduce.max(points_sq.max(initial=0.0))))
+    slack = bound_rtol * (x_max + 1.0)
+    if not fp32:
+        slack += _BOUND_NOISE * max(x_max, np.linalg.norm(centroids, axis=1).max())
+    dim = points.shape[1]
 
     for iteration in range(1, max_iter + 1):
         centroids_sq = np.einsum("ij,ij->i", centroids, centroids)
@@ -408,31 +450,38 @@ def weighted_kmeans(
         min_d2 = _assigned_sq_dists(
             points, points_sq, centroids_sq, centroids, new_labels
         )
-        new_inertia = float((weights * min_d2).sum())
 
-        # Weighted centroid update (Eq. 13): one vectorized scatter-add of
-        # the (n, dim) weighted coordinates into a (n_clusters, dim) buffer.
-        w_sum = np.bincount(new_labels, weights=weights, minlength=n_clusters)
-        accum = np.zeros((n_clusters, points.shape[1]))
-        np.add.at(accum, new_labels, weights[:, None] * points)
+        # One reduced block: weighted coordinate sums (Eq. 13) and weights
+        # per cluster, each a scatter-add in point order, then the objective
+        # (Eq. 11) and whether any label changed in a trailing row.
+        stats = np.zeros((n_clusters + 1, dim + 1))
+        for col, values in enumerate([*(points.T * weights), weights]):
+            stats[:n_clusters, col] = np.bincount(
+                new_labels, weights=values, minlength=n_clusters
+            )
+        stats[n_clusters, 0] = (weights * min_d2).sum()
+        stats[n_clusters, 1] = not np.array_equal(new_labels, labels)
+        stats = reduce.sum(stats)
+        w_sum = stats[:n_clusters, dim]
+        new_inertia = float(stats[n_clusters, 0])
+        changed = bool(stats[n_clusters, 1])
         nonzero = w_sum > 0
         old_centroids = centroids.copy()
-        centroids[nonzero] = accum[nonzero] / w_sum[nonzero, None]
+        centroids[nonzero] = stats[:n_clusters, :dim][nonzero] / w_sum[nonzero, None]
 
-        # Reseed empty clusters at the worst-served heavy point.
+        # Reseed empty clusters at the worst-served heavy points.
         empty = np.flatnonzero(w_sum == 0)
         if empty.size:
-            penalty = weights * min_d2
-            worst = np.argsort(penalty)[::-1]
-            for slot, point_idx in zip(empty, worst[: empty.size]):
-                centroids[slot] = points[point_idx]
+            worst = reduce.worst(weights * min_d2, points, empty.size)
+            for slot, point in zip(empty, worst):
+                centroids[slot] = point
 
         # Drift update keeps the bounds valid across the centroid motion.
         drift = np.linalg.norm(centroids - old_centroids, axis=1)
         upper += drift[new_labels]
         lower -= drift.max(initial=0.0)
 
-        if np.array_equal(new_labels, labels) or (
+        if not changed or (
             tol > 0.0 and abs(inertia - new_inertia) <= tol * max(inertia, 1e-300)
         ):
             labels = new_labels
@@ -448,20 +497,21 @@ def weighted_kmeans(
         # classification steered the iteration off the fp64 trajectory, so
         # the whole clustering re-runs in fp64 from the same initial
         # centroids — the returned result is then exactly the strict64 one.
+        # The count is reduced so every rank takes the same branch.
         labels64, _, _ = _classify_tiled(
             points, points_sq, centroids, None, tile_bytes
         )
-        if not np.array_equal(labels64, labels):
+        n_bad, n_all = reduce.sum(np.array([np.count_nonzero(labels64 != labels), n]))
+        if n_bad:
             from repro.resilience.events import resilience_log
 
-            n_bad = int(np.count_nonzero(labels64 != labels))
             resilience_log().record(
                 "kmeans-classify",
                 "fallback-fp64",
-                f"fp32 classification recheck: {n_bad}/{n} assignments "
+                f"fp32 classification recheck: {n_bad}/{n_all} assignments "
                 "differ from fp64; re-running clustering in fp64",
-                mismatches=n_bad,
-                n_points=int(n),
+                mismatches=int(n_bad),
+                n_points=int(n_all),
                 n_clusters=int(n_clusters),
             )
             return weighted_kmeans(
@@ -474,6 +524,7 @@ def weighted_kmeans(
                 rng=rng,
                 algorithm=algorithm,
                 tile_bytes=tile_bytes,
+                reduce=reduce,
             )
 
     return centroids, labels, inertia, iteration, converged

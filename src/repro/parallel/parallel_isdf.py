@@ -89,7 +89,6 @@ def distributed_select_points_kmeans(
     # adapt by passing an exact-count distribution via a tiny shim object.
     class _ExactDist:
         n_global = n_candidates
-        n_ranks = comm.size
 
         @staticmethod
         def count(rank: int) -> int:
@@ -103,35 +102,33 @@ def distributed_select_points_kmeans(
         comm, cand_points, cand_weights, n_mu, _ExactDist(), max_iter=max_iter
     )
 
-    # Representative per cluster: globally nearest candidate (weighted by
-    # squared distance; ties broken by global index). One allreduce of the
-    # (n_mu, 2) best-distance/index table in two passes.
-    if cand_points.size:
-        deltas = cand_points[:, None, :] - centroids[None, :, :]
-        d2 = np.einsum("pkd,pkd->pk", deltas, deltas)
-    else:
-        d2 = np.zeros((0, n_mu))
+    return _representatives(comm, cand_points, centroids, labels, keep_global)
+
+
+def _representatives(
+    comm: Communicator, points: np.ndarray, centroids: np.ndarray,
+    labels: np.ndarray, global_index: np.ndarray,
+) -> np.ndarray:
+    """Sorted global indices of each cluster's member nearest its centroid
+    (ties: lowest global index).  A stable sort by ``(label, distance to
+    own centroid)`` puts each cluster's local winner first in its run."""
+    n_mu = centroids.shape[0]
+    delta = points - centroids[labels]
+    d2 = np.einsum("pd,pd->p", delta, delta)
+    order = np.lexsort((d2, labels))
+    first = order[np.diff(labels[order], prepend=-1) != 0]
+    no_index = np.iinfo(np.int64).max
     best_d = np.full(n_mu, np.inf)
-    best_idx = np.full(n_mu, np.iinfo(np.int64).max, dtype=np.int64)
-    for k in range(n_mu):
-        members = np.flatnonzero(labels == k)
-        if members.size:
-            j = members[np.argmin(d2[members, k])]
-            best_d[k] = d2[j, k]
-            best_idx[k] = keep_global[j]
+    best_idx = np.full(n_mu, no_index, dtype=np.int64)
+    best_d[labels[first]] = d2[first]
+    best_idx[labels[first]] = global_index[first]
     global_best_d = comm.allreduce(best_d, op="min")
     # A rank's candidate wins only if it matches the global best distance;
     # ties resolve to the lowest global index.
-    candidate_idx = np.where(
-        np.isclose(best_d, global_best_d, rtol=0.0, atol=0.0),
-        best_idx,
-        np.iinfo(np.int64).max,
+    winners = comm.allreduce(
+        np.where(best_d == global_best_d, best_idx, no_index), op="min"
     )
-    winners = comm.allreduce(candidate_idx, op="min")
-    require(
-        (winners < np.iinfo(np.int64).max).all(),
-        "a cluster ended up with no representative",
-    )
+    require((winners < no_index).all(), "a cluster ended up with no representative")
     return np.sort(np.unique(winners))
 
 

@@ -5,23 +5,51 @@ group of grid points. After this step, the weighted sum and total weight of
 all clusters can be reduced ... and broadcasted to all processors for the
 next iteration."*
 
-Implementation: candidate grid points are row-block partitioned; each
-iteration performs a local assignment (a GEMM), local per-cluster weighted
-accumulations, and one Allreduce of the ``(n_clusters, 4)`` statistics
-(three coordinate sums + weight).  The result is *bit-identical* to
-:func:`repro.core.kmeans.weighted_kmeans` run serially with the same
-initialization — the reseeding of empty clusters resolves global argmax
-candidates identically (descending penalty, stable index tie-break).
+Implementation: candidate grid points are row-block partitioned and each
+rank runs the shared bound-pruned loop of
+:func:`repro.core.kmeans.weighted_kmeans` on its slab; the Hamerly bounds
+are per point, so they stay local.  :class:`CommReducer` turns the loop's
+cross-point steps into one Allreduce per iteration (cluster statistics,
+inertia and changed flag in one block) plus one-off collectives for the
+bound slack, empty-cluster reseeds and the fp32 recheck.  Labels equal the
+serial ones; centroids agree to rounding.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kmeans import _init_greedy_weight, _pairwise_sq_dists
+from repro.core.kmeans import _init_greedy_weight, weighted_kmeans
 from repro.parallel.comm import Communicator
 from repro.parallel.distributions import BlockDistribution1D
 from repro.utils.validation import require
+
+
+class CommReducer:
+    """The cross-point steps of :func:`weighted_kmeans` as collectives.
+
+    ``offset`` is the global index of this rank's first point, so reseed
+    ties resolve exactly as in the serial loop.
+    """
+
+    def __init__(self, comm: Communicator, offset: int) -> None:
+        self.comm = comm
+        self.offset = offset
+
+    def sum(self, array: np.ndarray) -> np.ndarray:
+        return self.comm.allreduce(array)
+
+    def max(self, value: float) -> float:
+        return float(self.comm.allreduce(np.array([value]), op="max")[0])
+
+    def worst(self, penalty: np.ndarray, points: np.ndarray, n: int) -> np.ndarray:
+        top = np.argsort(-penalty, kind="stable")[:n]
+        mine = [(-float(penalty[i]), self.offset + int(i), points[i]) for i in top]
+        merged = sorted(
+            (c for rank_c in self.comm.allgather(mine) for c in rank_c),
+            key=lambda c: c[:2],
+        )
+        return np.array([c[2] for c in merged[:n]])
 
 
 def distributed_kmeans(
@@ -34,7 +62,7 @@ def distributed_kmeans(
     max_iter: int = 100,
     initial_centroids: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float, int, bool]:
-    """Weighted Lloyd iterations over row-distributed candidate points.
+    """Weighted K-Means over row-distributed candidate points.
 
     Parameters
     ----------
@@ -45,10 +73,7 @@ def distributed_kmeans(
     initial_centroids:
         ``(n_clusters, d)`` warm-start centroids, replicated on every rank
         (e.g. the converged centroids of the previous trajectory frame).
-        Skips the gather + greedy seeding entirely; the Lloyd loop is
-        otherwise unchanged, so the result stays bit-identical to the
-        serial :func:`~repro.core.kmeans.weighted_kmeans` warm start and
-        across SPMD backends.
+        Skips the gather + greedy seeding entirely.
 
     Returns
     -------
@@ -60,93 +85,17 @@ def distributed_kmeans(
         f"rank {comm.rank}: point count does not match distribution",
     )
     require(local_weights.shape == (local_points.shape[0],), "weights mismatch")
-
     n_total = dist.n_global
     require(0 < n_clusters <= n_total, f"n_clusters must be in [1, {n_total}]")
-    my_offset = dist.displacement(comm.rank)
 
-    if initial_centroids is not None:
-        require(
-            initial_centroids.shape == (n_clusters, local_points.shape[1]),
-            f"initial_centroids must be ({n_clusters}, "
-            f"{local_points.shape[1]}), got {initial_centroids.shape}",
-        )
-        centroids = np.array(initial_centroids, dtype=float, copy=True)
-    else:
-        # --- initialization: greedy weight seeding on the gathered candidate
-        # set.  The candidate set is already pruned (N_r' << N_r), so
-        # gathering it for seeding is cheap; the Lloyd loop below never
-        # gathers points again.
+    if initial_centroids is None:
+        # Greedy seeding on the gathered (already pruned, N_r' << N_r)
+        # candidates: the only time points are gathered.
         all_points = np.concatenate(comm.allgather(local_points), axis=0)
         all_weights = np.concatenate(comm.allgather(local_weights))
-        seed_idx = _init_greedy_weight(all_points, all_weights, n_clusters)
-        centroids = all_points[seed_idx].copy()
+        initial_centroids = all_points[_init_greedy_weight(all_points, all_weights, n_clusters)]
 
-    labels = np.full(local_points.shape[0], -1, dtype=np.int64)
-    inertia = np.inf
-    converged = False
-    iteration = 0
-    dim = local_points.shape[1]
-
-    for iteration in range(1, max_iter + 1):
-        # Local classification (the dominant step, embarrassingly parallel).
-        d2 = _pairwise_sq_dists(local_points, centroids)
-        new_labels = (
-            np.argmin(d2, axis=1)
-            if local_points.shape[0]
-            else np.empty(0, dtype=np.int64)
-        )
-        min_d2 = (
-            d2[np.arange(local_points.shape[0]), new_labels]
-            if local_points.shape[0]
-            else np.empty(0)
-        )
-
-        # Local accumulation, then one Allreduce of (sum_wx | sum_w | inertia).
-        stats = np.zeros((n_clusters, dim + 2))
-        if local_points.shape[0]:
-            for d in range(dim):
-                stats[:, d] = np.bincount(
-                    new_labels,
-                    weights=local_weights * local_points[:, d],
-                    minlength=n_clusters,
-                )
-            stats[:, dim] = np.bincount(
-                new_labels, weights=local_weights, minlength=n_clusters
-            )
-        stats[0, dim + 1] = float((local_weights * min_d2).sum())
-        stats = comm.allreduce(stats)
-        new_inertia = float(stats[0, dim + 1])
-
-        w_sum = stats[:, dim]
-        nonzero = w_sum > 0
-        centroids[nonzero] = stats[nonzero, :dim] / w_sum[nonzero, None]
-
-        # Reseed empty clusters at the globally worst-served heavy points,
-        # matching the serial policy exactly (descending penalty, stable
-        # global-index tie-break).
-        empty = np.flatnonzero(w_sum == 0)
-        if empty.size:
-            penalty = local_weights * min_d2
-            n_need = int(empty.size)
-            top_local = np.argsort(penalty)[::-1][:n_need]
-            cand = [
-                (float(penalty[i]), int(my_offset + i), local_points[i])
-                for i in top_local
-            ]
-            all_cand = [c for rank_c in comm.allgather(cand) for c in rank_c]
-            all_cand.sort(key=lambda t: (-t[0], t[1]))
-            for slot, (_, _, point) in zip(empty, all_cand[:n_need]):
-                centroids[slot] = point
-
-        changed = int(not np.array_equal(new_labels, labels))
-        total_changed = comm.allreduce(np.array([changed]))[0]
-        if total_changed == 0:
-            labels = new_labels
-            inertia = new_inertia
-            converged = True
-            break
-        labels = new_labels
-        inertia = new_inertia
-
-    return centroids, labels, inertia, iteration, converged
+    return weighted_kmeans(
+        local_points, local_weights, n_clusters, initial_centroids=initial_centroids,
+        max_iter=max_iter, reduce=CommReducer(comm, dist.displacement(comm.rank)),
+    )

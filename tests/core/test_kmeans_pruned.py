@@ -66,6 +66,18 @@ class TestBitIdentity:
             *_run_both(points, weights, 40, seed=9, init="plusplus")
         )
 
+    def test_coincident_centroids_where_lloyd_cycles(self):
+        # More clusters than distinct points: two centroids sit within an
+        # ulp of the duplicated points, whose expanded-form distances to
+        # both are rounding noise.  Lloyd cycles on that noise for all
+        # max_iter iterations; the bounds must not prune the cycling points.
+        a = 3.6379009815621983
+        points = np.full((8, 3), a)
+        points[1, 0] = 0.0
+        lloyd, hamerly = _run_both(points, np.ones(8), 3)
+        assert not lloyd[4]
+        _assert_bit_identical(lloyd, hamerly)
+
     def test_real_orbital_weights(self, si8_synthetic):
         gs = si8_synthetic
         psi_v, _, psi_c, _ = gs.select_transition_space()

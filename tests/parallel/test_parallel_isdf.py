@@ -6,7 +6,7 @@ import pytest
 
 from repro.api import TDDFTConfig
 from repro.core import HxcKernel, LRTDDFTSolver
-from repro.parallel import BlockDistribution1D, spmd_run
+from repro.parallel import BlockDistribution1D, parallel_isdf, spmd_run
 from repro.parallel.parallel_isdf import (
     distributed_fit_theta,
     distributed_optimized_lrtddft,
@@ -66,6 +66,72 @@ class TestDistributedSelection:
         results = spmd_run(3, prog)
         np.testing.assert_array_equal(results[0], results[1])
         np.testing.assert_array_equal(results[0], results[2])
+
+
+def _old_representatives(comm, points, centroids, labels, global_index):
+    """The representative step as first written: the full ``(n, N_mu, 3)``
+    difference tensor and one argmin per cluster."""
+    n_mu = centroids.shape[0]
+    no_index = np.iinfo(np.int64).max
+    deltas = points[:, None, :] - centroids[None, :, :]
+    d2 = np.einsum("pkd,pkd->pk", deltas, deltas)
+    best_d = np.full(n_mu, np.inf)
+    best_idx = np.full(n_mu, no_index, dtype=np.int64)
+    for k in range(n_mu):
+        members = np.flatnonzero(labels == k)
+        if members.size:
+            j = members[np.argmin(d2[members, k])]
+            best_d[k] = d2[j, k]
+            best_idx[k] = global_index[j]
+    global_best_d = comm.allreduce(best_d, op="min")
+    winners = comm.allreduce(
+        np.where(best_d == global_best_d, best_idx, no_index), op="min"
+    )
+    return np.sort(np.unique(winners))
+
+
+class TestRepresentatives:
+    """The O(N) representative step picks the same points as the old
+    N x N_mu x 3 formula, with the same distributed inputs."""
+
+    def _compare(self, problem, n_ranks, monkeypatch, empty_rank=None):
+        gs, psi_v, _, psi_c, _, _ = problem
+        grid_dist = BlockDistribution1D(gs.basis.n_r, n_ranks)
+        new = parallel_isdf._representatives
+        seen = []
+
+        def both(comm, points, centroids, labels, global_index):
+            winners = new(comm, points, centroids, labels, global_index)
+            old = _old_representatives(comm, points, centroids, labels, global_index)
+            seen.append((len(points), winners, old))
+            return winners
+
+        monkeypatch.setattr(parallel_isdf, "_representatives", both)
+
+        def prog(comm):
+            sl, pts = _grid_slabs(gs, comm, grid_dist)
+            # Zero orbitals on one slab leave that rank no candidates.
+            psi_v_local = psi_v[:, sl] * (comm.rank != empty_rank)
+            return distributed_select_points_kmeans(
+                comm, psi_v_local, psi_c[:, sl], 20, pts, grid_dist
+            )
+
+        results = spmd_run(n_ranks, prog)
+        assert len(seen) == n_ranks
+        for n_local, winners, old in seen:
+            np.testing.assert_array_equal(winners, old)
+        for indices in results:
+            np.testing.assert_array_equal(indices, seen[0][1])
+        return [n_local for n_local, _, _ in seen]
+
+    @pytest.mark.parametrize("n_ranks", [1, 2, 3, 4])
+    def test_matches_old_formula(self, problem, n_ranks, monkeypatch):
+        self._compare(problem, n_ranks, monkeypatch)
+
+    @pytest.mark.parametrize("n_ranks", [2, 3, 4])
+    def test_rank_without_candidates(self, problem, n_ranks, monkeypatch):
+        counts = self._compare(problem, n_ranks, monkeypatch, empty_rank=1)
+        assert 0 in counts
 
 
 class TestDistributedFit:

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.kmeans import _pairwise_sq_dists, weighted_kmeans
+from repro.parallel import BlockDistribution1D, distributed_kmeans, spmd_run
 from repro.utils.rng import default_rng
 
 
@@ -100,6 +101,37 @@ def test_weight_scale_invariance(data, n_clusters, scale_int):
     np.testing.assert_array_equal(l1, l2)
     np.testing.assert_allclose(c1, c2, atol=1e-9)
     assert i2 == pytest.approx(i1 * scale, rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(points_and_weights(), st.integers(1, 6), st.integers(1, 4))
+def test_distributed_hamerly_matches_serial_lloyd(data, n_clusters, n_ranks):
+    """The naive full-classification loop is the oracle for the distributed
+    bound-pruned one: same labels and iteration count, centroids equal up
+    to the rank-order summation of the reduced statistics.
+
+    On one rank the sums are the serial ones, so even a Lloyd run that
+    cycles on rounding-level ties must be matched.  Across ranks, a cycling
+    run is chaotic in the last bit of the centroids, so only converged
+    reference runs are compared.
+    """
+    points, weights = data
+    weights = weights + 1e-6  # strictly positive
+    n_clusters = min(n_clusters, len(np.unique(points.round(12), axis=0)))
+    c_ref, l_ref, _, n_ref, converged = weighted_kmeans(
+        points, weights, n_clusters, algorithm="lloyd"
+    )
+    assume(converged or n_ranks == 1)
+    dist = BlockDistribution1D(len(points), n_ranks)
+
+    def prog(comm):
+        sl = dist.local_slice(comm.rank)
+        return distributed_kmeans(comm, points[sl], weights[sl], n_clusters, dist)
+
+    results = spmd_run(n_ranks, prog, backend="thread")
+    np.testing.assert_array_equal(np.concatenate([r[1] for r in results]), l_ref)
+    assert results[0][3] == n_ref
+    np.testing.assert_allclose(results[0][0], c_ref, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
