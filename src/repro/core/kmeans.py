@@ -14,7 +14,7 @@ representative point per cluster.  Three ingredients the paper calls out:
 3. **weighted Lloyd iterations** — assignment by squared Euclidean
    distance (Eq. 12), centroid update by the weighted mean (Eq. 13).
 
-Cost per iteration is ``O(N_mu N_r')`` and the loop is embarrassingly
+A full classification costs ``O(N_mu N_r')`` and the loop is embarrassingly
 data-parallel: its few cross-point steps go through a reducer, the
 identity here and collectives in the distributed version
 (:func:`repro.parallel.parallel_kmeans.distributed_kmeans`).
@@ -22,21 +22,25 @@ identity here and collectives in the distributed version
 Two execution strategies share one code path (``algorithm=``):
 
 * ``"lloyd"`` — the naive full-classification loop: every iteration
-  evaluates all ``N_r' x N_mu`` distances (in memory-bounded tiles).
+  evaluates all ``N_r' x N_mu`` distances (in cache-sized tiles).
 * ``"hamerly"`` (default) — bound-pruned Lloyd: each point carries an
   upper bound on its distance to its assigned centroid and a lower bound
   on the distance to every other centroid, maintained with per-iteration
   centroid drifts.  Points whose bounds prove the assignment cannot change
-  skip the ``N_mu``-way classification entirely, collapsing the per-
-  iteration cost to ``O(N_active N_mu)`` with ``N_active -> 0`` as the
-  clustering converges.  Labels, centroids and inertia are bit-identical
-  to ``"lloyd"`` (the bounds only ever *skip provably unchanged* work, and
-  the committed distances are evaluated by the same expressions in the
-  same order).
+  skip classification entirely.  The rest are *neighbour-restricted*: a
+  point at distance ``u`` from its centroid ``c_a`` can only move to a
+  centroid within ``2u`` of ``c_a`` (triangle inequality), so it is
+  compared with that handful of nearest neighbours of ``c_a`` instead of
+  all ``N_mu`` centroids.
 
-Either way the distance matrix is materialized at most one tile at a time
-(``tile_bytes``), so the peak working set is bounded regardless of the
-candidate count.
+Every distance is the difference form ``sum_d (x_d - c_d)^2``, evaluated
+by the same per-pair arithmetic whatever the array shape, tile or
+neighbour block it is computed in, and both strategies break ties toward
+the lowest centroid index.  So a bound or neighbour list only ever skips
+centroids that provably lose, and ``"hamerly"`` is bit-identical to
+``"lloyd"`` (labels, centroids, inertia, iteration count) by
+construction; neither depends on ``tile_bytes``, which only bounds the
+distance tile a full classification materializes at once.
 """
 
 from __future__ import annotations
@@ -82,27 +86,34 @@ class KMeansResult:
     converged: bool
 
 
-def _pairwise_sq_dists(
-    points: np.ndarray,
-    centroids: np.ndarray,
-    points_sq: np.ndarray | None = None,
-) -> np.ndarray:
-    """``(n_points, n_centroids)`` squared Euclidean distances.
+def _sq_dists(x, c) -> np.ndarray:
+    """``sum_d (x[d] - c[d])**2`` over the leading (coordinate) axis.
 
-    Uses the expanded form with clamping (the cross-term trick keeps this a
-    GEMM — the classification step the paper identifies as dominant).  All
-    updates are in-place on the GEMM output to avoid temporaries, and the
-    per-point squared norms can be precomputed once per Lloyd loop.
+    The one per-pair expression behind every distance in this module: the
+    coordinates are summed in order, with no clamp, so a pair's value never
+    depends on the shape, tile or gather it is evaluated in.
     """
-    if points_sq is None:
-        points_sq = np.einsum("ij,ij->i", points, points)
-    c2 = np.einsum("ij,ij->i", centroids, centroids)
-    d2 = points @ centroids.T
-    d2 *= -2.0
-    d2 += points_sq[:, None]
-    d2 += c2[None, :]
-    np.maximum(d2, 0.0, out=d2)
+    d2 = diff = None
+    for xd, cd in zip(x, c):
+        diff = np.subtract(xd, cd, out=diff)
+        np.multiply(diff, diff, out=diff)
+        if d2 is None:
+            d2, diff = diff, None
+        else:
+            d2 += diff
     return d2
+
+
+def _pairwise_sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """``(n_points, n_centroids)`` squared Euclidean distances."""
+    return _sq_dists(points.T[:, :, None], centroids.T[:, None, :])
+
+
+def _assigned_sq_dists(
+    points: np.ndarray, centroids: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """Squared distance of every point to its assigned centroid."""
+    return _sq_dists(points.T, centroids[labels].T)
 
 
 def _init_greedy_weight(
@@ -119,22 +130,34 @@ def _init_greedy_weight(
     span = np.ptp(points[order[: max(4 * n_mu, 64)]], axis=0)
     volume = float(np.prod(np.where(span > 0, span, 1.0)))
     r_min = 0.5 * (volume / max(n_mu, 1)) ** (1.0 / 3.0)
+    # Points sorted by x: only those in the slab |x - x_seed| <= r_min of a
+    # new seed can become blocked by it.
+    by_x = np.argsort(points[:, 0], kind="stable")
+    sorted_points, sorted_x = points[by_x], points[by_x, 0]
+    position = np.empty_like(by_x)
+    position[by_x] = np.arange(by_x.size)
 
     while True:
         # Walk candidates in decreasing weight keeping a running distance to
-        # the accepted set: O(1) test per candidate, one vectorized update
-        # per acceptance.
+        # the accepted set (x-sorted): O(1) test per candidate, one
+        # vectorized update of the seed's slab per acceptance.  The slab is
+        # widened by 1% so rounding can never leave out a point within r_min.
         chosen: list[int] = []
         min_d2 = np.full(points.shape[0], np.inf)
         threshold = r_min * r_min
         for idx in order:
-            if min_d2[idx] >= threshold:
+            if min_d2[position[idx]] >= threshold:
                 chosen.append(int(idx))
                 if len(chosen) == n_mu:
                     return np.asarray(chosen)
-                delta = points - points[idx]
+                x = points[idx, 0]
+                lo, hi = np.searchsorted(
+                    sorted_x, (x - 1.01 * r_min, x + 1.01 * r_min)
+                )
+                delta = sorted_points[lo:hi] - points[idx]
                 np.minimum(
-                    min_d2, np.einsum("ij,ij->i", delta, delta), out=min_d2
+                    min_d2[lo:hi], np.einsum("ij,ij->i", delta, delta),
+                    out=min_d2[lo:hi],
                 )
         r_min *= 0.7
         if r_min < 1e-8:
@@ -165,84 +188,104 @@ def _init_plusplus(
     return chosen
 
 
-#: Default cap on the materialized distance-tile size (bytes of float64).
-DEFAULT_TILE_BYTES = 1 << 26  # 64 MiB
+#: Default cap on the materialized distance-tile size (bytes of float64):
+#: cache-sized, so a tile and its scratch stay in a core's L2 (per-pair
+#: values do not depend on the tile).
+DEFAULT_TILE_BYTES = 1 << 19  # 512 KiB
 
-#: Relative slack applied to the Hamerly bound test so floating-point
-#: rounding in the bound bookkeeping can never unsafely prune a point.
+#: fp64 slack of the bound tests, ``_BOUND_RTOL (X + 1) + _BOUND_EPS X`` for
+#: the largest point or centroid norm ``X``: covers the rounding of the
+#: difference-form distances and of the bound bookkeeping, so the bounds and
+#: neighbour lists never skip a centroid the full classification would pick.
 _BOUND_RTOL = 1e-12
-
-#: fp64 slack per unit of the largest point or centroid norm ``X``, so the
-#: bounds never skip a point the full classification would move: expanded-
-#: form squared distances err by up to ~32 eps X^2, i.e. up to sqrt(32 eps) X
-#: in distance near zero, on each of the two distances a bound test orders.
-_BOUND_NOISE = (2.0 + np.sqrt(2.0)) * np.sqrt(32.0 * np.finfo(float).eps)
+_BOUND_EPS = 64.0 * np.finfo(float).eps
 
 #: Enlarged Hamerly slack for fp32 classification: must cover the relative
-#: error of a single-precision expanded-form distance (~eps_fp32 * norm
-#: scale, with headroom), so the bounds still only skip provably-unchanged
-#: points *up to fp32 accuracy* — the fp64 final recheck catches the rest.
+#: error of a single-precision distance (~eps_fp32 * norm scale, with
+#: headroom), so the bounds still only skip provably-unchanged points *up
+#: to fp32 accuracy* — the fp64 final recheck catches the rest.
 _BOUND_RTOL_FP32 = 1e-5
 
-
-def _assigned_sq_dists(
-    points: np.ndarray,
-    points_sq: np.ndarray,
-    centroids_sq: np.ndarray,
-    centroids: np.ndarray,
-    labels: np.ndarray,
-) -> np.ndarray:
-    """Clamped squared distance of every point to its assigned centroid.
-
-    Uses the same expanded form as :func:`_pairwise_sq_dists` so the
-    committed per-point distances (and hence the inertia) are evaluated
-    identically regardless of which points the bound pruning skipped.
-    """
-    cross = np.einsum("ij,ij->i", points, centroids[labels])
-    d2 = points_sq + centroids_sq[labels] - 2.0 * cross
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+#: Neighbour-list sizes of the restricted classification, below ``N_mu``.
+_NEIGHBOUR_BLOCKS = (4, 8, 16, 32, 64, 128, 256)
 
 
 def _classify_tiled(
-    points: np.ndarray,
-    points_sq: np.ndarray,
-    centroids: np.ndarray,
-    active: np.ndarray | None,
-    tile_bytes: int,
+    points: np.ndarray, centroids: np.ndarray, tile_bytes: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nearest/second-nearest classification, one distance tile at a time.
 
-    ``active=None`` classifies every point (the Lloyd path).  Returns
-    ``(labels, d2_nearest, d2_second)`` for the classified rows only; the
-    ``N x N_mu`` matrix never exists beyond one ``tile_bytes`` tile.
+    Returns ``(labels, d2_nearest, d2_second)`` (ties: lowest centroid
+    index); the ``N x N_mu`` matrix never exists beyond one ``tile_bytes``
+    tile.
     """
-    n_clusters = centroids.shape[0]
-    n_rows = points.shape[0] if active is None else active.shape[0]
-    labels = np.empty(n_rows, dtype=np.int64)
-    d2_near = np.empty(n_rows)
-    d2_second = np.empty(n_rows)
-    tile_rows = max(1, int(tile_bytes) // (8 * max(n_clusters, 1)))
-    for start in range(0, n_rows, tile_rows):
-        stop = min(start + tile_rows, n_rows)
-        if active is None:
-            rows_pts = points[start:stop]
-            rows_sq = points_sq[start:stop]
-        else:
-            idx = active[start:stop]
-            rows_pts = points[idx]
-            rows_sq = points_sq[idx]
-        d2 = _pairwise_sq_dists(rows_pts, centroids, rows_sq)
-        lab = np.argmin(d2, axis=1)
+    n = points.shape[0]
+    labels = np.empty(n, dtype=np.int64)
+    d2_near = np.empty(n)
+    d2_second = np.empty(n)
+    tile_rows = max(1, int(tile_bytes) // (8 * max(centroids.shape[0], 1)))
+    for start in range(0, n, tile_rows):
+        stop = min(start + tile_rows, n)
+        d2 = _pairwise_sq_dists(points[start:stop], centroids)
         rows = np.arange(stop - start)
+        lab = np.argmin(d2, axis=1)
         labels[start:stop] = lab
         d2_near[start:stop] = d2[rows, lab]
-        if n_clusters > 1:
-            d2[rows, lab] = np.inf
-            d2_second[start:stop] = d2.min(axis=1)
-        else:
-            d2_second[start:stop] = np.inf
+        d2[rows, lab] = np.inf
+        d2_second[start:stop] = d2.min(axis=1)
     return labels, d2_near, d2_second
+
+
+def _classify_near(
+    points: np.ndarray,
+    centroids: np.ndarray,
+    labels: np.ndarray,
+    upper: np.ndarray,
+    slack: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest centroid of each point among those that can beat its own.
+
+    ``upper[i]`` bounds the distance of point ``i`` to its centroid
+    ``c_a``, ``a = labels[i]``, from above, so a centroid farther than
+    ``2 upper[i] + slack`` from ``c_a`` is farther from the point than
+    ``c_a``.  Each point is compared with the nearest 4, 8, ..., 256 or all
+    neighbours of ``c_a`` (the smallest block reaching past that radius).
+    Returns ``(labels, d2_nearest, lower)`` with the full argmin's labels
+    (ties: lowest centroid index) and ``lower`` bounding the distance to
+    every other centroid from below.
+    """
+    n_mu = centroids.shape[0]
+    rows, row = np.unique(labels, return_inverse=True)
+    dist = np.sqrt(_pairwise_sq_dists(centroids[rows], centroids))
+    neighbours = np.argsort(dist, axis=1)
+    blocks = [b for b in _NEIGHBOUR_BLOCKS if b < n_mu]
+    # edge[j]: distance from each c_a to its first neighbour past blocks[j].
+    edge = np.take_along_axis(dist, neighbours[:, blocks], axis=1).T
+    reach = 2.0 * upper + slack
+    size = np.full(labels.size, n_mu)
+    for b, past in zip(blocks[::-1], edge[::-1]):
+        size[past[row] > reach] = b
+    columns = np.ascontiguousarray(centroids.T)
+    new_labels = np.empty(labels.size, dtype=np.int64)
+    d2_near = np.empty(labels.size)
+    lower = np.empty(labels.size)
+    for j, b in enumerate([*blocks, n_mu]):
+        sel = np.flatnonzero(size == b)
+        if not sel.size:
+            continue
+        # Candidates in index order, so the argmin breaks ties to the lowest.
+        cand = np.sort(neighbours[:, :b], axis=1)[row[sel]]
+        d2 = _sq_dists(points[sel].T[:, :, None], [col[cand] for col in columns])
+        pick = np.arange(sel.size)
+        nearest = np.argmin(d2, axis=1)
+        new_labels[sel] = cand[pick, nearest]
+        d2_near[sel] = d2[pick, nearest]
+        d2[pick, nearest] = np.inf
+        lower[sel] = np.sqrt(d2.min(axis=1))
+        if b < n_mu:
+            # Excluded centroids lie past the first excluded neighbour.
+            lower[sel] = np.minimum(lower[sel], edge[j][row[sel]] - upper[sel])
+    return new_labels, d2_near, lower
 
 
 def classify_points(
@@ -260,15 +303,13 @@ def classify_points(
     """
     require(points.ndim == 2, "points must be (n, d)")
     require(centroids.ndim == 2, "centroids must be (k, d)")
-    points_sq = np.einsum("ij,ij->i", points, points)
-    labels, _, _ = _classify_tiled(points, points_sq, centroids, None, tile_bytes)
-    return labels
+    return _classify_tiled(points, centroids, tile_bytes)[0]
 
 
 class SerialReducer:
     """The cross-point steps of :func:`weighted_kmeans`, all points local.
 
-    Sums and maxima over the point slabs are the identity here;
+    Sums, maxima and minima over the point slabs are the identity here;
     :class:`repro.parallel.parallel_kmeans.CommReducer` runs them as
     collectives.
     """
@@ -278,6 +319,9 @@ class SerialReducer:
 
     def max(self, value: float) -> float:
         return value
+
+    def min(self, array: np.ndarray) -> np.ndarray:
+        return array
 
     def worst(self, penalty: np.ndarray, points: np.ndarray, n: int) -> np.ndarray:
         """The ``n`` points of largest ``penalty`` (ties: lowest index)."""
@@ -318,19 +362,20 @@ def weighted_kmeans(
         classifies every point, so the Hamerly bounds are re-seeded
         consistently.
     algorithm:
-        ``"hamerly"`` (default) skips the ``N_mu``-way classification for
-        points whose distance bounds prove the assignment is unchanged;
-        ``"lloyd"`` classifies every point every iteration.  Results are
+        ``"hamerly"`` (default) skips the classification for points whose
+        distance bounds prove the assignment is unchanged and compares the
+        rest with their centroid's neighbours only; ``"lloyd"`` classifies
+        every point against every centroid every iteration.  Results are
         bit-identical (see the module docstring).
     tile_bytes:
-        Upper bound on the materialized distance-tile size; the full
-        ``N x N_mu`` matrix is never allocated at once.
+        Upper bound on the distance tile of a full classification; the
+        ``N x N_mu`` matrix is never allocated at once.  Results do not
+        depend on it.
     precision:
         A precision mode string or :class:`repro.precision.PrecisionConfig`.
         With ``kmeans_fp32`` the per-iteration nearest/second-nearest
         classification runs against fp32 copies of points and centroids
-        (the GEMM that dominates each iteration at double throughput) with
-        an enlarged Hamerly slack; the *committed* per-point distances, the
+        with an enlarged Hamerly slack; the *committed* per-point distances, the
         inertia and the weighted centroid accumulators stay fp64.  With
         ``kmeans_recheck`` the converged assignment is re-derived in fp64
         and, unless bit-identical, the whole clustering is re-run in fp64
@@ -384,72 +429,50 @@ def weighted_kmeans(
     inertia = np.inf
     converged = False
     iteration = 0
-    points_sq = np.einsum("ij,ij->i", points, points)
     # fp32 classification operands: one cast of the points up front, one
     # 3 x n_clusters cast of the centroids per iteration.  Everything the
     # result depends on directly (committed distances, inertia, centroid
     # accumulation) stays on the fp64 arrays.
-    if fp32:
-        points_cls = np.asarray(points, dtype=np.float32)
-        points_sq_cls = np.einsum("ij,ij->i", points_cls, points_cls)
-    else:
-        points_cls = points
-        points_sq_cls = points_sq
+    points_cls = points.astype(np.float32) if fp32 else points
     # Hamerly state: upper[i] bounds dist(point_i, assigned centroid) from
     # above, lower[i] bounds the distance to every *other* centroid from
     # below.  upper <= lower proves the assignment cannot change.
-    upper = np.full(n, np.inf)
-    lower = np.zeros(n)
-    bound_rtol = _BOUND_RTOL_FP32 if fp32 else _BOUND_RTOL
-    x_max = float(np.sqrt(reduce.max(points_sq.max(initial=0.0))))
-    slack = bound_rtol * (x_max + 1.0)
-    if not fp32:
-        slack += _BOUND_NOISE * max(x_max, np.linalg.norm(centroids, axis=1).max())
+    x_max = reduce.max(float(np.linalg.norm(points, axis=1).max(initial=0.0)))
+    if fp32:
+        slack = _BOUND_RTOL_FP32 * (x_max + 1.0)
+    else:
+        scale = max(x_max, np.linalg.norm(centroids, axis=1).max())
+        slack = _BOUND_RTOL * (x_max + 1.0) + _BOUND_EPS * scale
     dim = points.shape[1]
 
     for iteration in range(1, max_iter + 1):
-        centroids_sq = np.einsum("ij,ij->i", centroids, centroids)
-        centroids_cls = (
-            centroids.astype(np.float32) if fp32 else centroids
-        )
-        new_labels = labels.copy()
+        centroids_cls = centroids.astype(np.float32) if fp32 else centroids
         if algorithm == "lloyd" or iteration == 1:
-            active = None  # classify everything
+            new_labels, d2n, d2s = _classify_tiled(
+                points_cls, centroids_cls, tile_bytes
+            )
+            upper, lower = np.sqrt(d2n), np.sqrt(d2s)
         else:
             # First filter on the stale bounds, then tighten the surviving
             # upper bounds with one exact distance and filter again — the
-            # standard two-stage Hamerly test.
+            # standard two-stage Hamerly test.  Survivors are classified
+            # against the neighbours of their centroid only.
+            new_labels = labels.copy()
             maybe = np.flatnonzero(upper + slack >= lower)
-            if maybe.size:
-                d2a = _assigned_sq_dists(
-                    points[maybe], points_sq[maybe], centroids_sq,
-                    centroids, labels[maybe],
+            upper[maybe] = np.sqrt(
+                _assigned_sq_dists(points[maybe], centroids, labels[maybe])
+            )
+            active = maybe[upper[maybe] + slack >= lower[maybe]]
+            if active.size:
+                new_labels[active], d2n, lower[active] = _classify_near(
+                    points_cls[active], centroids_cls, labels[active],
+                    upper[active], slack,
                 )
-                upper[maybe] = np.sqrt(d2a)
-                active = maybe[upper[maybe] + slack >= lower[maybe]]
-            else:
-                active = maybe
-
-        if active is None:
-            lab, d2n, d2s = _classify_tiled(
-                points_cls, points_sq_cls, centroids_cls, None, tile_bytes
-            )
-            new_labels = lab
-            np.sqrt(d2n, out=upper)
-            np.sqrt(d2s, out=lower)
-        elif active.size:
-            lab, d2n, d2s = _classify_tiled(
-                points_cls, points_sq_cls, centroids_cls, active, tile_bytes
-            )
-            new_labels[active] = lab
-            upper[active] = np.sqrt(d2n)
-            lower[active] = np.sqrt(d2s)
+                upper[active] = np.sqrt(d2n)
 
         # Committed per-point distances (same expression in both modes, for
         # all points): the weighted objective of Eq. 11.
-        min_d2 = _assigned_sq_dists(
-            points, points_sq, centroids_sq, centroids, new_labels
-        )
+        min_d2 = _assigned_sq_dists(points, centroids, new_labels)
 
         # One reduced block: weighted coordinate sums (Eq. 13) and weights
         # per cluster, each a scatter-add in point order, then the objective
@@ -498,9 +521,7 @@ def weighted_kmeans(
         # the whole clustering re-runs in fp64 from the same initial
         # centroids — the returned result is then exactly the strict64 one.
         # The count is reduced so every rank takes the same branch.
-        labels64, _, _ = _classify_tiled(
-            points, points_sq, centroids, None, tile_bytes
-        )
+        labels64 = _classify_tiled(points, centroids, tile_bytes)[0]
         n_bad, n_all = reduce.sum(np.array([np.count_nonzero(labels64 != labels), n]))
         if n_bad:
             from repro.resilience.events import resilience_log
@@ -528,6 +549,40 @@ def weighted_kmeans(
             )
 
     return centroids, labels, inertia, iteration, converged
+
+
+#: :func:`representatives` of a cluster without members.
+NO_INDEX = np.iinfo(np.int64).max
+
+
+def representatives(
+    points: np.ndarray,
+    centroids: np.ndarray,
+    labels: np.ndarray,
+    index: np.ndarray,
+    reduce=_SERIAL,
+) -> np.ndarray:
+    """Per cluster, ``index`` of the member nearest its centroid.
+
+    Ties go to the lowest ``index``; a cluster without members gets
+    :data:`NO_INDEX`.  A stable sort by ``(label, distance to own
+    centroid)`` puts each cluster's winner first in its run, so the cost is
+    O(N log N) with no ``N x N_mu`` matrix.  With a distributed ``reduce``,
+    ``points``/``labels``/``index`` are this rank's slab (``index`` global
+    and increasing across ranks) and the result is replicated.
+    """
+    n_mu = centroids.shape[0]
+    d2 = _assigned_sq_dists(points, centroids, labels)
+    order = np.lexsort((d2, labels))
+    first = order[np.diff(labels[order], prepend=-1) != 0]
+    best_d = np.full(n_mu, np.inf)
+    best_d[labels[first]] = d2[first]
+    best_idx = np.full(n_mu, NO_INDEX, dtype=np.int64)
+    best_idx[labels[first]] = index[first]
+    # A slab's winner stands only if it matches the global best distance;
+    # ties between slabs resolve to the lowest index.
+    global_d = reduce.min(best_d)
+    return reduce.min(np.where(best_d == global_d, best_idx, NO_INDEX))
 
 
 def select_points_kmeans(
@@ -585,34 +640,21 @@ def select_points_kmeans(
         algorithm=algorithm, tile_bytes=tile_bytes, precision=precision,
     )
 
-    # Representative grid point per cluster: the member closest to the
-    # centroid (ties broken toward larger weight via stable ordering).
-    indices = np.empty(n_mu, dtype=np.int64)
-    d2 = _pairwise_sq_dists(candidates, centroids)
-    order = np.argsort(weights)[::-1]
-    for k in range(n_mu):
-        members = np.flatnonzero(labels == k)
-        if members.size == 0:
-            # Empty cluster survived reseeding: take the heaviest unclaimed
-            # candidate as its representative.
-            for idx in order:
-                if idx not in indices[:k]:
-                    members = np.array([idx])
-                    break
-        best = members[np.argmin(d2[members, k])]
-        indices[k] = keep[best]
+    indices = representatives(candidates, centroids, labels, keep)
+    heaviest = keep[np.argsort(weights)[::-1]]
+    for k in np.flatnonzero(indices == NO_INDEX):
+        # Empty cluster survived reseeding: take the heaviest candidate that
+        # is not an earlier cluster's representative.
+        indices[k] = next(i for i in heaviest if i not in indices[:k])
     indices = np.unique(indices)
     if indices.size < n_mu:
-        # Duplicate representatives (possible for overlapping clusters):
-        # top up with the heaviest unused candidates.
-        used = set(indices.tolist())
-        extra = [int(keep[i]) for i in order if int(keep[i]) not in used]
-        indices = np.sort(
-            np.concatenate([indices, np.asarray(extra[: n_mu - indices.size])])
-        ).astype(np.int64)
+        # Duplicate representatives (an empty cluster's pick may win a later
+        # cluster too): top up with the heaviest unused candidates.
+        extra = heaviest[~np.isin(heaviest, indices)][: n_mu - indices.size]
+        indices = np.sort(np.concatenate([indices, extra]))
 
     return KMeansResult(
-        indices=np.sort(indices),
+        indices=indices,
         centroids=centroids,
         labels=labels,
         candidate_indices=keep,

@@ -22,10 +22,11 @@ import numpy as np
 import scipy.linalg as sla
 
 from repro.core.kernel import HxcKernel
+from repro.core.kmeans import NO_INDEX, representatives
 from repro.core.pair_products import pair_energies
 from repro.parallel.comm import Communicator
 from repro.parallel.distributions import BlockDistribution1D
-from repro.parallel.parallel_kmeans import distributed_kmeans
+from repro.parallel.parallel_kmeans import CommReducer, distributed_kmeans
 from repro.parallel.parallel_lobpcg import distributed_lobpcg
 from repro.parallel.parallel_lrtddft import distributed_isdf_vtilde
 from repro.utils.validation import require
@@ -102,34 +103,10 @@ def distributed_select_points_kmeans(
         comm, cand_points, cand_weights, n_mu, _ExactDist(), max_iter=max_iter
     )
 
-    return _representatives(comm, cand_points, centroids, labels, keep_global)
-
-
-def _representatives(
-    comm: Communicator, points: np.ndarray, centroids: np.ndarray,
-    labels: np.ndarray, global_index: np.ndarray,
-) -> np.ndarray:
-    """Sorted global indices of each cluster's member nearest its centroid
-    (ties: lowest global index).  A stable sort by ``(label, distance to
-    own centroid)`` puts each cluster's local winner first in its run."""
-    n_mu = centroids.shape[0]
-    delta = points - centroids[labels]
-    d2 = np.einsum("pd,pd->p", delta, delta)
-    order = np.lexsort((d2, labels))
-    first = order[np.diff(labels[order], prepend=-1) != 0]
-    no_index = np.iinfo(np.int64).max
-    best_d = np.full(n_mu, np.inf)
-    best_idx = np.full(n_mu, no_index, dtype=np.int64)
-    best_d[labels[first]] = d2[first]
-    best_idx[labels[first]] = global_index[first]
-    global_best_d = comm.allreduce(best_d, op="min")
-    # A rank's candidate wins only if it matches the global best distance;
-    # ties resolve to the lowest global index.
-    winners = comm.allreduce(
-        np.where(best_d == global_best_d, best_idx, no_index), op="min"
-    )
-    require((winners < no_index).all(), "a cluster ended up with no representative")
-    return np.sort(np.unique(winners))
+    reducer = CommReducer(comm, _ExactDist.displacement(comm.rank))
+    winners = representatives(cand_points, centroids, labels, keep_global, reducer)
+    require((winners < NO_INDEX).all(), "a cluster ended up with no representative")
+    return np.unique(winners)
 
 
 def distributed_fit_theta(

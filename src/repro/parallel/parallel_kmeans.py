@@ -42,6 +42,9 @@ class CommReducer:
     def max(self, value: float) -> float:
         return float(self.comm.allreduce(np.array([value]), op="max")[0])
 
+    def min(self, array: np.ndarray) -> np.ndarray:
+        return self.comm.allreduce(array, op="min")
+
     def worst(self, penalty: np.ndarray, points: np.ndarray, n: int) -> np.ndarray:
         top = np.argsort(-penalty, kind="stable")[:n]
         mine = [(-float(penalty[i]), self.offset + int(i), points[i]) for i in top]

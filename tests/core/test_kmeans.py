@@ -1,10 +1,17 @@
 """Tests for weighted K-Means interpolation-point selection (Section 4.2)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from repro.core import select_points_kmeans, weighted_kmeans
-from repro.core.kmeans import _pairwise_sq_dists
+from repro.atoms import bulk_silicon
+from repro.core import kmeans as kmeans_mod
+from repro.core import pair_weights, select_points_kmeans, weighted_kmeans
+from repro.core.kmeans import _init_greedy_weight, _pairwise_sq_dists
+from repro.synthetic import synthetic_ground_state
 from repro.utils.rng import default_rng
 
 
@@ -148,3 +155,168 @@ class TestSelectPoints:
             grid_points=gs.basis.grid.cartesian_points, prune_threshold=0.999,
         )
         assert res.indices.shape == (24,)
+
+
+def _lattice(n: int) -> np.ndarray:
+    axis = np.arange(float(n))
+    return np.stack(np.meshgrid(axis, axis, axis), -1).reshape(-1, 3)
+
+
+def _si64_candidates():
+    """The pruned Si64 candidate set the isdf-si64 selection clusters."""
+    gs = synthetic_ground_state(
+        bulk_silicon(64), ecut=10.0, n_valence=48, n_conduction=24, seed=0
+    )
+    psi_v, _, psi_c, _ = gs.select_transition_space()
+    w = pair_weights(psi_v, psi_c)
+    keep = np.flatnonzero(w >= 1e-6 * w.max())
+    return gs.basis.grid.cartesian_points[keep], w[keep]
+
+
+def _greedy_full_scan(points, weights, n_mu):
+    """The O(N N_mu) greedy seeding: every acceptance updates every point."""
+    order = np.argsort(weights)[::-1]
+    span = np.ptp(points[order[: max(4 * n_mu, 64)]], axis=0)
+    volume = float(np.prod(np.where(span > 0, span, 1.0)))
+    r_min = 0.5 * (volume / max(n_mu, 1)) ** (1.0 / 3.0)
+    while True:
+        chosen = []
+        min_d2 = np.full(points.shape[0], np.inf)
+        threshold = r_min * r_min
+        for idx in order:
+            if min_d2[idx] >= threshold:
+                chosen.append(int(idx))
+                if len(chosen) == n_mu:
+                    return np.asarray(chosen)
+                delta = points - points[idx]
+                np.minimum(min_d2, np.einsum("ij,ij->i", delta, delta), out=min_d2)
+        r_min *= 0.7
+        if r_min < 1e-8:
+            return order[:n_mu].copy()
+
+
+class TestGreedySeeding:
+    """The slab-restricted seeding accepts exactly the full scan's seeds."""
+
+    @pytest.mark.parametrize("n_mu", [1, 7, 40, 150])
+    def test_random_cloud(self, rng, n_mu):
+        points = rng.standard_normal((600, 3)) * 4.0
+        weights = rng.random(600)
+        np.testing.assert_array_equal(
+            _init_greedy_weight(points, weights, n_mu),
+            _greedy_full_scan(points, weights, n_mu),
+        )
+
+    @pytest.mark.parametrize("n_mu", [5, 27, 64, 200])
+    def test_lattice_with_tied_weights_and_distances(self, n_mu):
+        # Points exactly r_min apart and equal weights: the separation test
+        # and the weight order both hinge on exact ties.
+        points = _lattice(6) * 0.5
+        weights = np.floor(np.linspace(1.0, 4.0, len(points)))[::-1].copy()
+        np.testing.assert_array_equal(
+            _init_greedy_weight(points, weights, n_mu),
+            _greedy_full_scan(points, weights, n_mu),
+        )
+
+    def test_si64_candidates(self):
+        points, weights = _si64_candidates()
+        np.testing.assert_array_equal(
+            _init_greedy_weight(points, weights, 340),
+            _greedy_full_scan(points, weights, 340),
+        )
+
+    def test_selection_does_not_import_scipy_spatial(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from repro.core import select_points_kmeans\n"
+            "rng = np.random.default_rng(0)\n"
+            "psi = rng.standard_normal((2, 500))\n"
+            "select_points_kmeans(psi, psi, 20, grid_points=rng.random((500, 3)))\n"
+            "assert 'scipy.spatial' not in sys.modules\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def _representatives_d2_matrix(candidates, weights, keep, centroids, labels):
+    """Representative step with an ``N x N_mu`` distance matrix: per cluster
+    the member nearest its centroid, the heaviest candidate not yet taken for
+    an empty cluster, then a top-up with the heaviest unused candidates."""
+    n_mu = centroids.shape[0]
+    indices = np.empty(n_mu, dtype=np.int64)
+    d2 = _pairwise_sq_dists(candidates, centroids)
+    order = np.argsort(weights)[::-1]
+    for k in range(n_mu):
+        members = np.flatnonzero(labels == k)
+        if members.size == 0:
+            for idx in order:
+                if keep[idx] not in indices[:k]:
+                    members = np.array([idx])
+                    break
+        indices[k] = keep[members[np.argmin(d2[members, k])]]
+    indices = np.unique(indices)
+    if indices.size < n_mu:
+        used = set(indices.tolist())
+        extra = [int(keep[i]) for i in order if int(keep[i]) not in used]
+        indices = np.sort(np.concatenate([indices, extra[: n_mu - indices.size]]))
+    return indices.astype(np.int64)
+
+
+class TestRepresentatives:
+    """The O(N log N) representative step against the d2-matrix formula."""
+
+    @staticmethod
+    def _select(monkeypatch, weights, points, centroids, labels):
+        """Run the representative step of select_points_kmeans on a given
+        clustering.  Every third grid point has zero weight and is pruned, so
+        candidate and grid indices differ."""
+        n_r = 3 * len(points)
+        grid = np.zeros((n_r, 3))
+        keep = np.arange(1, n_r, 3)
+        grid[keep] = points
+        psi_v = np.zeros((1, n_r))
+        psi_v[0, keep] = np.sqrt(weights)
+        monkeypatch.setattr(
+            kmeans_mod, "weighted_kmeans",
+            lambda *a, **k: (centroids, labels, 0.0, 1, True),
+        )
+        res = select_points_kmeans(
+            psi_v, np.ones((1, n_r)), len(centroids), grid_points=grid
+        )
+        np.testing.assert_array_equal(res.candidate_indices, keep)
+        w = pair_weights(psi_v, np.ones((1, n_r)))[keep]
+        return res.indices, _representatives_d2_matrix(
+            points, w, keep, centroids, labels
+        )
+
+    def test_converged_clustering(self, rng, monkeypatch):
+        points = rng.standard_normal((400, 3))
+        weights = rng.random(400) + 0.1
+        centroids, labels, *_ = weighted_kmeans(points, weights, 30)
+        got, expect = self._select(monkeypatch, weights, points, centroids, labels)
+        np.testing.assert_array_equal(got, expect)
+        assert got.size == 30
+
+    def test_lattice_ties_go_to_lowest_index(self, monkeypatch):
+        # Centroids at cell centres: eight members tie for nearest.
+        points = _lattice(4)
+        centroids = np.array([[0.5, 0.5, 0.5], [2.5, 2.5, 2.5]])
+        labels = (points.sum(axis=1) > 4.5).astype(np.int64)
+        got, expect = self._select(
+            monkeypatch, np.ones(len(points)), points, centroids, labels
+        )
+        np.testing.assert_array_equal(got, expect)
+
+    def test_empty_cluster_and_duplicate_top_up(self, monkeypatch):
+        # Cluster 1 is empty, so it takes the heaviest candidate, point 5;
+        # point 5 also wins cluster 2, and the duplicate is topped up with
+        # the next heaviest unused candidate, point 2.
+        points = np.arange(24.0).reshape(8, 3)
+        weights = np.array([1.0, 2.0, 6.0, 3.0, 4.0, 9.0, 5.0, 0.5])
+        labels = np.array([0, 0, 2, 2, 2, 2, 3, 3])
+        centroids = np.stack([points[0], points[7], points[5], points[6]])
+        got, expect = self._select(monkeypatch, weights, points, centroids, labels)
+        np.testing.assert_array_equal(got, expect)
+        np.testing.assert_array_equal(got, 3 * np.array([0, 2, 5, 6]) + 1)

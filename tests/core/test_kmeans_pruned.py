@@ -10,8 +10,10 @@ interpolation-point selection would silently depend on the algorithm flag.
 import numpy as np
 import pytest
 
+from repro.atoms import bulk_silicon
 from repro.core import pair_weights, select_points_kmeans
 from repro.core.kmeans import DEFAULT_TILE_BYTES, weighted_kmeans
+from repro.synthetic import synthetic_ground_state
 from repro.utils.rng import default_rng
 
 
@@ -130,3 +132,39 @@ class TestTiling:
             weighted_kmeans(points, weights, 5, init="greedy-weight",
                             algorithm="hamerly", tile_bytes=1),
         )
+
+    def test_lattice_ties_change_nothing(self):
+        # Integer lattice points with uniform weights: many point-centroid
+        # distances tie exactly, so the labels hinge on every distance being
+        # the same value in every tile and on ties going to the lowest index.
+        axis = np.arange(7.0)
+        points = np.stack(np.meshgrid(axis, axis, axis), -1).reshape(-1, 3)
+        weights = np.ones(len(points))
+        reference = weighted_kmeans(points, weights, 20, algorithm="lloyd")
+        for algorithm in ("lloyd", "hamerly"):
+            for tile_bytes in (1, 1024, DEFAULT_TILE_BYTES):
+                _assert_bit_identical(
+                    reference,
+                    weighted_kmeans(
+                        points, weights, 20, algorithm=algorithm,
+                        tile_bytes=tile_bytes,
+                    ),
+                )
+
+    def test_si8_selection_does_not_depend_on_tile_size(self):
+        # Near ties abound in a real selection: a distance whose rounding
+        # depended on the row blocking (as a blocked GEMM's does) would move
+        # most of the 114 points here.
+        gs = synthetic_ground_state(
+            bulk_silicon(8), ecut=10.0, n_valence=16, n_conduction=8, seed=0
+        )
+        psi_v, _, psi_c, _ = gs.select_transition_space()
+        grid = gs.basis.grid.cartesian_points
+        default, tiny = (
+            select_points_kmeans(psi_v, psi_c, 114, grid_points=grid, **kwargs)
+            for kwargs in ({}, {"tile_bytes": 1024})
+        )
+        np.testing.assert_array_equal(tiny.indices, default.indices)
+        np.testing.assert_array_equal(tiny.labels, default.labels)
+        np.testing.assert_array_equal(tiny.centroids, default.centroids)
+        assert tiny.n_iter == default.n_iter

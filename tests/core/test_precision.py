@@ -159,8 +159,8 @@ class TestMixedKmeans:
         real = kmeans_mod._classify_tiled
         tampered_once = []
 
-        def tampered(pts, pts_sq, centroids, active, tile_bytes):
-            labels, d2n, d2s = real(pts, pts_sq, centroids, active, tile_bytes)
+        def tampered(pts, centroids, tile_bytes):
+            labels, d2n, d2s = real(pts, centroids, tile_bytes)
             # Corrupt exactly the first fp64 classification: in mixed mode
             # the loop classifies against fp32 centroids, so the first
             # fp64 call *is* the converged-assignment recheck.

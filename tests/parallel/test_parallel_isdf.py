@@ -97,16 +97,18 @@ class TestRepresentatives:
     def _compare(self, problem, n_ranks, monkeypatch, empty_rank=None):
         gs, psi_v, _, psi_c, _, _ = problem
         grid_dist = BlockDistribution1D(gs.basis.n_r, n_ranks)
-        new = parallel_isdf._representatives
+        new = parallel_isdf.representatives
         seen = []
 
-        def both(comm, points, centroids, labels, global_index):
-            winners = new(comm, points, centroids, labels, global_index)
-            old = _old_representatives(comm, points, centroids, labels, global_index)
-            seen.append((len(points), winners, old))
+        def both(points, centroids, labels, global_index, reduce):
+            winners = new(points, centroids, labels, global_index, reduce)
+            old = _old_representatives(
+                reduce.comm, points, centroids, labels, global_index
+            )
+            seen.append((len(points), np.unique(winners), old))
             return winners
 
-        monkeypatch.setattr(parallel_isdf, "_representatives", both)
+        monkeypatch.setattr(parallel_isdf, "representatives", both)
 
         def prog(comm):
             sl, pts = _grid_slabs(gs, comm, grid_dist)

@@ -156,8 +156,8 @@ def _mixed_with_one_bad_recheck(points, weights, n_ranks, backend, monkeypatch):
     real = kmeans_mod._classify_tiled
     tampered_once = []
 
-    def tampered(pts, pts_sq, centroids, active, tile_bytes):
-        labels, d2n, d2s = real(pts, pts_sq, centroids, active, tile_bytes)
+    def tampered(pts, centroids, tile_bytes):
+        labels, d2n, d2s = real(pts, centroids, tile_bytes)
         # In mixed mode the loop classifies against fp32 centroids, so the
         # first fp64 call is the recheck; only rank 0 owns points[0].
         if (

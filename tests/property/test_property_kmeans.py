@@ -5,7 +5,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.kmeans import _pairwise_sq_dists, weighted_kmeans
+from repro.core.kmeans import (
+    _BOUND_EPS,
+    _BOUND_RTOL,
+    _BOUND_RTOL_FP32,
+    _assigned_sq_dists,
+    _classify_near,
+    _classify_tiled,
+    _pairwise_sq_dists,
+    weighted_kmeans,
+)
 from repro.parallel import BlockDistribution1D, distributed_kmeans, spmd_run
 from repro.utils.rng import default_rng
 
@@ -148,3 +157,59 @@ def test_pairwise_distances_match_direct(points, centroids):
     direct = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     np.testing.assert_allclose(d2, direct, atol=1e-8)
     assert (d2 >= 0).all()
+
+
+def _restricted_vs_full(points, centroids, labels, inflate, fp32):
+    """Classify with the neighbour-restricted classifier and with the full
+    argmin; the restricted one starts from arbitrary labels whose upper
+    bounds are the exact distances, inflated by ``inflate >= 1``."""
+    upper = np.sqrt(_assigned_sq_dists(points, centroids, labels)) * inflate
+    x_max = np.linalg.norm(points, axis=1).max()
+    scale = max(x_max, np.linalg.norm(centroids, axis=1).max())
+    if fp32:
+        slack = _BOUND_RTOL_FP32 * (x_max + 1.0)
+        points, centroids = points.astype(np.float32), centroids.astype(np.float32)
+    else:
+        slack = _BOUND_RTOL * (x_max + 1.0) + _BOUND_EPS * scale
+    got, d2_near, lower = _classify_near(points, centroids, labels, upper, slack)
+    full, d2_full, d2_second = _classify_tiled(points, centroids, 1 << 20)
+    np.testing.assert_array_equal(got, full)
+    np.testing.assert_array_equal(d2_near, d2_full)
+    # The bound tests add the same slack to every comparison.
+    assert (lower <= np.sqrt(d2_second) + slack).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 300),
+    st.integers(1, 320),
+    st.sampled_from(["random", "lattice", "coincident"]),
+    st.floats(1.0, 3.0),
+    st.booleans(),
+    st.booleans(),
+)
+def test_restricted_classifier_matches_full_argmin(
+    seed, n_points, n_centroids, cloud, inflate, fp32, from_nearest
+):
+    """Labels equal the full argmin (ties: lowest index) and ``lower`` bounds
+    the second distance, from the nearest or any starting label: random
+    clouds, integer lattices with exact ties, and centroids that coincide;
+    N_mu spans values below the smallest neighbour block up to past the
+    largest one."""
+    rng = default_rng(seed)
+    if cloud == "random":
+        points = rng.standard_normal((n_points, 3)) * 5.0
+        centroids = rng.standard_normal((n_centroids, 3)) * 5.0
+    else:
+        points = rng.integers(0, 8, (n_points, 3)).astype(float)
+        centroids = rng.integers(0, 8, (n_centroids, 3)).astype(float)
+        if cloud == "coincident":
+            centroids = centroids[rng.integers(0, max(1, n_centroids // 3), n_centroids)]
+            centroids += 0.5
+    labels = rng.integers(0, n_centroids, n_points)
+    if from_nearest:
+        # The converging loop's case: the second-nearest centroid is often
+        # outside the neighbour block, so ``lower`` comes from the bound.
+        labels = _classify_tiled(points, centroids, 1 << 20)[0]
+    _restricted_vs_full(points, centroids, labels, inflate, fp32)
