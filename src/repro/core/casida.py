@@ -17,7 +17,6 @@ import numpy as np
 from repro.core.kernel import HxcKernel
 from repro.core.pair_products import pair_energies, pair_products
 from repro.eigen.dense import dense_eigh
-from repro.utils.linalg import symmetrize
 from repro.utils.timers import TimerRegistry
 from repro.utils.validation import require
 
@@ -36,17 +35,14 @@ def build_vhxc(
 ) -> np.ndarray:
     """Explicit Hartree-exchange-correlation matrix ``(N_cv, N_cv)``.
 
-    Follows Algorithm 1: face-splitting product, batched FFT application of
-    the Hartree operator, real-space GEMM against the pair matrix.
+    Face-splitting product, then one :meth:`HxcKernel.gram` of the pair
+    fields (Parseval: no inverse transform, no separate GEMM).
     """
     timers = timers or TimerRegistry()
     with timers.scope("pair_products"):
         z = pair_products(psi_v, psi_c)  # (N_r, N_cv)
     with timers.scope("kernel_fft"):
-        k = kernel.apply(z.T).T  # (N_r, N_cv)
-    with timers.scope("gemm"):
-        vhxc = (z.T @ k) * kernel.basis.grid.dv
-    return symmetrize(vhxc)
+        return kernel.gram(z.T)
 
 
 def build_casida_hamiltonian(

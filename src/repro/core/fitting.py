@@ -82,9 +82,8 @@ def fit_interpolation_vectors(
     v_pts = psi_v[:, indices]  # (N_v, N_mu)
     c_pts = psi_c[:, indices]  # (N_c, N_mu)
 
-    # Z C^T via the separable Hadamard identity.  The two tall-skinny GEMM
-    # outputs are the only O(N_r N_mu) temporaries; the Hadamard products
-    # fold in place so no third matrix of that size ever exists.
+    # Z C^T via the separable Hadamard identity, as (N_mu, N_r) rows; the
+    # Hadamard product folds in place, so two N_r x N_mu temporaries at most.
     fp32 = bool(precision.fit_fp32) and psi_v.dtype == np.float64
     if fp32:
         zct = _fitting_gemms_fp32(psi_v, psi_c, v_pts, c_pts)
@@ -104,27 +103,36 @@ def fit_interpolation_vectors(
                 )
                 fp32 = False
     if not fp32:
-        zct = psi_v.T @ v_pts  # (N_r, N_mu)
-        p_c = psi_c.T @ c_pts  # (N_r, N_mu)
-        zct *= p_c
+        zct = v_pts.T @ psi_v  # (N_mu, N_r)
+        zct *= c_pts.T @ psi_c
+    return solve_theta(v_pts, c_pts, zct, regularization=regularization)
 
-    # C C^T likewise, folded in place — N_mu x N_mu, always fp64 (it feeds
-    # the conditioning-sensitive Cholesky solve and costs O(N_mu^2 N_bands),
-    # negligible next to the N_r GEMMs above).
-    cct = v_pts.T @ v_pts  # (N_mu, N_mu)
-    g_c = c_pts.T @ c_pts
-    cct *= g_c
 
-    scale = float(np.trace(cct)) / max(cct.shape[0], 1)
-    ridge = regularization * max(scale, 1e-300)
-    cct_reg = cct
-    cct_reg[np.diag_indices_from(cct_reg)] += ridge
+def solve_theta(
+    v_pts: np.ndarray, c_pts: np.ndarray, zct: np.ndarray, *, regularization: float
+) -> np.ndarray:
+    """``Theta = Z C^T (C C^T + ridge)^{-1}``, ``(n_rows, N_mu)`` and F-ordered.
+
+    ``zct`` is ``(Z C^T)^T``, C-ordered ``(N_mu, n_rows)`` over any grid rows,
+    and is overwritten: with ``C C^T + ridge = R^T R``, two in-place
+    right-side ``dtrmm`` calls apply ``R^{-1}`` and ``R^{-T}`` to its
+    F-ordered view.  A factorization that breaks down falls back to ``lstsq``.
+    """
+    # C C^T, N_mu x N_mu and always fp64 (it feeds the conditioning-
+    # sensitive factorization; O(N_mu^2 N_bands), negligible next to Z C^T).
+    gram = v_pts.T @ v_pts
+    gram *= c_pts.T @ c_pts
+    scale = float(np.trace(gram)) / max(gram.shape[0], 1)
+    gram[np.diag_indices_from(gram)] += regularization * max(scale, 1e-300)
     try:
-        chol = sla.cho_factor(cct_reg, lower=False)
-        theta = sla.cho_solve(chol, zct.T).T
+        r_factor, _ = sla.cho_factor(gram, lower=False)
+        r_inv, info = sla.lapack.dtrtri(r_factor, lower=0, overwrite_c=1)
+        if info != 0:
+            raise sla.LinAlgError(f"dtrtri: singular Cholesky factor ({info})")
+        theta = sla.blas.dtrmm(1.0, r_inv, zct.T, side=1, overwrite_b=1)
+        return sla.blas.dtrmm(1.0, r_inv, theta, side=1, trans_a=1, overwrite_b=1)
     except sla.LinAlgError:
-        theta = np.linalg.lstsq(cct_reg, zct.T, rcond=None)[0].T
-    return theta
+        return np.linalg.lstsq(gram, zct, rcond=None)[0].T
 
 
 def _fitting_gemms_fp32(
@@ -133,15 +141,14 @@ def _fitting_gemms_fp32(
     v_pts: np.ndarray,
     c_pts: np.ndarray,
 ) -> np.ndarray:
-    """``Z C^T`` with the two tall-skinny GEMMs in fp32, result in fp64.
+    """``(Z C^T)^T`` with the two tall-skinny GEMMs in fp32, result in fp64.
 
     The Hadamard fold happens in fp32 (still elementwise-accurate to
-    ~eps_fp32 relative), then one upcast materializes the fp64 result the
-    Cholesky solve consumes.
+    ~eps_fp32 relative), then one upcast materializes the fp64 rows the
+    triangular solve consumes.
     """
-    zct32 = psi_v.astype(np.float32).T @ v_pts.astype(np.float32)
-    p_c32 = psi_c.astype(np.float32).T @ c_pts.astype(np.float32)
-    zct32 *= p_c32
+    zct32 = v_pts.astype(np.float32).T @ psi_v.astype(np.float32)
+    zct32 *= c_pts.astype(np.float32).T @ psi_c.astype(np.float32)
     return zct32.astype(np.float64)
 
 
@@ -153,15 +160,15 @@ def _sampled_gemm_error(
     zct: np.ndarray,
     n_rows: int = _FP32_CHECK_ROWS,
 ) -> float:
-    """Relative error of the fp32 ``Z C^T`` on a deterministic row sample.
+    """Relative error of the fp32 ``(Z C^T)^T`` on a deterministic sample.
 
-    Recomputes ``min(n_rows, N_r)`` evenly spaced rows of the separable
+    Recomputes ``min(n_rows, N_r)`` evenly spaced grid points of the separable
     product in fp64 — ``O(n_rows N_mu N_bands)``, a vanishing fraction of
     the full GEMM — and returns ``max |fp32 - fp64| / max |fp64|``.
     """
     n_r = psi_v.shape[1]
     sample = np.linspace(0, n_r - 1, num=min(n_rows, n_r), dtype=np.int64)
     sample = np.unique(sample)
-    ref = (psi_v[:, sample].T @ v_pts) * (psi_c[:, sample].T @ c_pts)
+    ref = (v_pts.T @ psi_v[:, sample]) * (c_pts.T @ psi_c[:, sample])
     scale = float(np.abs(ref).max()) or 1.0
-    return float(np.abs(zct[sample] - ref).max()) / scale
+    return float(np.abs(zct[:, sample] - ref).max()) / scale

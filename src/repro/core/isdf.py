@@ -56,7 +56,8 @@ class ISDFDecomposition:
     indices:
         ``(N_mu,)`` interpolation-point indices into the grid.
     theta:
-        ``(N_r, N_mu)`` interpolation vectors (auxiliary basis functions).
+        ``(N_r, N_mu)`` interpolation vectors (auxiliary basis functions);
+        F-ordered when fitted, so ``theta.T`` is contiguous rows.
     psi_v_mu / psi_c_mu:
         Orbital values at the interpolation points — the separable factors
         of ``C`` (kept factored so the implicit method never builds

@@ -29,13 +29,11 @@ def project_kernel(
     *,
     timers: TimerRegistry | None = None,
 ) -> np.ndarray:
-    """``Vtilde = Theta^T f_Hxc Theta`` of shape ``(N_mu, N_mu)`` (Eq. 7)."""
+    """``Vtilde = Theta^T f_Hxc Theta dV`` of shape ``(N_mu, N_mu)`` (Eq. 7),
+    one :meth:`HxcKernel.gram`: ``N_mu`` forward FFTs and no inverse."""
     timers = timers or TimerRegistry()
     with timers.scope("isdf_h/kernel_fft"):
-        k_theta = kernel.apply(isdf.theta.T).T  # (N_r, N_mu)
-    with timers.scope("isdf_h/gemm_project"):
-        vtilde = (isdf.theta.T @ k_theta) * kernel.basis.grid.dv
-    return symmetrize(vtilde)
+        return kernel.gram(isdf.theta.T)
 
 
 def build_isdf_hamiltonian(

@@ -4,6 +4,8 @@
 over the real-space grid: the Coulomb half is diagonal in reciprocal space
 (batch FFT -> multiply 4 pi / G^2 -> batch inverse FFT, exactly lines 4-5 of
 the paper's Algorithm 1) and the ALDA half is diagonal in real space.
+Matrix elements between the rows of one block (:meth:`HxcKernel.gram`)
+skip the inverse transform: by Parseval they are a Gram of the spectrum.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numpy as np
 from repro.dft.hartree import coulomb_kernel
 from repro.dft.xc import lda_kernel
 from repro.pw.basis import PlaneWaveBasis
+from repro.utils.linalg import weighted_gram
 from repro.utils.timers import TimerRegistry, fft_flops
 from repro.utils.validation import require
 
@@ -154,6 +157,17 @@ class HxcKernel:
             else:
                 out += fields * self._fxc_r
         return out
+
+    def gram(self, rows: np.ndarray) -> np.ndarray:
+        """``rows f_Hxc rows^T dV`` for real rows ``(m, N_r)``, exactly symmetric:
+        :meth:`ConvolutionPlan.gram` plus a Gram weighted by ``f_xc dV``."""
+        require(rows.ndim == 2 and rows.shape[1] == self.basis.n_r, "rows must be (m, N_r)")
+        gram = np.zeros((rows.shape[0], rows.shape[0]))
+        if self._coulomb_plan is not None:
+            gram += self._coulomb_plan.gram(rows)
+        if self._fxc_r is not None:
+            gram += weighted_gram(rows, self._fxc_r * self.basis.grid.dv)
+        return gram
 
     def matrix_elements(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """``M[i, j] = <left_i | f_Hxc | right_j>`` for rows of fields.

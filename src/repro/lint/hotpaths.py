@@ -46,7 +46,7 @@ HOT_PATH_MANIFEST: dict[str, frozenset[str]] = {
     # input staging buffers.  The manifest entry keeps the rule watching
     # so any *new* per-call allocation added here is flagged.
     "repro/pw/fft.py": frozenset(
-        {"scratch", "FourierGrid.convolve_real", "ConvolutionPlan.apply"}
+        {"scratch", "FourierGrid.convolve_real", "ConvolutionPlan.apply", "ConvolutionPlan.gram"}
     ),
     "repro/core/isdf.py": frozenset(
         {"ISDFDecomposition.apply_c", "ISDFDecomposition.apply_ct"}

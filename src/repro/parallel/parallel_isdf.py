@@ -19,8 +19,8 @@ with the orbitals arriving row-block distributed over grid points and
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
+from repro.core.fitting import solve_theta
 from repro.core.kernel import HxcKernel
 from repro.core.kmeans import NO_INDEX, representatives
 from repro.core.pair_products import pair_energies
@@ -123,20 +123,14 @@ def distributed_fit_theta(
     Local work: two Hadamard tall-skinny GEMMs over the owned grid rows;
     global work: one Allreduce of the ``(n_bands, N_mu)`` point values
     (inside :func:`_gather_point_values`) and the replicated ``N_mu x N_mu``
-    Cholesky.
+    factorization of the serial fit's shared :func:`solve_theta`.
     """
     v_pts = _gather_point_values(comm, psi_v_local, indices, grid_dist)
     c_pts = _gather_point_values(comm, psi_c_local, indices, grid_dist)
 
-    p_v = psi_v_local.T @ v_pts  # (my_rows, N_mu)
-    p_c = psi_c_local.T @ c_pts
-    zct_local = p_v * p_c
-
-    gram = (v_pts.T @ v_pts) * (c_pts.T @ c_pts)
-    scale = float(np.trace(gram)) / max(gram.shape[0], 1)
-    gram = gram + regularization * max(scale, 1e-300) * np.eye(gram.shape[0])
-    chol = sla.cho_factor(gram, lower=False)
-    return sla.cho_solve(chol, zct_local.T).T
+    zct_local = v_pts.T @ psi_v_local  # (N_mu, my_rows)
+    zct_local *= c_pts.T @ psi_c_local
+    return solve_theta(v_pts, c_pts, zct_local, regularization=regularization)
 
 
 def distributed_optimized_lrtddft(

@@ -238,6 +238,39 @@ class ConvolutionPlan:
             fields, self.kernel, kernel_half=self.kernel_half
         )
 
+    @array_contract(
+        shapes={"fields": ("m", "n_r")},
+        dtypes={"fields": "float64"},
+        returns={"shape": ("m", "m"), "dtype": "float64"},
+        precision_policy="fp32-scratch",
+    )
+    def gram(self, fields: np.ndarray) -> np.ndarray:
+        """``fields K fields^T dV`` for real ``(m, N_r)`` fields, by Parseval.
+
+        One SYRK of the ``rfftn`` spectrum scaled by ``sqrt(w K dV / N_r)``: no
+        inverse transform, exactly symmetric, fp32 plans checked as in :meth:`apply`.
+        """
+        if (self.kernel_half < 0).any():
+            raise ValueError("the Parseval Gram needs a nonnegative kernel")
+        if self.dtype == np.float32 and not self.degraded:
+            return self._checked(
+                self._parseval_gram(fields.astype(np.float32)),
+                lambda: self._parseval_gram(fields),
+            )
+        return self._parseval_gram(fields)
+
+    def _parseval_gram(self, fields: np.ndarray) -> np.ndarray:
+        grid = self.fourier.grid
+        spec = scipy.fft.rfftn(grid.reshape_to_grid(fields), axes=_AXES, workers=fft_workers())
+        spec = spec.astype(np.complex128, copy=False)
+        # w = 1 on the self-conjugate planes k3 = 0 and k3 = n3 / 2 (even
+        # n3); every other half-spectrum entry also stands for -G (w = 2).
+        k3 = np.arange(spec.shape[-1])
+        weight = np.where((k3 == 0) | (2 * k3 == grid.shape[2]), 1.0, 2.0)
+        spec *= np.sqrt(self.kernel_half * weight * (grid.dv / grid.n_points))
+        flat = spec.reshape(fields.shape[0], -1).view(np.float64)
+        return flat @ flat.T
+
     def _apply_fp32(self, fields: np.ndarray) -> np.ndarray | None:
         """The fp32-scratch apply; ``None`` defers to the fp64 path.
 
@@ -247,31 +280,36 @@ class ConvolutionPlan:
         fields = np.asarray(fields)
         if not np.isrealobj(fields):
             return None
-        grid = self.fourier.grid
-        out = _rfft_convolve(grid, fields.astype(np.float32), self.kernel_half32)
-        result = out.astype(np.float64)
-        if self.verify and not self._verified:
-            self._verified = True
-            reference = self.fourier.convolve_real(
-                fields, self.kernel, kernel_half=self.kernel_half
-            )
-            scale = float(np.abs(reference).max()) or 1.0
-            error = float(np.abs(result - reference).max()) / scale
-            if not np.isfinite(error) or error > self.tol:
-                self.degraded = True
-                from repro.resilience.events import resilience_log
+        out = _rfft_convolve(self.fourier.grid, fields.astype(np.float32), self.kernel_half32)
+        return self._checked(
+            out.astype(np.float64),
+            lambda: self.fourier.convolve_real(fields, self.kernel, kernel_half=self.kernel_half),
+        )
 
-                resilience_log().record(
-                    self.stage,
-                    "fallback-fp64",
-                    f"fp32 FFT scratch error {error:.3e} exceeds "
-                    f"tolerance {self.tol:.1e}; plan degraded to fp64",
-                    error=error,
-                    tol=self.tol,
-                    grid=tuple(grid.shape),
-                )
-                return reference
-        return result
+    def _checked(self, result: np.ndarray, reference) -> np.ndarray:
+        """``result`` of an fp32 call; on the first, a deviation above ``tol``
+        from the fp64 ``reference()`` degrades the plan and returns that."""
+        if not self.verify or self._verified:
+            return result
+        self._verified = True
+        expected = reference()
+        scale = float(np.abs(expected).max()) or 1.0
+        error = float(np.abs(result - expected).max()) / scale
+        if np.isfinite(error) and error <= self.tol:
+            return result
+        self.degraded = True
+        from repro.resilience.events import resilience_log
+
+        resilience_log().record(
+            self.stage,
+            "fallback-fp64",
+            f"fp32 FFT scratch error {error:.3e} exceeds "
+            f"tolerance {self.tol:.1e}; plan degraded to fp64",
+            error=error,
+            tol=self.tol,
+            grid=tuple(self.fourier.grid.shape),
+        )
+        return expected
 
 
 class PlanCache:

@@ -16,6 +16,17 @@ def symmetrize(matrix: np.ndarray) -> np.ndarray:
     return 0.5 * (matrix + matrix.conj().T)
 
 
+def weighted_gram(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``rows diag(weights) rows^T``, exactly symmetric: one SYRK of the
+    rows scaled by ``sqrt(|weights|)`` per sign class of ``weights``."""
+    gram = np.zeros((rows.shape[0], rows.shape[0]))
+    scale = np.sqrt(np.abs(weights))
+    for mask, sign in ((weights > 0, 1.0), (weights < 0, -1.0)):
+        part = rows * scale if mask.all() else rows[:, mask] * scale[mask]
+        gram += sign * (part @ part.T)
+    return gram
+
+
 def orthonormalize(block: np.ndarray, *, b_block: np.ndarray | None = None) -> np.ndarray:
     """Orthonormalize the columns of ``block`` (optionally B-orthonormalize).
 

@@ -88,3 +88,86 @@ def test_batched_apply(basis, density):
 def test_density_shape_validated(basis):
     with pytest.raises(ValueError, match="density"):
         HxcKernel(basis, np.zeros(10))
+
+
+# -- the Parseval Gram --------------------------------------------------------
+
+_GRAM_KERNELS = {
+    "hxc": {},
+    "hartree-only": {"include_xc": False},
+    "xc-only": {"include_hartree": False},
+    "truncated": {"coulomb_truncation": "auto"},
+    "triplet": {"spin": "triplet"},
+}
+
+
+def _relative_max(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+class TestGram:
+    """``HxcKernel.gram`` against the apply-then-GEMM formula it replaces."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[((9.0, 8.0, 8.0), 1), ((8.0, 8.0, 9.0), 0)],
+        ids=["odd-n3", "even-n3"],
+    )
+    def grid_basis(self, request):
+        lengths, parity = request.param
+        basis = PlaneWaveBasis(UnitCell(np.diag(lengths)), ecut=6.0)
+        assert basis.grid.shape[2] % 2 == parity
+        return basis
+
+    @pytest.mark.parametrize("name", list(_GRAM_KERNELS))
+    def test_matches_apply_then_gemm(self, grid_basis, name):
+        rng = default_rng(8)
+        density = rng.random(grid_basis.n_r) + 0.1
+        rows = rng.standard_normal((6, grid_basis.n_r))
+        kernel = HxcKernel(grid_basis, density, **_GRAM_KERNELS[name])
+        gram = kernel.gram(rows)
+        expected = rows @ kernel.apply(rows).T * grid_basis.grid.dv
+        assert _relative_max(gram, expected) <= 1e-13
+        np.testing.assert_array_equal(gram, gram.T)
+
+    def test_mixed_sign_weights(self):
+        from repro.utils.linalg import weighted_gram
+
+        rng = default_rng(9)
+        rows = rng.standard_normal((5, 300))
+        weights = rng.standard_normal(300)
+        assert (weights > 0).any() and (weights < 0).any()
+        gram = weighted_gram(rows, weights)
+        assert _relative_max(gram, (rows * weights) @ rows.T) <= 1e-13
+        np.testing.assert_array_equal(gram, gram.T)
+
+    def test_projection_is_forward_transforms_only(self, basis, density, monkeypatch):
+        """``Vtilde`` takes one forward transform per interpolation vector
+        and no inverse transform."""
+        import scipy.fft
+
+        from repro.core.isdf import ISDFDecomposition
+        from repro.core.isdf_hamiltonian import project_kernel
+
+        kernel = HxcKernel(basis, density)
+        n_mu = 7
+        rng = default_rng(10)
+        isdf = ISDFDecomposition(
+            indices=np.arange(n_mu),
+            theta=np.asfortranarray(rng.standard_normal((basis.n_r, n_mu))),
+            psi_v_mu=np.ones((1, n_mu)),
+            psi_c_mu=np.ones((1, n_mu)),
+            method="kmeans",
+        )
+        counts = {"rfftn": 0, "irfftn": 0, "fftn": 0, "ifftn": 0}
+        for name in counts:
+            original = getattr(scipy.fft, name)
+
+            def counted(x, *args, _name=name, _original=original, **kwargs):
+                counts[_name] += int(np.prod(np.shape(x)[:-3]))
+                return _original(x, *args, **kwargs)
+
+            monkeypatch.setattr(scipy.fft, name, counted)
+        vtilde = project_kernel(isdf, kernel)
+        assert counts == {"rfftn": n_mu, "irfftn": 0, "fftn": 0, "ifftn": 0}
+        assert vtilde.shape == (n_mu, n_mu)

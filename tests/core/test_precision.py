@@ -124,6 +124,73 @@ class TestMixedFit:
         assert not np.array_equal(theta, theta64)
 
 
+class TestMixedGram:
+    """The fp32 Coulomb plan behind ``HxcKernel.gram`` (the ``Vtilde``
+    projection): fp32 transform, fp64 Gram, first-call cross-check."""
+
+    @pytest.fixture()
+    def problem(self, monkeypatch):
+        from repro.atoms import bulk_silicon
+        from repro.core import isdf_decompose
+        from repro.pw import fft
+        from repro.synthetic import synthetic_ground_state
+
+        # A private plan cache: the fp32 plan must meet its first call here.
+        monkeypatch.setattr(fft, "_DEFAULT_PLAN_CACHE", fft.PlanCache())
+        gs = synthetic_ground_state(
+            bulk_silicon(8), ecut=5.0, n_valence=8, n_conduction=6, seed=11
+        )
+        psi_v, _, psi_c, _ = gs.select_transition_space()
+        isdf = isdf_decompose(
+            psi_v, psi_c, 24, grid_points=gs.basis.grid.cartesian_points
+        )
+        return gs, isdf
+
+    def test_mixed_vtilde_within_fft_tol(self, problem, log):
+        from repro.core import HxcKernel
+        from repro.core.isdf_hamiltonian import project_kernel
+
+        gs, isdf = problem
+        log, before = log
+        strict = project_kernel(isdf, HxcKernel(gs.basis, gs.density))
+        mixed_kernel = HxcKernel(gs.basis, gs.density, precision="mixed")
+        mixed = project_kernel(isdf, mixed_kernel)
+        assert mixed_kernel._coulomb_plan.dtype == np.float32
+        assert not mixed_kernel._coulomb_plan.degraded
+        err = np.abs(mixed - strict).max() / np.abs(strict).max()
+        assert 0.0 < err <= resolve_precision("mixed").fft_tol
+        assert len(log) == before
+
+    def test_tampered_spectrum_degrades_to_the_fp64_gram(
+        self, problem, log, monkeypatch
+    ):
+        import scipy.fft
+
+        from repro.core import HxcKernel
+
+        gs, isdf = problem
+        log, before = log
+        rows = isdf.theta.T
+        strict = HxcKernel(gs.basis, gs.density).gram(rows)
+        kernel = HxcKernel(gs.basis, gs.density, precision="mixed")
+        rfftn = scipy.fft.rfftn
+
+        def tampered(x, *args, **kwargs):
+            spec = rfftn(x, *args, **kwargs)
+            if spec.dtype == np.complex64:
+                spec[..., 1, 1, 1] *= 2.0
+            return spec
+
+        monkeypatch.setattr(scipy.fft, "rfftn", tampered)
+        np.testing.assert_array_equal(kernel.gram(rows), strict)
+        assert kernel._coulomb_plan.degraded
+        np.testing.assert_array_equal(kernel.gram(rows), strict)
+        events = log.events()[before:]
+        assert [(e.stage, e.action) for e in events] == [
+            ("fft-convolve", "fallback-fp64")
+        ]
+
+
 class TestMixedKmeans:
     @pytest.fixture()
     def problem(self, rng):

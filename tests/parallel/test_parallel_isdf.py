@@ -159,6 +159,47 @@ class TestDistributedFit:
         assembled = np.concatenate(results, axis=0)
         np.testing.assert_allclose(assembled, serial, atol=1e-10)
 
+    @pytest.mark.parametrize("n_ranks", [1, 2, 3])
+    def test_singular_gram_falls_back_like_serial(
+        self, problem, n_ranks, monkeypatch
+    ):
+        """A repeated point makes the unridged Gram singular: its Cholesky
+        factorization breaks down, and the serial and distributed fits take
+        the same least-squares fallback."""
+        from repro.core import fit_interpolation_vectors
+        from repro.utils.rng import default_rng
+
+        gs, psi_v, _, psi_c, _, _ = problem
+        indices = np.sort(
+            default_rng(0).choice(gs.basis.n_r, size=24, replace=False)
+        )
+        indices = np.sort(np.append(indices, indices[5]))
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counted_lstsq(*args, **kwargs):
+            calls.append(args[1].shape)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+        serial = fit_interpolation_vectors(
+            psi_v, psi_c, indices, regularization=0.0
+        )
+        assert len(calls) == 1
+        grid_dist = BlockDistribution1D(gs.basis.n_r, n_ranks)
+
+        def prog(comm):
+            sl = grid_dist.local_slice(comm.rank)
+            return distributed_fit_theta(
+                comm, psi_v[:, sl], psi_c[:, sl], indices, grid_dist,
+                regularization=0.0,
+            )
+
+        # Thread ranks: the call counter lives in this process.
+        results = spmd_run(n_ranks, prog, backend="thread")
+        assert len(calls) == 1 + n_ranks
+        np.testing.assert_array_equal(np.concatenate(results, axis=0), serial)
+
 
 class TestEndToEnd:
     @pytest.mark.parametrize("n_ranks", [1, 2, 4])
