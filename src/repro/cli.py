@@ -419,7 +419,6 @@ def cmd_bench_serve(args) -> int:
 
 def cmd_lint(args) -> int:
     from repro.lint import (
-        ARRAY_RULE_NAMES,
         all_project_rules,
         all_rules,
         check_suppressions,
@@ -438,24 +437,13 @@ def cmd_lint(args) -> int:
         findings = check_suppressions(args.paths)
         rules_enabled = None
     else:
-        selection = args.select or None
-        if args.no_arrays and selection is None:
-            # The escape hatch drops only the array-contract rules; an
-            # explicit --select already names exactly what runs.
-            selection = [
-                name for name in rule_inventory() if name not in ARRAY_RULE_NAMES
-            ]
         findings = lint_paths(
-            args.paths, rules=selection, project=not args.no_project
+            args.paths, rules=args.select or None, project=not args.no_project
         )
         # Embed the active inventory only for a full run, where it is a
         # faithful statement of what was checked (baseline tooling relies
         # on it to catch silently-vanished rules).
-        rules_enabled = (
-            rule_inventory()
-            if args.select is None and not args.no_arrays
-            else None
-        )
+        rules_enabled = rule_inventory() if args.select is None else None
     output = format_findings(findings, fmt=args.format, rules_enabled=rules_enabled)
     if output:
         print(output)
@@ -628,10 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "match a live finding (stale-suppression)")
     p_lint.add_argument("--no-project", action="store_true",
                         help="skip the whole-program (call-graph) rules")
-    p_lint.add_argument("--no-arrays", action="store_true",
-                        help="skip the array-contract rules (shape/dtype/"
-                             "layout abstract interpretation); they run by "
-                             "default")
     return parser
 
 

@@ -247,7 +247,7 @@ def register_project_rule(rule_cls: type[ProjectRule]) -> type[ProjectRule]:
 def _load_builtin_rules() -> None:
     """Make ``lint_paths``/``get_rules`` see the built-in rules regardless
     of which ``repro.lint`` submodule the caller imported first."""
-    from repro.lint import arrays, project_rules, rules  # noqa: F401
+    from repro.lint import project_rules, rules  # noqa: F401
 
 
 def all_rules() -> tuple[LintRule, ...]:

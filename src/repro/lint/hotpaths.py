@@ -13,25 +13,14 @@ The manifest keys are posix path *suffixes*, so the same table works for
 
 from __future__ import annotations
 
-from repro.utils.hot import ArrayContractError, ContractSpec, array_contract
-
 __all__ = [
-    "ARRAY_CONTRACT_DECORATORS",
-    "ArrayContractError",
-    "ContractSpec",
     "HOT_DECORATORS",
     "HOT_PATH_MANIFEST",
-    "array_contract",
     "hot_functions_for",
 ]
 
 #: Decorator names that mark a function as a hot kernel.
 HOT_DECORATORS = frozenset({"hot_kernel"})
-
-#: Decorator names declaring an array contract (the decorator itself lives
-#: in :mod:`repro.utils.hot` so runtime modules never import the lint
-#: package; this module re-exports it as the canonical lint-facing name).
-ARRAY_CONTRACT_DECORATORS = frozenset({"array_contract"})
 
 #: module-path suffix -> qualified function names under allocation discipline.
 HOT_PATH_MANIFEST: dict[str, frozenset[str]] = {

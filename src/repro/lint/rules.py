@@ -19,7 +19,6 @@ from repro.lint.engine import (
 from repro.lint.hotpaths import HOT_DECORATORS, hot_functions_for
 
 __all__ = [
-    "MutatedRecvBuffer",
     "NoAllocInHot",
     "NoBlindExcept",
     "NondeterminismInReplay",
@@ -290,139 +289,6 @@ class NondeterminismInReplay(LintRule):
                 f"reduction inside checkpoint-replayed {qual!r}; wrap in "
                 "sorted(...) so replay order is deterministic",
             )
-
-
-# ---------------------------------------------------------------------------
-# mutated-recv-buffer
-# ---------------------------------------------------------------------------
-
-#: comm methods / redistribute helpers whose return value aliases a buffer
-#: owned by (or shared with) another rank in the thread-per-rank runtime.
-_RECV_METHODS = frozenset({"recv", "bcast", "scatter"})
-_RECV_FUNCS = frozenset(
-    {
-        "allgather_rows",
-        "reliable_recv",
-        "row_block_to_block_cyclic",
-        "transpose_to_column_block",
-        "transpose_to_row_block",
-    }
-)
-_MUTATING_METHODS = frozenset(
-    {"fill", "partition", "put", "resize", "sort", "setfield", "byteswap"}
-)
-
-
-def _is_recv_call(node: ast.AST) -> bool:
-    if not isinstance(node, ast.Call):
-        return False
-    name = dotted_name(node.func)
-    head, _, leaf = name.rpartition(".")
-    return (leaf in _RECV_METHODS and head != "") or (
-        leaf in _RECV_FUNCS and head == ""
-    ) or name in _RECV_FUNCS
-
-
-@register_rule
-class MutatedRecvBuffer(LintRule):
-    """The thread-per-rank comm layer exchanges arrays *by reference*.
-
-    Writing into an array returned by ``comm.recv`` / ``comm.bcast`` / the
-    redistribute helpers mutates the sender's buffer (and every other
-    receiver's view) — a data race the production MPI build doesn't have,
-    and exactly what the runtime sanitizer flags dynamically.  Take a
-    ``.copy()`` before mutating.
-    """
-
-    name = "mutated-recv-buffer"
-    description = "in-place mutation of a buffer received through the comm layer"
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        for qual, fn in _iter_functions(module.tree):
-            yield from self._check_function(module, qual, fn)
-
-    @staticmethod
-    def _scope_nodes(fn: ast.AST) -> Iterator[ast.AST]:
-        """Walk ``fn``'s own scope in source order: skip nested ``def``
-        bodies (they get their own pass with their own name table, so a
-        nested-scope assignment can neither start nor stop tracking a name
-        out here), keep lambda and comprehension bodies (they close over
-        this scope's names and cannot rebind them)."""
-
-        def walk(node: ast.AST) -> Iterator[ast.AST]:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, _FUNC_NODES):
-                    continue
-                yield child
-                yield from walk(child)
-
-        yield from walk(fn)
-
-    def _check_function(
-        self, module: SourceModule, qual: str, fn: ast.AST
-    ) -> Iterator[Finding]:
-        tracked: dict[str, int] = {}  # name -> line of the receiving assign
-        for node in self._scope_nodes(fn):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name):
-                    if _is_recv_call(node.value):
-                        tracked[target.id] = node.lineno
-                    elif target.id in tracked:
-                        # reassigned (e.g. to a .copy()): no longer shared.
-                        del tracked[target.id]
-                    continue
-            yield from self._check_mutation(module, qual, node, tracked)
-
-    def _check_mutation(
-        self,
-        module: SourceModule,
-        qual: str,
-        node: ast.AST,
-        tracked: dict[str, int],
-    ) -> Iterator[Finding]:
-        def hit(name_node: ast.AST) -> str | None:
-            if isinstance(name_node, ast.Name) and name_node.id in tracked:
-                return name_node.id
-            return None
-
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Subscript):
-                    name = hit(target.value)
-                    if name:
-                        yield self._flag(module, qual, node, name, tracked[name])
-        elif isinstance(node, ast.AugAssign):
-            base = node.target.value if isinstance(node.target, ast.Subscript) else node.target
-            name = hit(base)
-            if name:
-                yield self._flag(module, qual, node, name, tracked[name])
-        elif isinstance(node, ast.Call):
-            if isinstance(node.func, ast.Attribute) and node.func.attr in _MUTATING_METHODS:
-                name = hit(node.func.value)
-                if name:
-                    yield self._flag(module, qual, node, name, tracked[name])
-            for kw in node.keywords:
-                if kw.arg == "out":
-                    name = hit(kw.value)
-                    if name:
-                        yield self._flag(module, qual, node, name, tracked[name])
-
-    def _flag(
-        self,
-        module: SourceModule,
-        qual: str,
-        node: ast.AST,
-        name: str,
-        recv_line: int,
-    ) -> Finding:
-        return self.finding(
-            module,
-            node,
-            f"{qual!r} mutates {name!r} received through the comm layer at "
-            f"line {recv_line} in place; buffers are shared by reference — "
-            f"use {name}.copy() first",
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from repro.utils.validation import require
     },
     dtypes={"z_local": "float64", "k_local": "float64"},
     contiguous=("z_local", "k_local"),
-    precision_policy="fp32-wire",
 )
 def pipelined_vhxc_rows(
     comm: Communicator,

@@ -65,7 +65,6 @@ from repro.parallel.comm import (
 )
 from repro.parallel import shm
 from repro.parallel.sanitizer import SpmdSanitizer, board_size
-from repro.utils.hot import array_contract
 from repro.utils.validation import require
 
 __all__ = ["ProcessCommunicator", "process_spmd_run"]
@@ -203,7 +202,6 @@ class ProcessCommunicator(Communicator):
 
     # -- shared-memory exchange ----------------------------------------------
 
-    @array_contract(shapes={"value": "any"})
     def _publish(self, value) -> None:
         """Write ``value`` into this rank's outbox + metadata board slot.
 
@@ -256,10 +254,6 @@ class ProcessCommunicator(Communicator):
             pickled_bytes=len(descriptor),
         )
 
-    # Vacuous contracts on the descriptor/decode pair keep the whole
-    # exchange path enrolled in the static pass (and its coverage report)
-    # without constraining the duck-typed pickled payloads.
-    @array_contract()
     def _peer_descriptor(self, src: int) -> tuple[object, list, shm.SharedSlab]:
         gen, desc_off, desc_len = _META.unpack_from(
             self._runtime.board.buf, src * _META_SLOT
@@ -282,7 +276,6 @@ class ProcessCommunicator(Communicator):
         encoded, metas = pickle.loads(bytes(slab.buf[desc_off : desc_off + desc_len]))
         return encoded, metas, slab
 
-    @array_contract()
     def _materialize(self, node, metas, slab, copy: bool, depth: int = 0):
         if isinstance(node, _ArrayRef):
             offset, shape, dtype = metas[node.index]

@@ -149,7 +149,7 @@ class SharedSlab:
         )
         return np.ndarray(shape, dtype=dtype, buffer=self._segment.buf, offset=offset)
 
-    @array_contract(shapes={"data": "any"}, contiguous=("data",))
+    @array_contract(contiguous=("data",))
     def write(self, data: bytes | memoryview | np.ndarray, offset: int = 0) -> int:
         """Copy raw bytes into the slab; returns the byte count written.
 
@@ -275,7 +275,6 @@ class SlabArena:
         self._slab = self._registry.create(name, size)
         self._cursor = 0
 
-    @array_contract(shapes={"arr": "any"})
     def write_array(self, arr: np.ndarray) -> tuple[str, int]:
         """Copy ``arr``'s bytes in; returns ``(segment name, offset)``."""
         arr = np.ascontiguousarray(arr)

@@ -143,7 +143,7 @@ class FourierGrid:
                 kernel_half = self.half_kernel(kernel)
             return _rfft_convolve(self.grid, fields, kernel_half)
         # Complex input keeps the full-spectrum round trip.
-        f_g = self.forward(fields.astype(complex))  # repro-lint: disable=silent-upcast-in-hot -- deliberate complex round-trip: complex input keeps the full-spectrum path; real input takes the rfftn path above
+        f_g = self.forward(fields.astype(complex))
         f_g *= kernel
         return self.backward(f_g).real
 
@@ -226,7 +226,6 @@ class ConvolutionPlan:
         shapes={"fields": ("...", "n_r")},
         dtypes={"fields": ("float64", "complex128")},
         returns={"dtype": "float64"},
-        precision_policy="fp32-scratch",
     )
     def apply(self, fields: np.ndarray) -> np.ndarray:
         """Convolve real ``(..., N_r)`` fields with the planned kernel."""
@@ -242,7 +241,6 @@ class ConvolutionPlan:
         shapes={"fields": ("m", "n_r")},
         dtypes={"fields": "float64"},
         returns={"shape": ("m", "m"), "dtype": "float64"},
-        precision_policy="fp32-scratch",
     )
     def gram(self, fields: np.ndarray) -> np.ndarray:
         """``fields K fields^T dV`` for real ``(m, N_r)`` fields, by Parseval.

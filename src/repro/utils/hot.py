@@ -8,44 +8,30 @@ buffers or operator temporaries per call/iteration beyond the documented
 are enrolled via :data:`repro.lint.hotpaths.HOT_PATH_MANIFEST` instead.
 
 ``@array_contract`` declares the shape/dtype/layout preconditions of a hot
-kernel's array parameters (and optionally its return value).  The contract
-is double-checked:
+kernel's array parameters (and optionally its return value).  With
+``REPRO_ARRAY_CONTRACTS=1`` in the environment at import time the
+decorator wraps the function with cheap entry asserts (dtype membership,
+C-contiguity, rank and named-dim consistency); the test suite sets it for
+the whole session.  The gate is decided once at decoration time, so the
+default mode returns the function object unchanged: zero overhead,
+bit-identical behaviour.  Either way the declaration is validated when the
+function is decorated, including that every name it constrains is a
+parameter of the function — a misspelled name would otherwise switch its
+check off silently.
 
-* **statically** — the abstract interpreter in :mod:`repro.lint.arrays`
-  verifies declared contracts against inferred facts and checks resolved
-  call sites against them, and
-* **at runtime** — with ``REPRO_ARRAY_CONTRACTS=1`` in the environment at
-  import time the decorator wraps the function with cheap entry asserts
-  (dtype membership, C-contiguity, rank and named-dim consistency).  The
-  gate is decided once at decoration time, so the default mode returns the
-  function object unchanged: zero overhead, bit-identical behaviour.
-
-Contract vocabulary (all values must be literals so the static pass can
-read them straight off the AST):
+Contract vocabulary:
 
 * ``shapes={"x": ("n", "k")}`` — symbolic dims unify *within one call*:
   every occurrence of ``"n"`` across the declared parameters must agree.
   Integer entries pin a dim exactly; a leading ``"..."`` matches any
-  number of extra leading axes; the string ``"any"`` (instead of a tuple)
-  declares an array-typed parameter without constraining its shape.
+  number of extra leading axes.
 * ``dtypes={"x": "float64"}`` or ``("float64", "complex128")`` — allowed
-  dtype names on the lint lattice (bool, int64, float32, float64,
-  complex128); inputs canonicalize through the same buckets (e.g. int32
-  counts as int64, complex64 as complex128).
+  dtype names on the lattice (bool, int64, float32, float64, complex128);
+  inputs canonicalize through the same buckets (e.g. int32 counts as
+  int64, complex64 as complex128).
 * ``contiguous=("x",)`` — the named parameters must be C-contiguous.
 * ``returns={"contiguous": True, "dtype": "float64", "shape": (...)}`` —
-  validated on exit in runtime mode; statically checked only when the
-  return fact is inferable.
-* ``precision_policy="fp32-compute"`` — declares that this kernel hosts a
-  *sanctioned* mixed-precision path (see :mod:`repro.precision`): it may
-  downcast float64 operands to float32 internally, guarded by an
-  a-posteriori error estimate.  The ``silent-upcast-in-hot`` lint rule
-  rejects undeclared float64 -> float32 casts in hot kernels; this field
-  is the static declaration that makes the downcast reviewed policy
-  rather than an accident.  Conventional values: ``"fp32-compute"``
-  (fp32 GEMM/classification with fp64 accumulation), ``"fp32-wire"``
-  (fp32 collective payloads with fp64 reduction buffers),
-  ``"fp32-scratch"`` (fp32 FFT scratch with fp64 results).
+  validated on exit.
 """
 
 from __future__ import annotations
@@ -96,7 +82,7 @@ _DTYPE_BUCKETS: dict[str, str] = {
     "cdouble": "complex128",
 }
 
-#: The lattice order (join = max index); exported for the lint layer.
+#: The dtype names a contract may declare.
 DTYPE_LATTICE: tuple[str, ...] = (
     "bool",
     "int64",
@@ -129,7 +115,7 @@ class ArrayContractError(AssertionError):
 class ContractSpec:
     """Parsed, immutable form of one ``@array_contract`` declaration."""
 
-    __slots__ = ("shapes", "dtypes", "contiguous", "returns", "precision_policy")
+    __slots__ = ("shapes", "dtypes", "contiguous", "returns")
 
     def __init__(
         self,
@@ -137,13 +123,11 @@ class ContractSpec:
         dtypes: Mapping[str, tuple[str, ...]],
         contiguous: tuple[str, ...],
         returns: Mapping[str, Any] | None,
-        precision_policy: str | None = None,
     ) -> None:
         self.shapes = dict(shapes)
         self.dtypes = dict(dtypes)
         self.contiguous = contiguous
         self.returns = dict(returns) if returns else None
-        self.precision_policy = precision_policy
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -173,13 +157,6 @@ def _normalize_dtypes(
 
 
 def _check_shape_spec(name: str, spec: object) -> None:
-    if isinstance(spec, str):
-        if spec != "any":
-            raise ValueError(
-                f"array_contract shape for {name!r} must be a tuple of dims "
-                f"or the string 'any', got {spec!r}"
-            )
-        return
     if not isinstance(spec, (tuple, list)):
         raise ValueError(
             f"array_contract shape for {name!r} must be a tuple, got {spec!r}"
@@ -257,7 +234,7 @@ def validate_contract_value(
     shape_spec = spec.shapes.get(name)
     if name == "return" and spec.returns is not None:
         shape_spec = spec.returns.get("shape", shape_spec)
-    if shape_spec is None or shape_spec == "any":
+    if shape_spec is None:
         return
     declared = tuple(shape_spec)
     ellipsis = bool(declared) and declared[0] == "..."
@@ -329,23 +306,15 @@ def array_contract(
     dtypes: Mapping[str, str | Sequence[str]] | None = None,
     contiguous: Sequence[str] = (),
     returns: Mapping[str, Any] | None = None,
-    precision_policy: str | None = None,
 ) -> Callable[[F], F]:
     """Declare the array contract of a hot kernel (see module docstring).
 
     Always attaches the parsed :class:`ContractSpec` as
     ``__repro_array_contract__``; wraps the function with entry asserts
     only when ``REPRO_ARRAY_CONTRACTS`` was set at decoration time.
-    ``precision_policy`` statically sanctions an internal float64 ->
-    float32 downcast (mixed-precision stage); it adds no runtime checks.
+    Raises ``ValueError`` when the contract names a parameter the
+    decorated function does not have.
     """
-    if precision_policy is not None and (
-        not isinstance(precision_policy, str) or not precision_policy
-    ):
-        raise ValueError(
-            "array_contract precision_policy must be a non-empty string, "
-            f"got {precision_policy!r}"
-        )
     for name, spec in (shapes or {}).items():
         _check_shape_spec(name, spec)
     if returns is not None:
@@ -364,10 +333,17 @@ def array_contract(
         _normalize_dtypes(dtypes),
         tuple(contiguous),
         returns,
-        precision_policy,
     )
 
     def mark(fn: F) -> F:
+        code = fn.__code__
+        params = code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
+        unknown = sorted(set(parsed.param_names) - set(params))
+        if unknown:
+            raise ValueError(
+                f"array_contract of {fn.__qualname__}() names unknown "
+                f"parameter(s) {unknown}; it has {list(params)}"
+            )
         out: Callable = fn
         if array_contracts_enabled() and not parsed.is_vacuous():
             out = _runtime_wrapper(fn, parsed)

@@ -1,7 +1,16 @@
 """Shared fixtures: converged ground states are expensive, so they are
-computed once per session and reused by the DFT, core and parallel tests."""
+computed once per session and reused by the DFT, core and parallel tests.
+
+The whole session runs with runtime array contracts on: every
+``@array_contract`` kernel checks its arguments' dtype, layout and shape on
+entry.  ``repro.utils.hot`` reads the gate when a function is decorated, so
+it is set here, before the first ``repro`` import."""
 
 from __future__ import annotations
+
+import os
+
+os.environ["REPRO_ARRAY_CONTRACTS"] = "1"
 
 import numpy as np
 import pytest

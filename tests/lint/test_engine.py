@@ -29,7 +29,6 @@ class TestRegistry:
         assert names >= {
             "no-alloc-in-hot",
             "nondeterminism-in-replay",
-            "mutated-recv-buffer",
             "no-blind-except",
         }
 

@@ -13,45 +13,36 @@ Runs, in order:
    suppression comment must still match a live finding (stale waivers fail),
 5. **lint baseline** — ``tools/check_lint_baseline.py``: no new findings
    versus the committed baseline, and no silently-vanished rules,
-6. **arrays static pass** — the array-contract analyzer over ``src``:
-   every hot-path-manifest function must carry a well-formed
-   ``@array_contract`` that the abstract interpreter verifies (that the
-   array rules find nothing in ``src`` is already part of stage 3, which
-   runs them by default),
-7. **array-contract runtime smoke** — a batched ``HxcKernel.apply``
-   (the scipy rfftn Coulomb apply) run twice in subprocesses, with and without
-   ``REPRO_ARRAY_CONTRACTS=1``: results must be bit-identical, overhead
-   must stay within 1.10x, and enforcement must provably reject a
-   contract-violating call (so the gate cannot pass with the decorator
-   accidentally inert),
-8. **sanitizer smoke** — on both SPMD backends, the bench-spmd GIL-bound
+6. **sanitizer smoke** — on both SPMD backends, the bench-spmd GIL-bound
    workload under the runtime sanitizer: results bit-identical to
    unsanitized, overhead within 25%, and a deliberately mismatched
    collective *diagnosed* with every rank's call site, proving the
    sanitizer is alive and not a no-op (the process half is skipped where
    ``fork`` is unavailable),
-9. **process-backend smoke** — a 3-rank ``backend="process"`` run whose
+7. **process-backend smoke** — a 3-rank ``backend="process"`` run whose
    collectives must match the thread backend bit-for-bit and leave no
    ``/dev/shm`` residue (skipped where ``fork`` is unavailable),
-10. **precision smoke** — the mixed precision tier (``repro.precision``)
-    against strict64: fit and K-Means errors inside their documented
-    tolerances with no fallback fired, the fp32 wire provably halving the
-    shared-memory reduce bytes on the pipelined GEMM+Reduce, and the
-    thread/process backends bit-identical to each other under the fp32
-    wire (skip with ``--no-precision``),
-11. **serve smoke** — an in-process job server handling a duplicate
-    request pair: the second submission must be a bit-identical,
-    zero-SCF-iteration cache hit, and a perturbed third request must
-    warm-start off the cached ground state,
-12. **public API snapshot** — ``tools/check_public_api.py``,
-13. **bytecode guard** — ``tools/check_no_pyc.py``,
-14. **bench gate** — ``tools/check_bench.py``: validates the committed
+8. **precision smoke** — the mixed precision tier (``repro.precision``)
+   against strict64: fit and K-Means errors inside their documented
+   tolerances with no fallback fired, the fp32 wire provably halving the
+   shared-memory reduce bytes on the pipelined GEMM+Reduce, and the
+   thread/process backends bit-identical to each other under the fp32
+   wire (skip with ``--no-precision``),
+9. **serve smoke** — an in-process job server handling a duplicate
+   request pair: the second submission must be a bit-identical,
+   zero-SCF-iteration cache hit, and a perturbed third request must
+   warm-start off the cached ground state,
+10. **public API snapshot** — ``tools/check_public_api.py``,
+11. **bytecode guard** — ``tools/check_no_pyc.py``,
+12. **bench gate** — ``tools/check_bench.py``: validates the committed
     ``BENCH_*.json`` reports and re-runs the smoke benchmarks, gating on
     correctness flags and dimensionless ratios (never raw seconds); skip
     with ``--no-bench`` for the fast loop, refresh the committed reports
     with ``python tools/check_bench.py --update-bench``,
-15. **tier-1 tests** — ``pytest -x -q`` (skip with ``--no-tests`` for the
-    fast pre-commit loop).
+13. **tier-1 tests** — ``pytest -x -q``, with every ``@array_contract``
+    enforced at runtime (``tests/conftest.py`` sets
+    ``REPRO_ARRAY_CONTRACTS=1``; skip with ``--no-tests`` for the fast
+    pre-commit loop).
 
 Exit status is nonzero if any mandatory stage fails.  Optional tools that
 are absent are reported as SKIP, never as failures — the repo must be
@@ -115,121 +106,6 @@ class Gate:
             return 1
         print("run_checks: all stages passed")
         return 0
-
-
-_ARRAYS_STATIC_SMOKE = """
-import ast
-from pathlib import Path
-
-from repro.lint.arrays import analyze_arrays
-from repro.lint.callgraph import build_project
-from repro.lint.engine import SourceModule, iter_python_files
-from repro.lint.hotpaths import hot_functions_for
-
-modules = []
-for path in iter_python_files(["src"]):
-    text = Path(path).read_text()
-    modules.append(SourceModule(path=str(path), text=text, tree=ast.parse(text)))
-project = build_project(modules)
-analysis = analyze_arrays(project)
-
-# Every hot-path-manifest function must carry a statically verified
-# @array_contract: present, well-formed, and with no shape-mismatch
-# emitted against it during the interpretation pass.
-missing, unverified = [], []
-for uid, info in sorted(project.functions.items()):
-    if info.qualname not in hot_functions_for(Path(info.path).as_posix()):
-        continue
-    if uid not in analysis.contracts:
-        missing.append(uid)
-    elif not analysis.verified.get(uid, False):
-        unverified.append(uid)
-assert not missing, f"manifest functions without @array_contract: {missing}"
-assert not unverified, f"contracts the static pass could not verify: {unverified}"
-print(
-    f"arrays static pass: ok ({len(analysis.contracts)} contracts, "
-    f"{sum(analysis.verified.values())} verified, manifest fully covered)"
-)
-"""
-
-
-_ARRAY_CONTRACT_CHILD = """
-import sys, time
-import numpy as np
-from repro.core import HxcKernel
-from repro.pw import PlaneWaveBasis, UnitCell
-from repro.pw.fft import FourierGrid
-from repro.utils.hot import ArrayContractError, array_contracts_enabled
-
-basis = PlaneWaveBasis(UnitCell.cubic(6.0), 35.0)
-rng = np.random.default_rng(7)
-density = 0.05 + 0.01 * rng.random(basis.n_r)
-kernel = HxcKernel(basis, density)
-fields = rng.standard_normal((8, basis.n_r))
-
-kernel.apply(fields)  # warm the plan cache and FFT twiddles
-best = float("inf")
-for _ in range(7):
-    t0 = time.perf_counter()
-    out = kernel.apply(fields)
-    best = min(best, time.perf_counter() - t0)
-
-# Prove enforcement state: under REPRO_ARRAY_CONTRACTS=1 a float32 input
-# to a contracted transform must raise; without it, nothing may.
-try:
-    FourierGrid(basis.grid).forward(fields[:1].astype(np.float32))
-    enforced = False
-except ArrayContractError:
-    enforced = True
-assert enforced == array_contracts_enabled(), (
-    "contract enforcement does not match REPRO_ARRAY_CONTRACTS"
-)
-np.save(sys.argv[1], out)
-print(f"{best:.9f} {int(enforced)}")
-"""
-
-
-_ARRAY_CONTRACT_SMOKE = f"""
-import os, subprocess, sys, tempfile
-import numpy as np
-
-CHILD = {_ARRAY_CONTRACT_CHILD!r}
-
-def run(contracts):
-    env = dict(os.environ)
-    env.pop("REPRO_ARRAY_CONTRACTS", None)
-    if contracts:
-        env["REPRO_ARRAY_CONTRACTS"] = "1"
-    with tempfile.NamedTemporaryFile(suffix=".npy", delete=False) as fh:
-        out_path = fh.name
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-c", CHILD, out_path],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        seconds, enforced = proc.stdout.split()
-        return float(seconds), bool(int(enforced)), np.load(out_path)
-    finally:
-        os.unlink(out_path)
-
-t_off, enforced_off, out_off = run(contracts=False)
-t_on, enforced_on, out_on = run(contracts=True)
-assert not enforced_off and enforced_on, (enforced_off, enforced_on)
-assert np.array_equal(out_off, out_on), "contract mode perturbed the numerics"
-ratio = t_on / t_off
-# Correctness assertions above are deterministic; the overhead ratio is a
-# wall-clock measurement and can flake on a loaded host, so take the best
-# of up to three measurement rounds before declaring a regression.
-for _ in range(2):
-    if ratio <= 1.10:
-        break
-    t_off, _, _ = run(contracts=False)
-    t_on, _, _ = run(contracts=True)
-    ratio = min(ratio, t_on / t_off)
-assert ratio <= 1.10, f"runtime contract overhead {{ratio:.3f}}x exceeds 1.10x"
-print(f"array-contract smoke: ok (bit-identical, overhead {{ratio:.3f}}x, "
-      "violation rejected)")
-"""
 
 
 _SANITIZER_SMOKE = """
@@ -452,8 +328,6 @@ def main(argv: list[str] | None = None) -> int:
              [sys.executable, "-m", "repro", "lint", "src", "--check-suppressions"])
     gate.run("lint-baseline",
              [sys.executable, os.path.join("tools", "check_lint_baseline.py")])
-    gate.run("arrays-static", [sys.executable, "-c", _ARRAYS_STATIC_SMOKE])
-    gate.run("array-contracts", [sys.executable, "-c", _ARRAY_CONTRACT_SMOKE])
     gate.run("sanitizer-smoke", [sys.executable, "-c", _SANITIZER_SMOKE])
     gate.run("process-smoke", [sys.executable, "-c", _PROCESS_SMOKE])
     if not args.no_precision:
