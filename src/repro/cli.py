@@ -419,7 +419,6 @@ def cmd_bench_serve(args) -> int:
 
 def cmd_lint(args) -> int:
     from repro.lint import (
-        all_project_rules,
         all_rules,
         check_suppressions,
         format_findings,
@@ -430,16 +429,12 @@ def cmd_lint(args) -> int:
     if args.list_rules:
         for rule in all_rules():
             print(f"{rule.name}: {rule.description}")
-        for rule in all_project_rules():
-            print(f"{rule.name} [project]: {rule.description}")
         return 0
     if args.check_suppressions:
         findings = check_suppressions(args.paths)
         rules_enabled = None
     else:
-        findings = lint_paths(
-            args.paths, rules=args.select or None, project=not args.no_project
-        )
+        findings = lint_paths(args.paths, rules=args.select or None)
         # Embed the active inventory only for a full run, where it is a
         # faithful statement of what was checked (baseline tooling relies
         # on it to catch silently-vanished rules).
@@ -614,8 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--check-suppressions", action="store_true",
                         help="audit for suppression comments that no longer "
                              "match a live finding (stale-suppression)")
-    p_lint.add_argument("--no-project", action="store_true",
-                        help="skip the whole-program (call-graph) rules")
     return parser
 
 

@@ -1,8 +1,8 @@
-"""``repro.lint`` — whole-program lint passes for this codebase's hazards.
+"""``repro.lint`` — per-file lint passes for this codebase's hazards.
 
 The generic engine (rule registry, suppression comments, text/JSON output)
-lives in :mod:`repro.lint.engine`.  Per-file passes encoding the
-invariants the reproduction relies on live in :mod:`repro.lint.rules`:
+lives in :mod:`repro.lint.engine`.  The passes encoding the invariants the
+reproduction relies on live in :mod:`repro.lint.rules`:
 
 * ``no-alloc-in-hot`` — per-call allocations inside hot kernels,
 * ``nondeterminism-in-replay`` — wall-clock/global-RNG/dict-order inside
@@ -10,15 +10,7 @@ invariants the reproduction relies on live in :mod:`repro.lint.rules`:
 * ``no-blind-except`` — ``except Exception`` handlers that swallow
   everything.
 
-Whole-program passes run over the project call graph
-(:mod:`repro.lint.callgraph` + :mod:`repro.lint.flow`) and live in
-:mod:`repro.lint.project_rules`:
-
-* ``impure-cache-key`` — nondeterminism reachable from
-  ``CalculationRequest`` serialization (the content-addressed cache key),
-* ``lock-order-cycle`` / ``blocking-under-lock`` — the static lock graph
-  of the serving layer.
-
+Invariants that need the whole program are checked at runtime instead.
 Whether every rank enters the same collectives with conforming buffers is
 not a lint question: the runtime SPMD sanitizer
 (:mod:`repro.parallel.sanitizer`, ``REPRO_SANITIZE=1``) diagnoses skipped,
@@ -26,7 +18,11 @@ extra, divergent and ragged collectives on both backends, and the test
 suite runs every distributed algorithm under it.  Likewise, the
 ``@array_contract`` declarations on hot kernels (:mod:`repro.utils.hot`)
 are enforced at runtime under ``REPRO_ARRAY_CONTRACTS=1``, which the test
-suite sets for the whole session; they are not a lint pass.
+suite sets for the whole session; they are not a lint pass.  The cache
+key's determinism is a property test
+(``tests/property/test_property_cache_key.py``), and the serving layer's lock
+discipline is checked by a recorder that swaps in instrumented locks
+around the tests that drive it (``tests/lock_recorder.py``).
 
 Run it via ``repro lint [paths]``, ``python tools/run_checks.py``, or the
 API below.  ``repro lint --check-suppressions`` audits for suppression
@@ -37,8 +33,6 @@ comments that no longer match a live finding.  See
 from repro.lint.engine import (
     Finding,
     LintRule,
-    ProjectRule,
-    all_project_rules,
     all_rules,
     check_suppressions,
     format_findings,
@@ -46,7 +40,6 @@ from repro.lint.engine import (
     lint_file,
     lint_paths,
     lint_source,
-    register_project_rule,
     register_rule,
     rule_inventory,
 )
@@ -56,15 +49,12 @@ from repro.lint.hotpaths import (
     hot_functions_for,
 )
 
-# Importing the rule modules populates both registries.
-from repro.lint import project_rules as _project_rules  # noqa: F401
+# Importing the rule module populates the registry.
 from repro.lint import rules as _rules  # noqa: F401  (registration side effect)
 
 __all__ = [
     "Finding",
     "LintRule",
-    "ProjectRule",
-    "all_project_rules",
     "all_rules",
     "check_suppressions",
     "format_findings",
@@ -72,7 +62,6 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "lint_source",
-    "register_project_rule",
     "register_rule",
     "rule_inventory",
     "HOT_DECORATORS",

@@ -1,10 +1,9 @@
 """The lint engine: rule registry, suppression comments, output formats.
 
-A *file rule* is a named check over one parsed module; a *project rule*
-(:class:`ProjectRule`) checks the whole program at once through the call
-graph in :mod:`repro.lint.callgraph`.  The engine owns everything
-rule-agnostic — file discovery, parsing, the suppression protocol, and the
-two output formats consumed by humans (``text``) and by tooling (``json``).
+A rule is a named check over one parsed module.  The engine owns
+everything rule-agnostic — file discovery, parsing, the suppression
+protocol, and the two output formats consumed by humans (``text``) and by
+tooling (``json``).
 
 Suppression protocol
 --------------------
@@ -28,17 +27,12 @@ import json
 import re
 import tokenize
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (callgraph imports us)
-    from repro.lint.callgraph import Project
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Finding",
     "LintRule",
-    "ProjectRule",
     "SourceModule",
-    "all_project_rules",
     "all_rules",
     "check_suppressions",
     "dotted_name",
@@ -47,9 +41,8 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "lint_source",
-    "register_project_rule",
     "register_rule",
-    "split_rule_selection",
+    "rule_inventory",
 ]
 
 
@@ -193,61 +186,22 @@ class LintRule:
         )
 
 
-class ProjectRule:
-    """Base class for a whole-program lint pass.
-
-    Project rules see every module at once plus the call graph built over
-    them (:class:`repro.lint.callgraph.Project`), so they can reason about
-    reachability across files.  Findings still anchor to one file/line and
-    obey that file's suppression comments, exactly like file rules.
-    """
-
-    name: str = "abstract-project"
-    description: str = ""
-
-    def check(
-        self, project: "Project", modules: Sequence[SourceModule]
-    ) -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def finding_at(
-        self, path: str, node: ast.AST, message: str, *, rule: str | None = None
-    ) -> Finding:
-        return Finding(
-            rule=rule or self.name,
-            path=path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0) + 1,
-            message=message,
-        )
-
-
 _REGISTRY: dict[str, LintRule] = {}
-_PROJECT_REGISTRY: dict[str, ProjectRule] = {}
 
 
 def register_rule(rule_cls: type[LintRule]) -> type[LintRule]:
     """Class decorator adding one instance of the rule to the registry."""
     rule = rule_cls()
-    if rule.name in _REGISTRY or rule.name in _PROJECT_REGISTRY:
+    if rule.name in _REGISTRY:
         raise ValueError(f"duplicate lint rule name {rule.name!r}")
     _REGISTRY[rule.name] = rule
-    return rule_cls
-
-
-def register_project_rule(rule_cls: type[ProjectRule]) -> type[ProjectRule]:
-    """Class decorator adding one project-rule instance to the registry."""
-    rule = rule_cls()
-    if rule.name in _REGISTRY or rule.name in _PROJECT_REGISTRY:
-        raise ValueError(f"duplicate lint rule name {rule.name!r}")
-    _PROJECT_REGISTRY[rule.name] = rule
     return rule_cls
 
 
 def _load_builtin_rules() -> None:
     """Make ``lint_paths``/``get_rules`` see the built-in rules regardless
     of which ``repro.lint`` submodule the caller imported first."""
-    from repro.lint import project_rules, rules  # noqa: F401
+    from repro.lint import rules  # noqa: F401
 
 
 def all_rules() -> tuple[LintRule, ...]:
@@ -255,13 +209,8 @@ def all_rules() -> tuple[LintRule, ...]:
     return tuple(_REGISTRY[name] for name in sorted(_REGISTRY))
 
 
-def all_project_rules() -> tuple[ProjectRule, ...]:
-    _load_builtin_rules()
-    return tuple(_PROJECT_REGISTRY[name] for name in sorted(_PROJECT_REGISTRY))
-
-
 def get_rules(names: Sequence[str] | None = None) -> tuple[LintRule, ...]:
-    """Resolve rule names to file-rule instances (``None`` = all file rules)."""
+    """Resolve rule names to rule instances (``None`` = all rules)."""
     if names is None:
         return all_rules()
     _load_builtin_rules()
@@ -273,37 +222,10 @@ def get_rules(names: Sequence[str] | None = None) -> tuple[LintRule, ...]:
     return tuple(_REGISTRY[name] for name in names)
 
 
-def split_rule_selection(
-    names: Sequence[str] | None,
-) -> tuple[tuple[LintRule, ...], tuple[ProjectRule, ...]]:
-    """Split a mixed rule selection into (file rules, project rules).
-
-    ``None`` selects everything.  Unknown names raise with the combined
-    inventory so ``--select`` typos fail loudly.
-    """
-    _load_builtin_rules()
-    if names is None:
-        return all_rules(), all_project_rules()
-    file_rules: list[LintRule] = []
-    project_rules: list[ProjectRule] = []
-    unknown = []
-    for name in names:
-        if name in _REGISTRY:
-            file_rules.append(_REGISTRY[name])
-        elif name in _PROJECT_REGISTRY:
-            project_rules.append(_PROJECT_REGISTRY[name])
-        else:
-            unknown.append(name)
-    if unknown:
-        available = sorted({**_REGISTRY, **_PROJECT_REGISTRY})
-        raise ValueError(f"unknown lint rule(s) {sorted(unknown)}; available: {available}")
-    return tuple(file_rules), tuple(project_rules)
-
-
 def rule_inventory() -> list[str]:
-    """Sorted names of every registered rule, file and project alike."""
+    """Sorted names of every registered rule."""
     _load_builtin_rules()
-    return sorted({**_REGISTRY, **_PROJECT_REGISTRY})
+    return sorted(_REGISTRY)
 
 
 def _parse_module(text: str, path: str) -> SourceModule | Finding:
@@ -340,49 +262,25 @@ def lint_source(
     text: str,
     path: str = "<string>",
     rules: Sequence[str] | None = None,
-    *,
-    project: bool = False,
 ) -> list[Finding]:
-    """Lint one source string; returns unsuppressed findings sorted by line.
-
-    ``project=True`` additionally runs the whole-program rules against a
-    single-module project — useful for testing interprocedural rules on
-    synthetic snippets; real multi-file analysis goes through
-    :func:`lint_paths`.
-    """
+    """Lint one source string; returns unsuppressed findings sorted by line."""
     parsed = _parse_module(text, path)
     if isinstance(parsed, Finding):
         return [parsed]
-    file_rules, project_rules = split_rule_selection(rules)
     suppressions = _parse_suppressions(text)
     findings = [
         f
-        for rule in file_rules
+        for rule in get_rules(rules)
         for f in rule.check(parsed)
         if not suppressions.covers(f.rule, f.line)
     ]
-    if project and project_rules:
-        from repro.lint.callgraph import build_project
-
-        graph = build_project([parsed])
-        findings.extend(
-            f
-            for rule in project_rules
-            for f in rule.check(graph, [parsed])
-            if not suppressions.covers(f.rule, f.line)
-        )
     findings.extend(_missing_reason_findings(path, suppressions))
     return sorted(findings, key=lambda f: (f.line, f.col, f.rule))
 
 
-def lint_file(
-    path: str | Path,
-    rules: Sequence[str] | None = None,
-    *,
-    project: bool = False,
-) -> list[Finding]:
+def lint_file(path: str | Path, rules: Sequence[str] | None = None) -> list[Finding]:
     path = Path(path)
-    return lint_source(path.read_text(), str(path), rules, project=project)
+    return lint_source(path.read_text(), str(path), rules)
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
@@ -397,57 +295,16 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
             yield entry
 
 
-def _parse_all(
-    paths: Iterable[str | Path],
-) -> tuple[list[SourceModule], dict[str, _Suppressions], list[Finding]]:
-    """Parse every file once: modules, per-path suppressions, parse errors."""
-    modules: list[SourceModule] = []
-    suppressions: dict[str, _Suppressions] = {}
-    errors: list[Finding] = []
-    for path in iter_python_files(paths):
-        text = path.read_text()
-        parsed = _parse_module(text, str(path))
-        if isinstance(parsed, Finding):
-            errors.append(parsed)
-            continue
-        modules.append(parsed)
-        suppressions[parsed.path] = _parse_suppressions(text)
-    return modules, suppressions, errors
-
-
 def lint_paths(
-    paths: Iterable[str | Path],
-    rules: Sequence[str] | None = None,
-    *,
-    project: bool = True,
+    paths: Iterable[str | Path], rules: Sequence[str] | None = None
 ) -> list[Finding]:
     """Lint every python file under ``paths`` (files or directories).
 
-    Files are parsed once; file rules run per module, then the project
-    rules run over the whole set (``project=False`` skips them).  Findings
-    honour each file's suppression comments and come back sorted by
-    ``(path, line, col, rule)``.
+    Findings honour each file's suppression comments and come back sorted
+    by ``(path, line, col, rule)``.
     """
-    file_rules, project_rules = split_rule_selection(rules)
-    modules, suppressions, findings = _parse_all(paths)
-    for module in modules:
-        sup = suppressions[module.path]
-        findings.extend(
-            f
-            for rule in file_rules
-            for f in rule.check(module)
-            if not sup.covers(f.rule, f.line)
-        )
-        findings.extend(_missing_reason_findings(module.path, sup))
-    if project and project_rules and modules:
-        from repro.lint.callgraph import build_project
-
-        graph = build_project(modules)
-        for rule in project_rules:
-            for f in rule.check(graph, modules):
-                sup = suppressions.get(f.path)
-                if sup is None or not sup.covers(f.rule, f.line):
-                    findings.append(f)
+    get_rules(rules)  # unknown names fail before any file is read
+    findings = [f for path in iter_python_files(paths) for f in lint_file(path, rules)]
     return sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule))
 
 
@@ -461,24 +318,15 @@ def check_suppressions(paths: Iterable[str | Path]) -> list[Finding]:
     come back as ``stale-suppression`` findings so the gate in
     ``tools/run_checks.py`` can fail on waivers that outlived their bug.
     """
-    file_rules, project_rules = split_rule_selection(None)
-    modules, suppressions, findings = _parse_all(paths)
-    raw_by_path: dict[str, list[Finding]] = {m.path: [] for m in modules}
-    for module in modules:
-        for rule in file_rules:
-            raw_by_path[module.path].extend(rule.check(module))
-    if project_rules and modules:
-        from repro.lint.callgraph import build_project
-
-        graph = build_project(modules)
-        for rule in project_rules:
-            for f in rule.check(graph, modules):
-                if f.path in raw_by_path:
-                    raw_by_path[f.path].append(f)
-    stale: list[Finding] = findings  # parse errors pass through
-    for module in modules:
-        raw = raw_by_path[module.path]
-        for entry in suppressions[module.path].entries:
+    stale: list[Finding] = []
+    for path in iter_python_files(paths):
+        text = path.read_text()
+        module = _parse_module(text, str(path))
+        if isinstance(module, Finding):
+            stale.append(module)  # parse errors pass through
+            continue
+        raw = [f for rule in all_rules() for f in rule.check(module)]
+        for entry in _parse_suppressions(text).entries:
             in_scope = [
                 f for f in raw if entry.file_level or f.line == entry.line
             ]
@@ -534,7 +382,3 @@ def format_findings(
         lines.append(f"repro-lint: {len(findings)} finding(s)")
         return "\n".join(lines)
     raise ValueError(f"unknown format {fmt!r}; choose 'text' or 'json'")
-
-
-# Typing helper for rule helpers that walk with a predicate.
-NodePredicate = Callable[[ast.AST], bool]

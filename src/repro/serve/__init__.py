@@ -73,7 +73,7 @@ def default_server() -> CalculationServer:
     global _default
     with _default_lock:
         if _default is None:
-            _default = CalculationServer()  # repro-lint: disable=blocking-under-lock -- one-shot startup path: the default ResultStore has no directory, so no disk I/O actually runs, and creation must be single-shot under the lock
+            _default = CalculationServer()
             atexit.register(shutdown_default_server)
         return _default
 

@@ -428,9 +428,9 @@ class ResultStore:
                 return  # a newer snapshot already reached disk
             self._written_version = version
             tmp = f"{index_path}.{os.getpid()}.{version}.tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:  # repro-lint: disable=blocking-under-lock -- _io_lock is a leaf lock dedicated to serializing this exact write; nothing else ever blocks on it
+            with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(snapshot)
-            os.replace(tmp, index_path)  # repro-lint: disable=blocking-under-lock -- same leaf-lock exemption: index flushes must serialize, and _io_lock protects only them
+            os.replace(tmp, index_path)
 
     # -- eviction ------------------------------------------------------------
 

@@ -21,6 +21,8 @@ from repro.constants import ANGSTROM_TO_BOHR
 from repro.dft import run_scf
 from repro.synthetic import synthetic_ground_state
 
+from lock_recorder import LockRecorder
+
 
 @pytest.fixture(scope="session")
 def si2_ground_state():
@@ -62,3 +64,13 @@ def sanitized_spmd():
         mp.setenv("REPRO_SANITIZE", "1")
         mp.setenv("REPRO_SANITIZE_TIMEOUT", "120")
         yield
+
+
+@pytest.fixture()
+def lock_recorder(monkeypatch):
+    """Run the test with recording locks (:mod:`lock_recorder`): a
+    lock-order cycle or a blocking call under a lock fails it."""
+    recorder = LockRecorder()
+    recorder.install(monkeypatch)
+    yield recorder
+    recorder.check()

@@ -51,9 +51,6 @@ def test_select_restricts_rules(tmp_path):
 
 
 RULES = [
-    "blocking-under-lock",
-    "impure-cache-key",
-    "lock-order-cycle",
     "no-alloc-in-hot",
     "no-blind-except",
     "nondeterminism-in-replay",
@@ -63,9 +60,7 @@ RULES = [
 def test_list_rules(capsys):
     assert main(["lint", "--list-rules"]) == 0
     listed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
-    assert sorted(name.removesuffix(" [project]") for name in listed) == RULES
-    for name in ("blocking-under-lock", "impure-cache-key", "lock-order-cycle"):
-        assert f"{name} [project]" in listed
+    assert listed == RULES
 
 
 def test_json_inventory_lists_every_rule(tmp_path, capsys):

@@ -1,5 +1,4 @@
-"""Regressions for the per-file traversal gaps closed in the whole-program
-refactor.
+"""Regressions for per-file traversal gaps in the lint passes.
 
 The original per-file passes confused names across nested scopes: the
 replay rule reported a nested replay scope twice.  The test here failed

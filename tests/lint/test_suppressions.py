@@ -98,19 +98,6 @@ class TestStaleDetection:
         findings = check_suppressions([path])
         assert [f.rule for f in findings] == ["stale-suppression"]
 
-    def test_project_rule_finding_keeps_a_suppression_live(self, tmp_path):
-        path = write(
-            tmp_path,
-            "proj.py",
-            "import threading, time\n"
-            "_lock = threading.Lock()\n"
-            "def slow():\n"
-            "    with _lock:\n"
-            "        time.sleep(0.1)"
-            "  # repro-lint: disable=blocking-under-lock -- demo\n",
-        )
-        assert check_suppressions([path]) == []
-
 
 class TestSuppressionParsing:
     def test_comment_syntax_inside_a_string_is_not_a_suppression(self):

@@ -69,16 +69,19 @@ class TestThreadWire:
 @pytest.mark.process_backend
 class TestProcessWire:
     def test_reduce_wire_bytes_halve(self):
-        _, t64 = spmd_run(
+        out64, t64 = spmd_run(
             2, _prog("strict64"), backend="process", return_traffic=True
         )
-        _, t32 = spmd_run(
+        out32, t32 = spmd_run(
             2, _prog("mixed"), backend="process", return_traffic=True
         )
         b64 = t64.shm_bytes_by_op["reduce"]
         b32 = t32.shm_bytes_by_op["reduce"]
         assert b64 > 0
         assert 2 * b32 <= b64
+        scale = max(float(np.abs(r).max()) for r in out64)
+        err = max(float(np.abs(a - b).max()) for a, b in zip(out32, out64)) / scale
+        assert err <= resolve_precision("mixed").wire_tol
 
     @pytest.mark.parametrize("mode", MODES)
     def test_backends_bit_identical_in_every_tier(self, mode):

@@ -109,6 +109,7 @@ class TestCollectiveBitIdentity:
                         np.testing.assert_array_equal(a, b, err_msg=key)
                 else:
                     np.testing.assert_array_equal(t_val, p_val, err_msg=key)
+        assert _shm_residue() == []
 
     def test_p2p_roundtrip(self):
         def prog(comm):

@@ -13,6 +13,8 @@ from repro.parallel import spmd_run
 from repro.resilience import resilience_log
 from repro.utils import threads
 
+pytestmark = pytest.mark.usefixtures("lock_recorder")
+
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 

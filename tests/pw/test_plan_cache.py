@@ -6,6 +6,8 @@ import pytest
 from repro.pw import FourierGrid, GVectors, RealSpaceGrid, UnitCell
 from repro.pw.fft import ConvolutionPlan, PlanCache, default_plan_cache
 
+pytestmark = pytest.mark.usefixtures("lock_recorder")
+
 
 @pytest.fixture()
 def fourier():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.serve import AdmissionError, JobQueue
+from repro.serve import AdmissionError, JobQueue, ResultStore
 
 
 class TestPriority:
@@ -87,3 +87,19 @@ class TestRemove:
     def test_pop_timeout_returns_none(self):
         q = JobQueue()
         assert q.pop(timeout=0.01) is None
+
+
+class TestLockDiscipline:
+    """Under the lock recorder (``conftest.py``): ``pop`` waits on the
+    queue's own Condition, which is fine alone but not under another lock."""
+
+    def test_wait_under_an_unrelated_lock_is_caught(self, lock_recorder):
+        q = JobQueue()
+        assert q.pop(timeout=0.01) is None
+        store = ResultStore()
+        with store._lock:
+            assert q.pop(timeout=0) is None  # the non-blocking drain
+            with pytest.raises(AssertionError, match="Condition.wait .* repro.serve.store"):
+                q.pop(timeout=0.01)
+        assert len(lock_recorder.violations) == 1
+        lock_recorder.violations.clear()

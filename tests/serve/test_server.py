@@ -148,6 +148,38 @@ class TestLifecycle:
                 server.handle("job-999999")
 
 
+class TestLockDiscipline:
+    """Every test here runs under the lock recorder (``conftest.py``)."""
+
+    def test_server_nesting_is_recorded(self, lock_recorder):
+        with CalculationServer() as server:
+            _scf_request().submit(server).result(timeout=300)
+        nested = {
+            (first.split(":")[0], then.split(":")[0])
+            for first, after in lock_recorder.edges.items()
+            for then in after
+        }
+        assert nested == {
+            ("repro.serve.server", "repro.serve.queue"),
+            ("repro.serve.server", "repro.serve.events"),
+        }
+
+    def test_join_under_the_server_lock_is_caught(self, lock_recorder, monkeypatch):
+        def shutdown_joining_under_lock(self, wait=True):
+            with self._lock:
+                self._shutdown = True
+                self._queue.close()
+                for worker in self._workers:
+                    worker.join()
+
+        monkeypatch.setattr(CalculationServer, "shutdown", shutdown_joining_under_lock)
+        server = CalculationServer()
+        with pytest.raises(AssertionError, match="Thread.join .* repro.serve.server"):
+            server.shutdown()
+        assert len(lock_recorder.violations) == 1
+        lock_recorder.violations.clear()
+
+
 class TestPersistentStore:
     def test_second_server_serves_from_disk(self, tmp_path):
         request = _scf_request()

@@ -1,7 +1,11 @@
 """Result store: compatibility rules, nearest lookup, persistence."""
 
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.api import CalculationRequest, SCFConfig, structure_to_dict
 from repro.pw.cell import UnitCell
@@ -229,6 +233,73 @@ class TestStoreEviction:
         # Inherited entries rank by sorted key: "a" is evicted first.
         assert fresh.keys() == ("b", "c")
         assert not (tmp_path / "a.npz").exists()
+
+
+_OPS = st.lists(
+    st.tuples(st.sampled_from(["put", "get"]), st.sampled_from("abcdef"),
+              st.integers(1, 40)),
+    min_size=1,
+    max_size=12,
+)
+
+
+# The recorder (an autouse fixture) spans every example of the property.
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    ops=_OPS,
+    max_entries=st.none() | st.integers(1, 4),
+    max_bytes=st.none() | st.integers(8, 4000),
+    persistent=st.booleans(),
+)
+def test_eviction_keeps_both_bounds(ops, max_entries, max_bytes, persistent):
+    with tempfile.TemporaryDirectory() as tmp:
+        store = ResultStore(
+            tmp if persistent else None, max_entries=max_entries, max_bytes=max_bytes
+        )
+        dropped = 0
+        for op, key, n in ops:
+            before = set(store.keys())
+            if op == "put":
+                store.put(key, _ArrayResult(n))
+                assert key in store, "the entry just written was evicted"
+            else:
+                store.get(key)
+            after = set(store.keys())
+            assert after <= before | {key}
+            dropped += len(before - after)
+            stats = store.stats()
+            assert stats["evictions"] == store.evictions == dropped
+            if max_entries is not None:
+                assert stats["entries"] <= max_entries
+            if max_bytes is not None:
+                # Only the most recent entry may exceed the byte bound alone.
+                assert stats["bytes"] <= max_bytes or stats["entries"] == 1
+
+
+class TestLockDiscipline:
+    def test_reversed_lock_order_is_a_cycle(self, lock_recorder, monkeypatch, tmp_path):
+        def flush_index_taking_lock(self, version, snapshot):  # _io_lock, _lock
+            with self._io_lock:
+                with self._lock:
+                    self._written_version = max(self._written_version, version)
+
+        def stats_taking_io_lock(self):  # _lock, then _io_lock
+            with self._lock:
+                with self._io_lock:
+                    return {"entries": len(self._lru), "evictions": self.evictions}
+
+        monkeypatch.setattr(ResultStore, "_flush_index", flush_index_taking_lock)
+        monkeypatch.setattr(ResultStore, "stats", stats_taking_io_lock)
+        store = ResultStore(tmp_path)
+        store.put("a", _ArrayResult(4))
+        with pytest.raises(AssertionError, match="lock-order cycle"):
+            store.stats()
+        assert len(lock_recorder.violations) == 1
+        lock_recorder.violations.clear()
 
 
 @pytest.mark.serve

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Committed lint baseline: no new findings, no silently-vanished rules.
 
-Runs the full ``repro.lint`` pass (file + project rules) over ``src`` and
+Runs the full ``repro.lint`` pass over ``src`` and
 diffs the result against ``tools/lint_baseline.json``:
 
 * a finding not in the baseline **fails** — new lint debt must be fixed or
