@@ -182,3 +182,9 @@ class HxcKernel:
     def fxc_diagonal(self) -> np.ndarray | None:
         """The real-space ALDA kernel values (None when XC disabled)."""
         return self._fxc_r
+
+    @property
+    def coulomb_plan(self):
+        """The Coulomb half's :class:`~repro.pw.fft.ConvolutionPlan` (None
+        when Hartree is disabled)."""
+        return self._coulomb_plan

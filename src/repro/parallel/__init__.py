@@ -52,6 +52,7 @@ from repro.parallel.parallel_lrtddft import (
     distributed_build_vhxc,
     distributed_implicit_solve,
     distributed_isdf_vtilde,
+    distributed_kernel_gram,
     distributed_lrtddft_solve,
 )
 from repro.parallel.parallel_lobpcg import (
@@ -85,6 +86,7 @@ __all__ = [
     "distributed_kmeans",
     "distributed_build_vhxc",
     "distributed_isdf_vtilde",
+    "distributed_kernel_gram",
     "distributed_lrtddft_solve",
     "distributed_implicit_solve",
     "pipelined_vhxc_rows",

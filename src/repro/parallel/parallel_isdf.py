@@ -6,12 +6,15 @@ with the orbitals arriving row-block distributed over grid points and
 
 1. pair weights — local (Eq. 14 is separable),
 2. weighted K-Means — :func:`repro.parallel.parallel_kmeans.distributed_kmeans`,
-3. orbital values at the interpolation points — one small Allgather
-   (``(N_v + N_c) x N_mu`` floats),
+3. orbital values at the interpolation points — one small Allreduce
+   (``(N_v + N_c) x N_mu`` floats, :func:`gather_point_values`), used by
+   both the fit and the pair-space factor ``C``,
 4. interpolation-vector fit — local Hadamard-GEMMs over the owned grid
    rows, replicated ``N_mu x N_mu`` Cholesky (Eq. 10),
-5. projected kernel ``Vtilde`` — the Algorithm 1 transpose/FFT pattern
-   (:func:`repro.parallel.parallel_lrtddft.distributed_isdf_vtilde`),
+5. projected kernel ``Vtilde`` — one forward FFT per interpolation vector
+   and a Parseval Gram of the spectra, not Algorithm 1's inverse FFT and
+   GEMM (:func:`repro.parallel.parallel_lrtddft.distributed_kernel_gram`,
+   through :func:`~repro.parallel.parallel_lrtddft.distributed_isdf_vtilde`),
 6. implicit LOBPCG over pair-distributed Ritz vectors
    (:func:`repro.parallel.parallel_lobpcg.distributed_lobpcg`).
 """
@@ -32,23 +35,30 @@ from repro.parallel.parallel_lrtddft import distributed_isdf_vtilde
 from repro.utils.validation import require
 
 
-def _gather_point_values(
+def gather_point_values(
     comm: Communicator,
-    psi_local: np.ndarray,
+    psi_v_local: np.ndarray,
+    psi_c_local: np.ndarray,
     indices: np.ndarray,
     grid_dist: BlockDistribution1D,
-) -> np.ndarray:
-    """Orbital values at global grid indices from row-distributed orbitals.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orbital values ``(v_pts, c_pts)`` at global grid indices, from
+    row-distributed orbitals: ``(N_v, N_mu)`` and ``(N_c, N_mu)``.
 
-    Each rank contributes the columns it owns; one Allreduce of the small
-    ``(n_bands, N_mu)`` matrix assembles the rest.
+    Each rank fills the columns it owns of the stacked ``(N_v + N_c, N_mu)``
+    matrix; one Allreduce assembles the rest.  Every entry has exactly one
+    owner, so the sum is exact.
     """
+    n_v = psi_v_local.shape[0]
     sl = grid_dist.local_slice(comm.rank)
-    values = np.zeros((psi_local.shape[0], indices.size))
+    values = np.zeros((n_v + psi_c_local.shape[0], indices.size))
     mine = (indices >= sl.start) & (indices < sl.stop)
     if mine.any():
-        values[:, mine] = psi_local[:, indices[mine] - sl.start]
-    return comm.allreduce(values)
+        cols = indices[mine] - sl.start
+        values[:n_v, mine] = psi_v_local[:, cols]
+        values[n_v:, mine] = psi_c_local[:, cols]
+    values = comm.allreduce(values)
+    return values[:n_v], values[n_v:]
 
 
 def distributed_select_points_kmeans(
@@ -110,24 +120,20 @@ def distributed_select_points_kmeans(
 
 
 def distributed_fit_theta(
-    comm: Communicator,
     psi_v_local: np.ndarray,
     psi_c_local: np.ndarray,
-    indices: np.ndarray,
-    grid_dist: BlockDistribution1D,
+    v_pts: np.ndarray,
+    c_pts: np.ndarray,
     *,
     regularization: float = 1e-12,
 ) -> np.ndarray:
     """Row-distributed interpolation vectors ``Theta_local`` (Eq. 10).
 
-    Local work: two Hadamard tall-skinny GEMMs over the owned grid rows;
-    global work: one Allreduce of the ``(n_bands, N_mu)`` point values
-    (inside :func:`_gather_point_values`) and the replicated ``N_mu x N_mu``
-    factorization of the serial fit's shared :func:`solve_theta`.
+    ``v_pts`` / ``c_pts`` are the replicated point values of
+    :func:`gather_point_values`.  Two Hadamard tall-skinny GEMMs over the
+    owned grid rows, then the replicated ``N_mu x N_mu`` factorization of
+    the serial fit's shared :func:`solve_theta`; no communication.
     """
-    v_pts = _gather_point_values(comm, psi_v_local, indices, grid_dist)
-    c_pts = _gather_point_values(comm, psi_c_local, indices, grid_dist)
-
     zct_local = v_pts.T @ psi_v_local  # (N_mu, my_rows)
     zct_local *= c_pts.T @ psi_c_local
     return solve_theta(v_pts, c_pts, zct_local, regularization=regularization)
@@ -159,15 +165,14 @@ def distributed_optimized_lrtddft(
         comm, psi_v_local, psi_c_local, n_mu, grid_points_local, grid_dist,
         prune_threshold=prune_threshold,
     )
-    theta_local = distributed_fit_theta(
+    v_pts, c_pts = gather_point_values(
         comm, psi_v_local, psi_c_local, indices, grid_dist
     )
+    theta_local = distributed_fit_theta(psi_v_local, psi_c_local, v_pts, c_pts)
     vtilde = distributed_isdf_vtilde(comm, theta_local, kernel, grid_dist)
 
     # Pair-space quantities: C stays factored from the replicated point
     # values (small), and LOBPCG runs over pair-distributed vectors.
-    v_pts = _gather_point_values(comm, psi_v_local, indices, grid_dist)
-    c_pts = _gather_point_values(comm, psi_c_local, indices, grid_dist)
     n_v, n_c = v_pts.shape[0], c_pts.shape[0]
     n_pairs = n_v * n_c
     c_full = (

@@ -1,23 +1,31 @@
 """Distributed LR-TDDFT Hamiltonian construction — the paper's Algorithm 1.
 
-The rank program follows the paper line by line:
+The rank program:
 
 1. wavefunctions arrive row-block distributed (grid rows),
 2. the face-splitting product is computed locally (row-block pairs),
-3. ``MPI_Alltoall`` converts to column-block so each rank owns whole pairs,
-4. each rank FFTs its pairs, applies the Hartree operator in reciprocal
-   space, transforms back (and applies the real-space f_xc),
-5. ``MPI_Alltoall`` back to row-block,
-6. a local GEMM forms the partial ``V_Hxc`` contribution of this rank's
-   grid rows,
-7. ``MPI_Allreduce`` sums the partials,
-8. the Hamiltonian diagonal is added and the matrix diagonalized (dense on
+3. :func:`distributed_kernel_gram` forms ``V_Hxc = Z f_Hxc Z^T dV`` from
+   the pairs:
+
+   - the f_xc half is a local weighted Gram over this rank's grid rows
+     (f_xc is diagonal in real space, so it needs no exchange);
+   - ``MPI_Alltoall`` gives each rank whole pair fields, and each field
+     gets one forward ``rfftn``, scaled so that by Parseval the Hartree
+     half is a real Gram of the spectra (no inverse FFT);
+   - ``MPI_Alltoall`` moves the spectra to spectral-row blocks, and a local
+     SYRK forms this rank's share of the Hartree half;
+   - ``MPI_Allreduce`` sums the exactly symmetric partials;
+
+4. the Hamiltonian diagonal is added and the matrix diagonalized (dense on
    the root for the naive version, LOBPCG on the ISDF-compressed operator
    for the optimized version).
 
-The ISDF variant (:func:`distributed_isdf_vtilde`) runs the same transpose
-/ FFT / GEMM / Allreduce pattern on the ``N_mu`` interpolation vectors
-instead of the ``N_cv`` pairs — that is the entire point of the paper.
+So the paper's lines 4-7 (FFT, ``4 pi / G^2``, inverse FFT, transpose
+back, GEMM) no longer run as written: the second exchange carries half
+spectra instead of kernel-applied fields (THEORY §7).  The ISDF variant
+(:func:`distributed_isdf_vtilde`) runs the same Gram on the ``N_mu``
+interpolation vectors instead of the ``N_cv`` pairs — that is the entire
+point of the paper.
 """
 
 from __future__ import annotations
@@ -34,17 +42,54 @@ from repro.parallel.redistribute import (
     transpose_to_column_block,
     transpose_to_row_block,
 )
-from repro.utils.linalg import symmetrize
+from repro.utils.linalg import weighted_gram
 from repro.utils.validation import require
 
 
-def _apply_kernel_column_block(
-    kernel: HxcKernel, pair_fields: np.ndarray
+def distributed_kernel_gram(
+    comm: Communicator,
+    rows_local: np.ndarray,
+    kernel: HxcKernel,
+    grid_dist: BlockDistribution1D,
 ) -> np.ndarray:
-    """Apply f_Hxc to whole-pair columns ``(N_r, my_pairs)`` (lines 4-5)."""
-    if pair_fields.shape[1] == 0:
-        return pair_fields
-    return kernel.apply(pair_fields.T).T
+    """Replicated ``rows f_Hxc rows^T dV`` from field-major grid slabs.
+
+    ``rows_local`` is ``(m, my_grid_points)``: all ``m`` fields over this
+    rank's block of ``grid_dist``.  The result equals the serial
+    :meth:`HxcKernel.gram` to rounding and is exactly symmetric.
+
+    * f_xc half — :func:`weighted_gram` on the local grid columns.
+    * Hartree half — one alltoall to whole fields ``(my_fields, N_r)``,
+      one forward ``rfftn`` per field scaled by
+      :meth:`ConvolutionPlan.scaled_spectrum`, one alltoall of the float64
+      spectra to spectral-row blocks ``(m, my_g)``, and a local SYRK.
+      No inverse FFT.  Ranks that own no field still take part in both
+      exchanges.
+    * One allreduce of the summed partials.
+
+    The spectra are always transformed in fp64, whatever the kernel's
+    precision tier: an fp32 plan's first-call cross-check runs once per
+    plan object, and thread ranks share that object while forked ranks
+    each hold a copy, so checking here would let the two backends take
+    different paths.
+    """
+    m, my_points = rows_local.shape
+    require(my_points == grid_dist.count(comm.rank), "slab/distribution mismatch")
+    fxc = kernel.fxc_diagonal
+    if fxc is None:
+        gram = np.zeros((m, m))
+    else:
+        weights = fxc[grid_dist.local_slice(comm.rank)] * kernel.basis.grid.dv
+        gram = weighted_gram(rows_local, weights)
+    plan = kernel.coulomb_plan
+    if plan is not None:
+        field_dist = BlockDistribution1D(m, comm.size)
+        fields = transpose_to_row_block(comm, rows_local, field_dist, grid_dist)
+        spec = plan.scaled_spectrum(fields)
+        g_dist = BlockDistribution1D(spec.shape[1], comm.size)
+        spec_rows = transpose_to_column_block(comm, spec, field_dist, g_dist)
+        gram += spec_rows @ spec_rows.T
+    return comm.allreduce(gram)
 
 
 def distributed_build_vhxc(
@@ -68,29 +113,12 @@ def distributed_build_vhxc(
     n_v, my_rows = psi_v_local.shape
     n_c = psi_c_local.shape[0]
     require(my_rows == row_dist.count(comm.rank), "slab/distribution mismatch")
-    n_pairs = n_v * n_c
-    pair_dist = BlockDistribution1D(n_pairs, comm.size)
 
-    # Line 2: local face-splitting product (row-block pairs).
+    # Line 2: local face-splitting product, pair-major (N_cv, my_rows).
     z_local = (
         psi_v_local[:, None, :] * psi_c_local[None, :, :]
-    ).reshape(n_pairs, my_rows).T  # (my_rows, N_cv)
-
-    # Line 3: row-block -> column-block (MPI_Alltoall).
-    z_cols = transpose_to_column_block(comm, z_local, row_dist, pair_dist)
-
-    # Lines 4-5: FFT, Hartree in reciprocal space, back; f_xc in real space.
-    k_cols = _apply_kernel_column_block(kernel, z_cols)
-
-    # Line 6: column-block -> row-block (MPI_Alltoall).
-    k_local = transpose_to_row_block(comm, k_cols, row_dist, pair_dist)
-
-    # Line 7: local GEMM over my grid rows.
-    vhxc_partial = (z_local.T @ k_local) * kernel.basis.grid.dv
-
-    # Line 8: MPI_Allreduce over grid-row contributions.
-    vhxc = comm.allreduce(vhxc_partial)
-    return symmetrize(vhxc)
+    ).reshape(n_v * n_c, my_rows)
+    return distributed_kernel_gram(comm, z_local, kernel, row_dist)
 
 
 def distributed_lrtddft_solve(
@@ -125,22 +153,15 @@ def distributed_isdf_vtilde(
     kernel: HxcKernel,
     row_dist: BlockDistribution1D,
 ) -> np.ndarray:
-    """Projected kernel ``Vtilde = Theta^T f_Hxc Theta`` from row-distributed
-    interpolation vectors — the optimized version's communication pattern.
+    """Projected kernel ``Vtilde = Theta^T f_Hxc Theta dV`` from
+    row-distributed interpolation vectors — the optimized version's
+    communication pattern.
 
-    ``theta_local`` is ``(my_rows, N_mu)``; the same transpose -> FFT ->
-    transpose -> GEMM -> Allreduce pipeline as Algorithm 1, but over
-    ``N_mu`` columns instead of ``N_cv``.
+    ``theta_local`` is ``(my_rows, N_mu)``; :func:`distributed_kernel_gram`
+    over ``N_mu`` fields instead of ``N_cv``.  The fit returns Theta
+    F-ordered, so ``theta_local.T`` is a free contiguous view.
     """
-    my_rows, n_mu = theta_local.shape
-    require(my_rows == row_dist.count(comm.rank), "slab/distribution mismatch")
-    mu_dist = BlockDistribution1D(n_mu, comm.size)
-
-    theta_cols = transpose_to_column_block(comm, theta_local, row_dist, mu_dist)
-    k_cols = _apply_kernel_column_block(kernel, theta_cols)
-    k_local = transpose_to_row_block(comm, k_cols, row_dist, mu_dist)
-    vtilde_partial = (theta_local.T @ k_local) * kernel.basis.grid.dv
-    return symmetrize(comm.allreduce(vtilde_partial))
+    return distributed_kernel_gram(comm, theta_local.T, kernel, row_dist)
 
 
 def distributed_implicit_solve(

@@ -105,7 +105,15 @@ def _vtilde_phases(
     w: LRTDDFTWorkload, spec: MachineSpec, cores: int,
     threads_per_process: int = 4,
 ) -> tuple[float, float, float]:
-    """(fft, mpi, gemm) seconds of the projected-kernel build (Eq. 7)."""
+    """(fft, mpi, gemm) seconds of the projected-kernel build (Eq. 7).
+
+    Models the paper's Algorithm 1 (forward and inverse FFT per vector,
+    two transposes of ``N_r`` reals per vector, GEMM, allreduce), which is
+    what the Cori calibration and the ``benchmarks/`` figures measure.  The
+    runtime's Parseval Gram (``distributed_kernel_gram``) instead makes one
+    FFT per vector, a SYRK, and a second transpose of ``2 N_half`` floats
+    per vector (THEORY §7).
+    """
     tpp = threads_per_process
     fft = time_fft_batch(2.0 * w.n_mu, w.n_r, spec, cores)
     mpi = 2.0 * time_alltoall(

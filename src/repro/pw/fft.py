@@ -248,8 +248,6 @@ class ConvolutionPlan:
         One SYRK of the ``rfftn`` spectrum scaled by ``sqrt(w K dV / N_r)``: no
         inverse transform, exactly symmetric, fp32 plans checked as in :meth:`apply`.
         """
-        if (self.kernel_half < 0).any():
-            raise ValueError("the Parseval Gram needs a nonnegative kernel")
         if self.dtype == np.float32 and not self.degraded:
             return self._checked(
                 self._parseval_gram(fields.astype(np.float32)),
@@ -258,6 +256,18 @@ class ConvolutionPlan:
         return self._parseval_gram(fields)
 
     def _parseval_gram(self, fields: np.ndarray) -> np.ndarray:
+        flat = self.scaled_spectrum(fields)
+        return flat @ flat.T
+
+    def scaled_spectrum(self, fields: np.ndarray) -> np.ndarray:
+        """The factor ``S`` of :meth:`gram` (``gram = S S^T``) for real
+        ``(m, N_r)`` fields: their ``rfftn`` spectrum scaled by
+        ``sqrt(w K dV / N_r)``, as ``(m, 2 N_half)`` float64 rows.
+
+        Transforms in the dtype of ``fields``; ``m = 0`` is allowed.
+        """
+        if (self.kernel_half < 0).any():
+            raise ValueError("the Parseval Gram needs a nonnegative kernel")
         grid = self.fourier.grid
         spec = scipy.fft.rfftn(grid.reshape_to_grid(fields), axes=_AXES, workers=fft_workers())
         spec = spec.astype(np.complex128, copy=False)
@@ -266,8 +276,7 @@ class ConvolutionPlan:
         k3 = np.arange(spec.shape[-1])
         weight = np.where((k3 == 0) | (2 * k3 == grid.shape[2]), 1.0, 2.0)
         spec *= np.sqrt(self.kernel_half * weight * (grid.dv / grid.n_points))
-        flat = spec.reshape(fields.shape[0], -1).view(np.float64)
-        return flat @ flat.T
+        return spec.reshape(fields.shape[0], self.kernel_half.size).view(np.float64)
 
     def _apply_fp32(self, fields: np.ndarray) -> np.ndarray | None:
         """The fp32-scratch apply; ``None`` defers to the fp64 path.

@@ -11,6 +11,7 @@ from repro.parallel.parallel_isdf import (
     distributed_fit_theta,
     distributed_optimized_lrtddft,
     distributed_select_points_kmeans,
+    gather_point_values,
 )
 from repro.synthetic import synthetic_ground_state
 from repro.atoms import bulk_silicon
@@ -151,9 +152,11 @@ class TestDistributedFit:
 
         def prog(comm):
             sl = grid_dist.local_slice(comm.rank)
-            return distributed_fit_theta(
-                comm, psi_v[:, sl], psi_c[:, sl], indices, grid_dist
+            psi_v_local, psi_c_local = psi_v[:, sl], psi_c[:, sl]
+            points = gather_point_values(
+                comm, psi_v_local, psi_c_local, indices, grid_dist
             )
+            return distributed_fit_theta(psi_v_local, psi_c_local, *points)
 
         results = spmd_run(n_ranks, prog)
         assembled = np.concatenate(results, axis=0)
@@ -190,9 +193,12 @@ class TestDistributedFit:
 
         def prog(comm):
             sl = grid_dist.local_slice(comm.rank)
+            psi_v_local, psi_c_local = psi_v[:, sl], psi_c[:, sl]
+            points = gather_point_values(
+                comm, psi_v_local, psi_c_local, indices, grid_dist
+            )
             return distributed_fit_theta(
-                comm, psi_v[:, sl], psi_c[:, sl], indices, grid_dist,
-                regularization=0.0,
+                psi_v_local, psi_c_local, *points, regularization=0.0
             )
 
         # Thread ranks: the call counter lives in this process.

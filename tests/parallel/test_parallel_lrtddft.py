@@ -16,6 +16,7 @@ from repro.parallel import (
     distributed_build_vhxc,
     distributed_implicit_solve,
     distributed_isdf_vtilde,
+    distributed_kernel_gram,
     distributed_lrtddft_solve,
     pipelined_vhxc_full,
     pipelined_vhxc_rows,
@@ -64,6 +65,104 @@ class TestDistributedVhxc:
         _, traffic = spmd_run(2, prog, return_traffic=True)
         assert traffic.calls_by_op["alltoall"] == 2 * 2  # 2 transposes x 2 ranks
         assert traffic.calls_by_op["allreduce"] == 1  # one collective (line 8)
+
+
+def _relative_error(got, ref):
+    return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+
+class TestDistributedKernelGram:
+    """``distributed_kernel_gram`` against the serial ``HxcKernel.gram``."""
+
+    @pytest.fixture(scope="class")
+    def rows(self, problem):
+        gs = problem[0]
+        return default_rng(7).standard_normal((40, gs.basis.n_r))
+
+    @staticmethod
+    def _gram(kernel, rows, n_ranks, **kwargs):
+        dist = BlockDistribution1D(rows.shape[1], n_ranks)
+
+        def prog(comm):
+            return distributed_kernel_gram(
+                comm, rows[:, dist.local_slice(comm.rank)], kernel, dist
+            )
+
+        return spmd_run(n_ranks, prog, **kwargs)
+
+    @pytest.mark.parametrize("n_ranks", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 3, 7, 40])
+    def test_matches_serial_gram(self, problem, rows, n_ranks, m):
+        """m < P included: a rank that owns no field still enters both
+        alltoalls (the sanitizer checks that the collectives line up)."""
+        kernel = problem[-1]
+        serial = kernel.gram(rows[:m])
+        results, traffic = self._gram(kernel, rows[:m], n_ranks, return_traffic=True)
+        assert traffic.calls_by_op["alltoall"] == 2 * n_ranks
+        for gram in results:
+            assert gram.shape == (m, m)
+            assert _relative_error(gram, serial) <= 1e-13
+            assert np.array_equal(gram, gram.T)
+            np.testing.assert_array_equal(gram, results[0])
+
+    @pytest.mark.parametrize(
+        "options, exchanges",
+        [
+            ({"include_xc": False}, 2),
+            ({"include_hartree": False}, 0),
+            ({"spin": "triplet"}, 0),
+        ],
+    )
+    def test_kernel_variants(self, problem, rows, options, exchanges):
+        gs = problem[0]
+        kernel = HxcKernel(gs.basis, gs.density, **options)
+        serial = kernel.gram(rows[:7])
+        results, traffic = self._gram(kernel, rows[:7], 3, return_traffic=True)
+        for gram in results:
+            assert _relative_error(gram, serial) <= 1e-13
+            assert np.array_equal(gram, gram.T)
+        assert traffic.calls_by_op.get("alltoall", 0) == exchanges * 3
+        assert traffic.calls_by_op["allreduce"] == 1
+
+    def test_forward_transforms_only(self, problem, rows, monkeypatch):
+        """No inverse FFT anywhere on the distributed path, and exactly one
+        forward transform per field summed over the ranks."""
+        import scipy.fft
+
+        kernel = problem[-1]
+        batches = []
+        rfftn = scipy.fft.rfftn
+
+        def counted_rfftn(x, *args, **kwargs):
+            batches.append(int(np.prod(x.shape[:-3])))
+            return rfftn(x, *args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("inverse FFT on the distributed path")
+
+        monkeypatch.setattr(scipy.fft, "rfftn", counted_rfftn)
+        monkeypatch.setattr(scipy.fft, "irfftn", forbidden)
+        monkeypatch.setattr(scipy.fft, "ifftn", forbidden)
+        # Thread ranks: the counter lives in this process.
+        self._gram(kernel, rows[:7], 3, backend="thread")
+        assert sum(batches) == 7
+
+    def test_mixed_kernel_transforms_in_fp64(self, problem, rows):
+        """A mixed-precision kernel gives the strict64 Gram bit for bit and
+        never runs (or records) the fp32 cross-check."""
+        from repro.resilience.events import resilience_log
+
+        gs = problem[0]
+        strict = HxcKernel(gs.basis, gs.density)
+        mixed = HxcKernel(gs.basis, gs.density, precision="mixed")
+        assert mixed.coulomb_plan.dtype == np.float32
+        log = resilience_log()
+        before = len(log)
+        got = self._gram(mixed, rows[:7], 2)
+        want = self._gram(strict, rows[:7], 2)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        assert not [e for e in log.events()[before:] if e.stage == "fft-convolve"]
 
 
 class TestDistributedSolve:

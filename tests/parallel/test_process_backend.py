@@ -17,6 +17,7 @@ from repro.parallel import (
     CommTraffic,
     distributed_kmeans,
     distributed_isdf_vtilde,
+    distributed_kernel_gram,
     distributed_lrtddft_solve,
     resolve_backend,
     row_block_to_block_cyclic,
@@ -313,6 +314,25 @@ class TestAlgorithmBitIdentity:
         for (t_e, t_v), (p_e, p_v) in zip(thread, process):
             np.testing.assert_array_equal(t_e, p_e)
             np.testing.assert_array_equal(t_v, p_v)
+
+    @pytest.mark.parametrize("n_ranks, m", [(2, 40), (3, 2)])
+    def test_kernel_gram(self, si8_synthetic, n_ranks, m):
+        """Includes m < P: a rank that owns no field still exchanges."""
+        from repro.core import HxcKernel
+        from repro.utils.rng import default_rng
+
+        gs = si8_synthetic
+        kernel = HxcKernel(gs.basis, gs.density)
+        rows = default_rng(3).standard_normal((m, gs.basis.n_r))
+        dist = BlockDistribution1D(gs.basis.n_r, n_ranks)
+
+        def prog(comm):
+            sl = dist.local_slice(comm.rank)
+            return distributed_kernel_gram(comm, rows[:, sl], kernel, dist)
+
+        thread, process = both_backends(n_ranks, prog)
+        for t_g, p_g in zip(thread, process):
+            np.testing.assert_array_equal(t_g, p_g)
 
 
 class TestFaultsAndCleanup:

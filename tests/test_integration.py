@@ -144,11 +144,13 @@ class TestSerialEqualsDistributedEqualsModel:
         results, traffic = spmd_run(3, prog, return_traffic=True)
         np.testing.assert_allclose(results[0], serial, atol=1e-12)
 
-        # The traced alltoall volume equals the model's closed form.
+        # The traced alltoall volume equals the exact tile sum of the two
+        # exchanges: the pair fields, then their half spectra.
         n_cv = psi_v.shape[0] * psi_c.shape[0]
         pair_dist = BlockDistribution1D(n_cv, 3)
-        expected = 2 * sum(
-            dist.count(s) * pair_dist.count(d) * 8
+        spec_dist = BlockDistribution1D(2 * kernel.coulomb_plan.kernel_half.size, 3)
+        expected = sum(
+            (dist.count(s) * pair_dist.count(d) + pair_dist.count(s) * spec_dist.count(d)) * 8
             for s in range(3)
             for d in range(3)
             if s != d
