@@ -504,8 +504,12 @@ def weighted_kmeans(
         upper += drift[new_labels]
         lower -= drift.max(initial=0.0)
 
+        # The relative-inertia stop needs a previous inertia: the first
+        # iteration compares with inf, which would pass any tolerance.
         if not changed or (
-            tol > 0.0 and abs(inertia - new_inertia) <= tol * max(inertia, 1e-300)
+            tol > 0.0
+            and np.isfinite(inertia)
+            and abs(inertia - new_inertia) <= tol * max(inertia, 1e-300)
         ):
             labels = new_labels
             inertia = new_inertia

@@ -141,6 +141,22 @@ def _nbytes(value) -> int:
     return 64  # conservative default for small python objects
 
 
+def _receive_tile(rank: int, src: int, tile, dest: np.ndarray) -> None:
+    """Copy one alltoall tile into its destination after checking its shape.
+
+    A dropped or corrupted exchange surfaces here as a typed error naming
+    the offending peer, instead of as a broadcast into the wrong shape or
+    silently wrong physics.
+    """
+    require(
+        isinstance(tile, np.ndarray) and tile.shape == dest.shape,
+        f"rank {rank}: alltoall received a corrupt tile from rank {src}: "
+        f"expected shape {dest.shape}, got "
+        f"{tile.shape if isinstance(tile, np.ndarray) else type(tile).__name__}",
+    )
+    np.copyto(dest, tile)
+
+
 class _ReduceBoard:
     """Posted-contribution board backing the thread backend's ``ireduce``.
 
@@ -299,6 +315,20 @@ class Communicator:
                 f"({self._shared.error!r})"
             ) from None
 
+    def _publish(self, value) -> None:
+        """Deposit ``value`` in this rank's slot; peers read it by reference."""
+        self._shared.slots[self._rank] = value
+        sanitizer = self._shared.sanitizer
+        if sanitizer is not None:
+            # Peers read these very arrays by reference: they are the
+            # shared surface whose writes the sanitizer watches.
+            sanitizer.on_publish(self._rank, value)
+
+    def _peer_tile(self, src: int, copy: bool):
+        """Rank ``src``'s alltoall tile for this rank, read between the
+        exchange barriers (by reference here, whatever ``copy`` says)."""
+        return self._shared.slots[src][self._rank]
+
     def _post(self, value):
         """Deposit + first barrier; returns the snapshot for *reading only*.
 
@@ -307,12 +337,7 @@ class Communicator:
         reducing collectives consume (rank-ordered combine) inside the
         post/complete window.
         """
-        self._shared.slots[self._rank] = value
-        sanitizer = self._shared.sanitizer
-        if sanitizer is not None:
-            # Peers read these very arrays by reference: they are the
-            # shared surface whose writes the sanitizer watches.
-            sanitizer.on_publish(self._rank, value)
+        self._publish(value)
         self._barrier_wait()
         return list(self._shared.slots)
 
@@ -491,20 +516,52 @@ class Communicator:
             )
         )
 
-    def alltoall(self, chunks):
-        """Personalized all-to-all: ``chunks[d]`` goes to rank ``d``."""
+    def alltoall(self, chunks, recv=None):
+        """Personalized all-to-all: ``chunks[d]`` goes to rank ``d``.
+
+        Each tile moves once.  The own tile is never published: it goes
+        from ``chunks`` to its destination directly.  Chunks may be
+        strided views; the process backend writes each off-rank tile once
+        into its outbox, so callers need not make them contiguous.
+
+        With ``recv`` (one array per source rank), the tile from ``src``
+        is shape-checked against ``recv[src]`` and copied straight into it
+        between the exchange barriers, from the peer's posted array or
+        shared-memory view, and ``recv`` is returned.  The caller then
+        holds no reference into a peer's buffer.  Without ``recv`` the
+        received values come back as a list: by reference on the thread
+        backend, as detached copies on the process backend.  That form
+        suits non-array payloads.
+        """
         self._enter("alltoall", chunks)
         require(
             len(chunks) == self.size,
             f"alltoall needs {self.size} chunks, got {len(chunks)}",
         )
-        snapshot = self._exchange(chunks)
-        received = [snapshot[src][self._rank] for src in range(self.size)]
+        require(
+            recv is None or len(recv) == self.size,
+            f"alltoall needs {self.size} receive buffers",
+        )
+        outgoing = list(chunks)
+        outgoing[self._rank] = None  # the own tile stays local
+        self._publish(outgoing)
+        self._barrier_wait()
+        received = []
+        for src in range(self.size):
+            if src == self._rank:
+                tile = chunks[src]
+            else:
+                tile = self._peer_tile(src, copy=recv is None)
+            if recv is None:
+                received.append(tile)
+            else:
+                _receive_tile(self._rank, src, tile, recv[src])
+        self._complete()
         moved = sum(
             _nbytes(chunks[d]) for d in range(self.size) if d != self._rank
         )
         self.traffic.record("alltoall", moved)
-        return received
+        return received if recv is None else recv
 
     # -- point to point ------------------------------------------------------
 

@@ -86,6 +86,7 @@ def distributed_kernel_gram(
         field_dist = BlockDistribution1D(m, comm.size)
         fields = transpose_to_row_block(comm, rows_local, field_dist, grid_dist)
         spec = plan.scaled_spectrum(fields)
+        del fields  # the spectra replace it before the second exchange
         g_dist = BlockDistribution1D(spec.shape[1], comm.size)
         spec_rows = transpose_to_column_block(comm, spec, field_dist, g_dist)
         gram += spec_rows @ spec_rows.T

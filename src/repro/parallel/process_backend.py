@@ -10,10 +10,14 @@ program produces **bit-identical** results under either backend.
 Data movement:
 
 * bulk numpy payloads travel through per-rank :class:`~repro.parallel.shm.SharedSlab`
-  outboxes — a sender writes array bytes once, every receiver maps the
-  same segment and reads through zero-copy views; only a tiny descriptor
-  (generation, offset, shape, dtype) plus any non-array leaves are
-  pickled into a fixed metadata board,
+  outboxes — a sender copies each array leaf once, strided or not,
+  straight into its outbox, every receiver maps the same segment and
+  reads through zero-copy views; only a tiny descriptor (generation,
+  offset, shape, dtype) plus any non-array leaves are pickled into a
+  fixed metadata board,
+* ``alltoall`` publishes only the off-rank tiles, and a receiver given
+  destination buffers copies each peer's tile from the shared view
+  straight into them between the exchange barriers,
 * reductions combine *directly from the peers' shared views* between the
   exchange barriers (no intermediate copy at all),
 * :meth:`ireduce` contributions go into a grow-only
@@ -76,6 +80,11 @@ _META = struct.Struct("<QQQ")  # outbox generation, descriptor offset, length
 _ENV_TIMEOUT = "REPRO_SPMD_TIMEOUT"
 
 
+def _new_run_id() -> str:
+    """A fresh run id; every segment of the run carries it in its name."""
+    return uuid.uuid4().hex[:10]
+
+
 def _run_timeout(value: float | None) -> float:
     if value is not None:
         return float(value)
@@ -102,13 +111,15 @@ def _strip_arrays(value, arrays: list):
     """Replace ndarray leaves (top level or inside list/tuple nests) with
     :class:`_ArrayRef` placeholders, collecting the arrays in order.
 
-    Arrays buried inside other objects are left in place and travel with
-    the pickled descriptor — correctness first, zero-copy for the common
-    shapes the algorithms actually exchange.
+    The arrays are collected as given, strided views included: the
+    publisher copies each one once into its outbox, so nothing is staged
+    contiguous here.  Arrays buried inside other objects are left in
+    place and travel with the pickled descriptor — correctness first,
+    zero-copy for the common shapes the algorithms actually exchange.
     """
     if isinstance(value, np.ndarray) and not value.dtype.hasobject:
         ref = _ArrayRef(len(arrays))
-        arrays.append(np.ascontiguousarray(value))
+        arrays.append(value)
         return ref
     if isinstance(value, (list, tuple)):
         stripped = [_strip_arrays(v, arrays) for v in value]
@@ -205,7 +216,8 @@ class ProcessCommunicator(Communicator):
     def _publish(self, value) -> None:
         """Write ``value`` into this rank's outbox + metadata board slot.
 
-        Array bytes land in the shared slab (zero-copy for readers); the
+        Each array leaf is copied once, in C order, into a view of the
+        shared slab (zero-copy for readers), whatever its strides; the
         structural descriptor and non-array leaves are pickled after
         them.  Reuses the outbox across epochs — the exchange barriers
         guarantee the previous epoch's readers are done.
@@ -233,7 +245,7 @@ class ProcessCommunicator(Communicator):
                 self._registry.release(previous.name)
         for off, arr in zip(offsets, arrays):
             if arr.nbytes:
-                self._outbox.write(arr, off)
+                np.copyto(self._outbox.view(arr.shape, arr.dtype, off), arr)
         self._outbox.write(descriptor, desc_off)
         _META.pack_into(
             self._runtime.board.buf,
@@ -305,11 +317,17 @@ class ProcessCommunicator(Communicator):
         return self._materialize(encoded, metas, slab, copy or self.size == 1)
 
     def _peer_item(self, src: int, index: int, copy: bool = True):
-        """Decode only element ``index`` of a sequence payload from ``src``."""
+        """Decode only element ``index`` of a sequence payload from ``src``.
+
+        With ``copy=False`` an array element comes back as a read-only
+        zero-copy view, valid until :meth:`_complete`."""
         if src == self._rank:
             return self._published_local[index]
         encoded, metas, slab = self._peer_descriptor(src)
-        return self._materialize(encoded[index], metas, slab, copy, depth=1)
+        return self._materialize(encoded[index], metas, slab, copy)
+
+    def _peer_tile(self, src: int, copy: bool):
+        return self._peer_item(src, self._rank, copy=copy)
 
     # -- exchange primitives (base collectives build on these) ---------------
 
@@ -369,23 +387,6 @@ class ProcessCommunicator(Communicator):
                 sum(_nbytes(v) for i, v in enumerate(values) if i != root),
             )
         return chunk
-
-    def alltoall(self, chunks):
-        """Personalized all-to-all; each rank decodes only its own tiles."""
-        self._enter("alltoall", chunks)
-        require(
-            len(chunks) == self.size,
-            f"alltoall needs {self.size} chunks, got {len(chunks)}",
-        )
-        self._publish(list(chunks))
-        self._barrier_wait()
-        received = [self._peer_item(src, self._rank) for src in range(self.size)]
-        self._complete()
-        moved = sum(
-            _nbytes(chunks[d]) for d in range(self.size) if d != self._rank
-        )
-        self.traffic.record("alltoall", moved)
-        return received
 
     # -- nonblocking reduce --------------------------------------------------
 
@@ -531,7 +532,7 @@ def process_spmd_run(
             "the process SPMD backend requires the 'fork' start method "
             "(POSIX); use backend='thread' on this platform"
         ) from None
-    run_id = uuid.uuid4().hex[:10]
+    run_id = _new_run_id()
     timeout = _run_timeout(timeout)
     barrier = ctx.Barrier(n_ranks)
     abort_event = ctx.Event()

@@ -22,23 +22,6 @@ from repro.parallel.distributions import BlockCyclic2D, BlockDistribution1D
 from repro.utils.validation import require
 
 
-def _check_chunk(
-    rank: int, src: int, chunk, expected_shape: tuple[int, int]
-) -> None:
-    """Validate one alltoall-received tile before it is stitched in.
-
-    A dropped or corrupted exchange surfaces here as a typed error naming
-    the offending peer instead of as a shape error deep inside
-    ``np.concatenate`` (or worse, silently wrong physics).
-    """
-    require(
-        isinstance(chunk, np.ndarray) and chunk.shape == expected_shape,
-        f"rank {rank}: transpose received a corrupt tile from rank {src}: "
-        f"expected shape {expected_shape}, got "
-        f"{chunk.shape if isinstance(chunk, np.ndarray) else type(chunk).__name__}",
-    )
-
-
 def transpose_to_column_block(
     comm: Communicator,
     local_rows: np.ndarray,
@@ -57,17 +40,17 @@ def transpose_to_column_block(
         f"rank {comm.rank}: slab shape {local_rows.shape} does not match "
         f"({row_dist.count(comm.rank)}, {col_dist.n_global})",
     )
-    # Cut my rows into the column ranges each destination owns.
-    chunks = [
-        np.ascontiguousarray(local_rows[:, col_dist.local_slice(dest)])
-        for dest in range(comm.size)
-    ]
-    received = comm.alltoall(chunks)
-    # received[src] has shape (row_dist.count(src), my_cols): stack by rows.
-    my_cols = col_dist.count(comm.rank)
-    for src, chunk in enumerate(received):
-        _check_chunk(comm.rank, src, chunk, (row_dist.count(src), my_cols))
-    return np.concatenate(received, axis=0)
+    # My rows cut into the column ranges each destination owns: strided
+    # views, each copied once by the exchange.  The tile from ``src`` lands
+    # in its own row range of the result.
+    out = np.empty(
+        (row_dist.n_global, col_dist.count(comm.rank)), dtype=local_rows.dtype
+    )
+    comm.alltoall(
+        [local_rows[:, col_dist.local_slice(dest)] for dest in range(comm.size)],
+        recv=[out[row_dist.local_slice(src)] for src in range(comm.size)],
+    )
+    return out
 
 
 def transpose_to_row_block(
@@ -82,15 +65,14 @@ def transpose_to_row_block(
         f"rank {comm.rank}: block shape {local_cols.shape} does not match "
         f"({row_dist.n_global}, {col_dist.count(comm.rank)})",
     )
-    chunks = [
-        np.ascontiguousarray(local_cols[row_dist.local_slice(dest), :])
-        for dest in range(comm.size)
-    ]
-    received = comm.alltoall(chunks)
-    my_rows = row_dist.count(comm.rank)
-    for src, chunk in enumerate(received):
-        _check_chunk(comm.rank, src, chunk, (my_rows, col_dist.count(src)))
-    return np.concatenate(received, axis=1)
+    out = np.empty(
+        (row_dist.count(comm.rank), col_dist.n_global), dtype=local_cols.dtype
+    )
+    comm.alltoall(
+        [local_cols[row_dist.local_slice(dest)] for dest in range(comm.size)],
+        recv=[out[:, col_dist.local_slice(src)] for src in range(comm.size)],
+    )
+    return out
 
 
 def allgather_rows(
@@ -124,29 +106,34 @@ def row_block_to_block_cyclic(
     """The ``pdgemr2d`` analogue: row-block -> 2-D block-cyclic tiles.
 
     Each source rank cuts its slab by destination ownership and ships the
-    pieces with one alltoall; destinations scatter the arriving rows into
-    their local tile.  Row indices travel with the data (small integer
-    arrays), mirroring the index exchange pdgemr2d performs internally.
+    pieces with one alltoall.  A destination needs no row indices: the
+    rows arriving from ``src`` are the tile rows inside ``src``'s
+    contiguous block of ``row_dist``, so they land in one contiguous row
+    range of the tile.
     """
     my_global_rows = row_dist.global_indices(comm.rank)
     require(
         local_rows.shape == (my_global_rows.size, desc.n),
         f"rank {comm.rank}: slab shape mismatch",
     )
-
-    chunks = []
-    for dest in range(comm.size):
-        dest_rows_mask = np.isin(my_global_rows, desc.local_rows(dest))
-        dest_cols = desc.local_cols(dest)
-        payload = np.ascontiguousarray(local_rows[np.ix_(dest_rows_mask, np.arange(desc.n))][:, dest_cols])
-        chunks.append((my_global_rows[dest_rows_mask], payload))
-    received = comm.alltoall(chunks)
-
+    chunks = [
+        local_rows[
+            np.ix_(
+                np.isin(my_global_rows, desc.local_rows(dest)),
+                desc.local_cols(dest),
+            )
+        ]
+        for dest in range(comm.size)
+    ]
     tile_rows = desc.local_rows(comm.rank)
-    tile_cols = desc.local_cols(comm.rank)
-    tile = np.zeros((tile_rows.size, tile_cols.size), dtype=local_rows.dtype)
-    row_position = {int(g): i for i, g in enumerate(tile_rows)}
-    for global_rows, payload in received:
-        for k, g in enumerate(global_rows):
-            tile[row_position[int(g)], :] = payload[k]
+    tile = np.empty(
+        (tile_rows.size, desc.local_cols(comm.rank).size), dtype=local_rows.dtype
+    )
+    bounds = np.searchsorted(
+        tile_rows, [row_dist.displacement(src) for src in range(comm.size + 1)]
+    )
+    comm.alltoall(
+        chunks,
+        recv=[tile[bounds[src] : bounds[src + 1]] for src in range(comm.size)],
+    )
     return tile

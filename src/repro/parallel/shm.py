@@ -153,9 +153,11 @@ class SharedSlab:
     def write(self, data: bytes | memoryview | np.ndarray, offset: int = 0) -> int:
         """Copy raw bytes into the slab; returns the byte count written.
 
-        Array payloads should arrive C-contiguous (the publish paths stage
-        them); the defensive ``ascontiguousarray`` below only protects
-        direct callers outside the hot exchange."""
+        The exchange publish path writes only its pickled descriptor here:
+        it copies array leaves into :meth:`view`\\ s with ``np.copyto``,
+        which takes any strides without a staging copy.  Arrays passed
+        here must be C-contiguous; the defensive ``ascontiguousarray``
+        below only protects direct callers that run without contracts."""
         if isinstance(data, np.ndarray):
             data = np.ascontiguousarray(data).view(np.uint8).reshape(-1).data
         nbytes = len(data)

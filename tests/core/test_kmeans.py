@@ -10,6 +10,7 @@ import pytest
 from repro.atoms import bulk_silicon
 from repro.core import kmeans as kmeans_mod
 from repro.core import pair_weights, select_points_kmeans, weighted_kmeans
+from repro.core.isdf import default_rank
 from repro.core.kmeans import _init_greedy_weight, _pairwise_sq_dists
 from repro.synthetic import synthetic_ground_state
 from repro.utils.rng import default_rng
@@ -96,6 +97,22 @@ class TestWeightedKMeans:
             weighted_kmeans(points, -np.ones(10), 2)
         with pytest.raises(ValueError):
             weighted_kmeans(points, np.ones(10), 2, init="bogus")
+
+    def test_relative_inertia_tol_waits_for_a_finite_inertia(self):
+        """``tol > 0`` once stopped after iteration 1: the first check
+        compared with an infinite previous inertia and always passed."""
+        gs = synthetic_ground_state(
+            bulk_silicon(8), ecut=10.0, n_valence=16, n_conduction=8, seed=0
+        )
+        psi_v, _, psi_c, _ = gs.select_transition_space()
+        w = pair_weights(psi_v, psi_c)
+        keep = np.flatnonzero(w >= 1e-6 * w.max())
+        points, weights = gs.basis.grid.cartesian_points[keep], w[keep]
+        n_mu = default_rank(psi_v.shape[0], psi_c.shape[0], gs.basis.n_r)
+        *_, n_exact, _ = weighted_kmeans(points, weights, n_mu)
+        *_, n_tol, converged = weighted_kmeans(points, weights, n_mu, tol=1e-3)
+        assert 1 < n_tol <= n_exact
+        assert converged
 
     def test_n_clusters_equals_n_points(self, rng):
         points = rng.standard_normal((6, 3))

@@ -5,7 +5,6 @@ Every test here runs real forked processes, so the file carries the
 platforms without fork).
 """
 
-import os
 import pickle
 
 import numpy as np
@@ -32,10 +31,6 @@ from repro.resilience.faults import FaultInjector, FaultSpec, InjectedRankFailur
 from repro.resilience.policies import RetryPolicy
 
 pytestmark = pytest.mark.process_backend
-
-
-def _shm_residue():
-    return [f for f in os.listdir("/dev/shm") if f.startswith("reprospmd")]
 
 
 def both_backends(n_ranks, prog, **kwargs):
@@ -72,7 +67,7 @@ class TestBackendSelection:
 
 class TestCollectiveBitIdentity:
     @pytest.mark.parametrize("n_ranks", [1, 3])
-    def test_all_collectives(self, rng, n_ranks):
+    def test_all_collectives(self, rng, n_ranks, shm_residue):
         payload = rng.standard_normal((n_ranks, 5, 3))
 
         def prog(comm):
@@ -110,7 +105,7 @@ class TestCollectiveBitIdentity:
                         np.testing.assert_array_equal(a, b, err_msg=key)
                 else:
                     np.testing.assert_array_equal(t_val, p_val, err_msg=key)
-        assert _shm_residue() == []
+        assert shm_residue() == []
 
     def test_p2p_roundtrip(self):
         def prog(comm):
@@ -336,7 +331,7 @@ class TestAlgorithmBitIdentity:
 
 
 class TestFaultsAndCleanup:
-    def test_error_propagates_with_type(self):
+    def test_error_propagates_with_type(self, shm_residue):
         def bad(comm):
             if comm.rank == 1:
                 raise KeyError("lost key on rank 1")
@@ -344,9 +339,9 @@ class TestFaultsAndCleanup:
 
         with pytest.raises(KeyError, match="lost key on rank 1"):
             spmd_run(3, bad, backend="process")
-        assert _shm_residue() == []
+        assert shm_residue() == []
 
-    def test_kill_rank_mid_alltoall_leaves_no_shm_residue(self):
+    def test_kill_rank_mid_alltoall_leaves_no_shm_residue(self, shm_residue):
         inj = FaultInjector(
             [FaultSpec(kind="kill_rank", rank=1, step=0, op="alltoall")]
         )
@@ -359,7 +354,7 @@ class TestFaultsAndCleanup:
         with pytest.raises(InjectedRankFailure) as excinfo:
             spmd_run(3, prog, fault_injector=inj, backend="process")
         assert excinfo.value.rank == 1 and excinfo.value.op == "alltoall"
-        assert _shm_residue() == []
+        assert shm_residue() == []
         # One-shot spec was consumed inside the forked rank and merged
         # back, so the resilient retry completes cleanly.
         results = spmd_run_resilient(
@@ -368,7 +363,7 @@ class TestFaultsAndCleanup:
         )
         ref = spmd_run(3, prog, backend="thread")
         assert results == ref
-        assert _shm_residue() == []
+        assert shm_residue() == []
 
     def test_injected_failure_pickles_faithfully(self):
         exc = InjectedRankFailure(2, "allreduce", 5)

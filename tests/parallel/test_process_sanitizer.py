@@ -7,7 +7,6 @@ mutation, and ``/dev/shm`` hygiene.  Runs real forked processes, hence the
 ``process_backend`` marker.
 """
 
-import os
 
 import numpy as np
 import pytest
@@ -24,11 +23,9 @@ class _Process:
 
 
 class TestCleanPrograms(_Process, shared.ScenarioCleanPrograms):
-    def test_no_shm_residue_after_sanitized_run(self):
+    def test_no_shm_residue_after_sanitized_run(self, shm_residue):
         self.run(2, lambda comm: comm.allreduce(comm.rank))
-        assert [
-            f for f in os.listdir("/dev/shm") if f.startswith("reprospmd")
-        ] == []
+        assert shm_residue() == []
 
     def test_board_size_covers_slots_and_verdict(self):
         assert board_size(4) > 4 * 3 * 4096
