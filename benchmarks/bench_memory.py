@@ -74,7 +74,7 @@ def test_measured_peak_memory(benchmark, si8_state, save_table):
         f"naive solver:    {naive_peak / 2**20:8.1f} MB "
         "(pair matrix + dense H)",
         f"implicit solver: {implicit_peak / 2**20:8.1f} MB "
-        "(Theta + Vtilde, never H)",
+        "(fit rows + Vtilde, never H)",
         f"reduction:       {naive_peak / implicit_peak:8.1f}x",
     ]
     save_table("memory_measured", "\n".join(lines))

@@ -13,8 +13,12 @@ the orbital factors),
     Z C^T   = P_v ∘ P_c                       (N_r  x N_mu, Hadamard)
     C C^T   = (Psi_mu^T Psi_mu) ∘ (Phi_mu^T Phi_mu)   (N_mu x N_mu)
 
-so the full ``Z`` is never formed and the cost is
-``O((N_v + N_c) N_r N_mu + N_mu^2 N_r)`` instead of ``O(N_v N_c N_r N_mu)``.
+so the full ``Z`` is never formed.  The fit stops at the rows
+``M = (Z C^T)^T`` (``O((N_v + N_c) N_r N_mu)``): LR-TDDFT needs Theta only
+through ``Vtilde = Theta^T f_Hxc Theta dV`` (Eq. 7), so :func:`solve_vtilde`
+applies ``(C C^T)^{-1}`` to the ``N_mu x N_mu`` Gram of ``M`` instead of to
+the ``N_r x N_mu`` rows (``O(N_mu^3)``).  :func:`solve_theta` forms Theta
+itself for diagnostics (``O(N_r N_mu^2)``).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
+from repro.utils.linalg import symmetrize
 from repro.utils.validation import require
 
 
@@ -42,31 +47,34 @@ def coefficient_matrix(
 #: Row-sample size for the fp32 fitting-GEMM a-posteriori error estimate.
 _FP32_CHECK_ROWS = 256
 
+#: Relative Tikhonov ridge on ``C C^T`` — interpolation points selected by
+#: K-Means can be mildly collinear in the orbital values, and the ridge
+#: keeps the solves stable without visibly perturbing the fit.
+RIDGE = 1e-12
+
 
 def fit_interpolation_vectors(
     psi_v: np.ndarray,
     psi_c: np.ndarray,
     indices: np.ndarray,
     *,
-    regularization: float = 1e-12,
     precision=None,
 ) -> np.ndarray:
-    """Interpolation vectors ``Theta`` of shape ``(N_r, N_mu)``.
+    """The fit rows ``M = (Z C^T)^T``, C-ordered ``(N_mu, N_r)``.
+
+    They are the interpolation vectors in unsolved form:
+    ``Theta = M^T (C C^T + ridge)^{-1}`` (:func:`solve_theta`), and
+    ``Vtilde`` comes from the Gram of ``M`` (:func:`solve_vtilde`).
 
     Parameters
     ----------
     indices:
         ``(N_mu,)`` grid-point indices of the interpolation points.
-    regularization:
-        Relative Tikhonov ridge on ``C C^T`` — interpolation points selected
-        by K-Means can be mildly collinear in the orbital values, and the
-        ridge keeps the solve stable without visibly perturbing the fit.
     precision:
         A precision mode string or :class:`repro.precision.PrecisionConfig`.
         With ``fit_fp32`` the two ``O(N_r N_mu)`` tall-skinny GEMMs (the
-        dominant cost of the fit) run in fp32; the ``N_mu x N_mu`` Gram
-        matrix, the ridge and the Cholesky solve stay fp64.  When
-        verification is on, a deterministic row sample of ``Z C^T`` is
+        whole cost of the fit) run in fp32 and the rows come back in fp64.
+        When verification is on, a deterministic row sample of ``Z C^T`` is
         recomputed in fp64; a relative deviation above ``fit_tol`` discards
         the fp32 product, refits entirely in fp64 and records an
         ``isdf-fit`` degradation event.
@@ -82,8 +90,6 @@ def fit_interpolation_vectors(
     v_pts = psi_v[:, indices]  # (N_v, N_mu)
     c_pts = psi_c[:, indices]  # (N_c, N_mu)
 
-    # Z C^T via the separable Hadamard identity, as (N_mu, N_r) rows; the
-    # Hadamard product folds in place, so two N_r x N_mu temporaries at most.
     fp32 = bool(precision.fit_fp32) and psi_v.dtype == np.float64
     if fp32:
         zct = _fitting_gemms_fp32(psi_v, psi_c, v_pts, c_pts)
@@ -103,13 +109,47 @@ def fit_interpolation_vectors(
                 )
                 fp32 = False
     if not fp32:
-        zct = v_pts.T @ psi_v  # (N_mu, N_r)
-        zct *= c_pts.T @ psi_c
-    return solve_theta(v_pts, c_pts, zct, regularization=regularization)
+        zct = fit_rows(psi_v, psi_c, v_pts, c_pts)
+    return zct
+
+
+def fit_rows(
+    psi_v: np.ndarray, psi_c: np.ndarray, v_pts: np.ndarray, c_pts: np.ndarray
+) -> np.ndarray:
+    """``(Z C^T)^T = (v_pts^T psi_v) ∘ (c_pts^T psi_c)``, ``(N_mu, n_rows)``
+    over whatever grid rows ``psi_v`` / ``psi_c`` hold; the Hadamard product
+    folds in place, so one extra ``N_mu x n_rows`` temporary at most."""
+    rows = v_pts.T @ psi_v
+    rows *= c_pts.T @ psi_c
+    return rows
+
+
+def _ridged_cholesky(
+    v_pts: np.ndarray, c_pts: np.ndarray, regularization: float
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(C C^T + ridge, R)`` with ``R^T R = C C^T + ridge`` upper
+    triangular, or ``R = None`` when the factorization breaks down.
+
+    The Gram is ``N_mu x N_mu`` and always fp64: it feeds the conditioning-
+    sensitive factorization (``O(N_mu^2 N_bands)``, negligible next to the
+    fit rows)."""
+    gram = v_pts.T @ v_pts
+    gram *= c_pts.T @ c_pts
+    scale = float(np.trace(gram)) / max(gram.shape[0], 1)
+    gram[np.diag_indices_from(gram)] += regularization * max(scale, 1e-300)
+    try:
+        r_factor, _ = sla.cho_factor(gram, lower=False)
+    except sla.LinAlgError:
+        return gram, None
+    return gram, r_factor
 
 
 def solve_theta(
-    v_pts: np.ndarray, c_pts: np.ndarray, zct: np.ndarray, *, regularization: float
+    v_pts: np.ndarray,
+    c_pts: np.ndarray,
+    zct: np.ndarray,
+    *,
+    regularization: float = RIDGE,
 ) -> np.ndarray:
     """``Theta = Z C^T (C C^T + ridge)^{-1}``, ``(n_rows, N_mu)`` and F-ordered.
 
@@ -118,21 +158,35 @@ def solve_theta(
     right-side ``dtrmm`` calls apply ``R^{-1}`` and ``R^{-T}`` to its
     F-ordered view.  A factorization that breaks down falls back to ``lstsq``.
     """
-    # C C^T, N_mu x N_mu and always fp64 (it feeds the conditioning-
-    # sensitive factorization; O(N_mu^2 N_bands), negligible next to Z C^T).
-    gram = v_pts.T @ v_pts
-    gram *= c_pts.T @ c_pts
-    scale = float(np.trace(gram)) / max(gram.shape[0], 1)
-    gram[np.diag_indices_from(gram)] += regularization * max(scale, 1e-300)
-    try:
-        r_factor, _ = sla.cho_factor(gram, lower=False)
+    gram, r_factor = _ridged_cholesky(v_pts, c_pts, regularization)
+    if r_factor is not None:
         r_inv, info = sla.lapack.dtrtri(r_factor, lower=0, overwrite_c=1)
-        if info != 0:
-            raise sla.LinAlgError(f"dtrtri: singular Cholesky factor ({info})")
-        theta = sla.blas.dtrmm(1.0, r_inv, zct.T, side=1, overwrite_b=1)
-        return sla.blas.dtrmm(1.0, r_inv, theta, side=1, trans_a=1, overwrite_b=1)
-    except sla.LinAlgError:
-        return np.linalg.lstsq(gram, zct, rcond=None)[0].T
+        if info == 0:
+            theta = sla.blas.dtrmm(1.0, r_inv, zct.T, side=1, overwrite_b=1)
+            return sla.blas.dtrmm(1.0, r_inv, theta, side=1, trans_a=1, overwrite_b=1)
+    return np.linalg.lstsq(gram, zct, rcond=None)[0].T
+
+
+def solve_vtilde(
+    v_pts: np.ndarray, c_pts: np.ndarray, gram_m: np.ndarray
+) -> np.ndarray:
+    """``Vtilde = Theta^T f_Hxc Theta dV`` from ``gram_m = M f_Hxc M^T dV``.
+
+    With ``Theta = M^T A`` and ``A = (C C^T + ridge)^{-1} = R^{-1} R^{-T}``
+    symmetric, ``Vtilde = A gram_m A``: two ``cho_solve`` calls (each two
+    ``N_mu x N_mu`` triangular solves with the factor :func:`solve_theta`
+    uses) give ``A gram_m`` and then ``A (A gram_m)^T``.  A factorization
+    that breaks down falls back to ``lstsq``, as in :func:`solve_theta`.
+    The result is symmetrized, so it is exactly symmetric.
+    """
+    gram, r_factor = _ridged_cholesky(v_pts, c_pts, RIDGE)
+    if r_factor is not None:
+        half = sla.cho_solve((r_factor, False), gram_m)
+        vtilde = sla.cho_solve((r_factor, False), half.T, overwrite_b=True)
+    else:
+        half = np.linalg.lstsq(gram, gram_m, rcond=None)[0]
+        vtilde = np.linalg.lstsq(gram, half.T, rcond=None)[0]
+    return symmetrize(vtilde)
 
 
 def _fitting_gemms_fp32(
@@ -145,7 +199,7 @@ def _fitting_gemms_fp32(
 
     The Hadamard fold happens in fp32 (still elementwise-accurate to
     ~eps_fp32 relative), then one upcast materializes the fp64 rows the
-    triangular solve consumes.
+    fit keeps.
     """
     zct32 = v_pts.astype(np.float32).T @ psi_v.astype(np.float32)
     zct32 *= c_pts.astype(np.float32).T @ psi_c.astype(np.float32)

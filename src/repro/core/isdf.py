@@ -6,16 +6,20 @@ single result object:
     psi_v(r) psi_c(r)  ~=  sum_mu zeta_mu(r) * psi_v(r_mu) psi_c(r_mu)
 
 i.e. ``Z ~= Theta C`` with ``Theta`` the interpolation vectors (auxiliary
-basis functions) and ``C`` the separable coefficient tensor.
+basis functions) and ``C`` the separable coefficient tensor.  The result
+keeps the fit rows ``M = (Z C^T)^T`` rather than Theta: every LR-TDDFT path
+reaches Theta only through ``Vtilde`` (:func:`repro.core.fitting.solve_vtilde`),
+and Theta is solved only when a diagnostic asks for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from repro.core.fitting import coefficient_matrix, fit_interpolation_vectors
+from repro.core.fitting import coefficient_matrix, fit_interpolation_vectors, solve_theta
 from repro.core.kmeans import select_points_kmeans
 from repro.core.pair_products import pair_products
 from repro.core.qrcp import select_points_qrcp
@@ -55,9 +59,9 @@ class ISDFDecomposition:
     ----------
     indices:
         ``(N_mu,)`` interpolation-point indices into the grid.
-    theta:
-        ``(N_r, N_mu)`` interpolation vectors (auxiliary basis functions);
-        F-ordered when fitted, so ``theta.T`` is contiguous rows.
+    fit_rows:
+        ``(N_mu, N_r)`` fit rows ``M = (Z C^T)^T``: the interpolation
+        vectors before the ``(C C^T)^{-1}`` solve.
     psi_v_mu / psi_c_mu:
         Orbital values at the interpolation points — the separable factors
         of ``C`` (kept factored so the implicit method never builds
@@ -69,7 +73,7 @@ class ISDFDecomposition:
     """
 
     indices: np.ndarray
-    theta: np.ndarray
+    fit_rows: np.ndarray
     psi_v_mu: np.ndarray
     psi_c_mu: np.ndarray
     method: str
@@ -82,6 +86,12 @@ class ISDFDecomposition:
     @property
     def n_pairs(self) -> int:
         return self.psi_v_mu.shape[0] * self.psi_c_mu.shape[0]
+
+    @cached_property
+    def theta(self) -> np.ndarray:
+        """``(N_r, N_mu)`` interpolation vectors, F-ordered; solved from
+        :attr:`fit_rows` on first access (``O(N_r N_mu^2)``)."""
+        return solve_theta(self.psi_v_mu, self.psi_c_mu, self.fit_rows.copy())
 
     def coefficients(self) -> np.ndarray:
         """Materialize ``C`` of shape ``(N_mu, N_cv)``."""
@@ -129,7 +139,7 @@ class ISDFDecomposition:
         it is a diagnostics object, not part of the decomposition)."""
         return {
             "indices": self.indices,
-            "theta": self.theta,
+            "fit_rows": self.fit_rows,
             "psi_v_mu": self.psi_v_mu,
             "psi_c_mu": self.psi_c_mu,
             "method": self.method,
@@ -139,7 +149,7 @@ class ISDFDecomposition:
     def from_dict(cls, data: dict) -> "ISDFDecomposition":
         return cls(
             indices=np.array(data["indices"]),
-            theta=np.array(data["theta"]),
+            fit_rows=np.array(data["fit_rows"]),
             psi_v_mu=np.array(data["psi_v_mu"]),
             psi_c_mu=np.array(data["psi_c_mu"]),
             method=str(data["method"]),
@@ -230,16 +240,14 @@ def isdf_decompose(
     checkpoint:
         Optional :class:`~repro.resilience.checkpoint.LoopCheckpointer`;
         the pipeline snapshots each completed stage (0 = point selection,
-        1 = interpolation-vector fit) so a restarted decomposition reuses
-        the selected points (and, when present, the fitted vectors)
-        instead of recomputing.  ``selection_info`` is ``None`` on a
+        1 = fit rows) so a restarted decomposition reuses the selected
+        points (and, when present, the fit rows) instead of recomputing.  ``selection_info`` is ``None`` on a
         resumed result.
     precision:
         A precision mode string or :class:`repro.precision.PrecisionConfig`,
         forwarded to the K-Means selection (fp32 classification with fp64
         accumulators and a converged-assignment recheck) and the
-        least-squares fit (fp32 tall-skinny GEMMs with a sampled fp64
-        residual check).  QRCP selection always runs in fp64.
+        fit (fp32 tall-skinny GEMMs with a sampled fp64 residual check).  QRCP selection always runs in fp64.
     selection_kwargs:
         Forwarded to the point selector (e.g. ``prune_threshold``,
         ``sketch``, ``oversample``).
@@ -265,15 +273,15 @@ def isdf_decompose(
             f"indices out of range for N_r={n_r}",
         )
 
-    indices = theta = info = None
+    indices = rows = info = None
     method_used = method
     resumed = checkpoint.resume() if checkpoint is not None else None
     if resumed is not None:
         _, state = resumed
         indices = np.array(state["indices"])
         method_used = str(state["method"])
-        if state.get("theta") is not None:
-            theta = np.array(state["theta"])
+        if state.get("fit_rows") is not None:
+            rows = np.array(state["fit_rows"])
 
     if indices is None and reused is not None:
         indices = np.sort(np.unique(reused))
@@ -309,25 +317,25 @@ def isdf_decompose(
         if checkpoint is not None:
             checkpoint.save(
                 0,
-                {"indices": indices, "method": method_used, "theta": None},
+                {"indices": indices, "method": method_used, "fit_rows": None},
                 force=True,
             )
 
-    if theta is None:
+    if rows is None:
         with timers.scope("isdf/fit"):
-            theta = fit_interpolation_vectors(
+            rows = fit_interpolation_vectors(
                 psi_v, psi_c, indices, precision=precision
             )
         if checkpoint is not None:
             checkpoint.save(
                 1,
-                {"indices": indices, "method": method_used, "theta": theta},
+                {"indices": indices, "method": method_used, "fit_rows": rows},
                 force=True,
             )
 
     return ISDFDecomposition(
         indices=indices,
-        theta=theta,
+        fit_rows=rows,
         psi_v_mu=psi_v[:, indices].copy(),
         psi_c_mu=psi_c[:, indices].copy(),
         method=method_used,

@@ -6,7 +6,9 @@ Hartree-exchange-correlation matrix collapses to
     V_Hxc ~= C^T  Vtilde  C,      Vtilde = Theta^T (f_Hxc Theta) dV,
 
 so only ``N_mu`` kernel applications (FFTs) are needed instead of ``N_cv``,
-and the heavy GEMMs shrink from ``N_r x N_cv`` to ``N_r x N_mu``.  These are
+and the heavy GEMMs shrink from ``N_r x N_cv`` to ``N_r x N_mu``.  The Gram
+runs on the fit rows ``M`` and ``(C C^T)^{-1}`` acts on it from both sides
+(:func:`repro.core.fitting.solve_vtilde`), so Theta is never formed.  These are
 versions (2) and (3) of the paper's Table 4; the projected kernel
 ``Vtilde`` is also exactly the object the implicit method (version 5)
 caches.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.fitting import solve_vtilde
 from repro.core.isdf import ISDFDecomposition
 from repro.core.kernel import HxcKernel
 from repro.core.pair_products import pair_energies
@@ -29,11 +32,13 @@ def project_kernel(
     *,
     timers: TimerRegistry | None = None,
 ) -> np.ndarray:
-    """``Vtilde = Theta^T f_Hxc Theta dV`` of shape ``(N_mu, N_mu)`` (Eq. 7),
-    one :meth:`HxcKernel.gram`: ``N_mu`` forward FFTs and no inverse."""
+    """``Vtilde = Theta^T f_Hxc Theta dV`` of shape ``(N_mu, N_mu)`` (Eq. 7):
+    one :meth:`HxcKernel.gram` of the fit rows (``N_mu`` forward FFTs and no
+    inverse), then :func:`solve_vtilde`."""
     timers = timers or TimerRegistry()
     with timers.scope("isdf_h/kernel_fft"):
-        return kernel.gram(isdf.theta.T)
+        gram = kernel.gram(isdf.fit_rows)
+        return solve_vtilde(isdf.psi_v_mu, isdf.psi_c_mu, gram)
 
 
 def build_isdf_hamiltonian(

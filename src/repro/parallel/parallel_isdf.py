@@ -9,12 +9,13 @@ with the orbitals arriving row-block distributed over grid points and
 3. orbital values at the interpolation points — one small Allreduce
    (``(N_v + N_c) x N_mu`` floats, :func:`gather_point_values`), used by
    both the fit and the pair-space factor ``C``,
-4. interpolation-vector fit — local Hadamard-GEMMs over the owned grid
-   rows, replicated ``N_mu x N_mu`` Cholesky (Eq. 10),
-5. projected kernel ``Vtilde`` — one forward FFT per interpolation vector
-   and a Parseval Gram of the spectra, not Algorithm 1's inverse FFT and
-   GEMM (:func:`repro.parallel.parallel_lrtddft.distributed_kernel_gram`,
-   through :func:`~repro.parallel.parallel_lrtddft.distributed_isdf_vtilde`),
+4. fit rows ``M = (Z C^T)^T`` — local Hadamard-GEMMs over the owned grid
+   rows, no solve and no communication,
+5. projected kernel ``Vtilde`` — one forward FFT per fit row and a
+   Parseval Gram of the spectra, not Algorithm 1's inverse FFT and GEMM
+   (:func:`repro.parallel.parallel_lrtddft.distributed_kernel_gram`), then
+   the replicated ``N_mu x N_mu`` Cholesky of Eq. 10 on both sides of the
+   Gram (:func:`~repro.parallel.parallel_lrtddft.distributed_isdf_vtilde`),
 6. implicit LOBPCG over pair-distributed Ritz vectors
    (:func:`repro.parallel.parallel_lobpcg.distributed_lobpcg`).
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.fitting import solve_theta
+from repro.core.fitting import fit_rows
 from repro.core.kernel import HxcKernel
 from repro.core.kmeans import NO_INDEX, representatives
 from repro.core.pair_products import pair_energies
@@ -124,19 +125,16 @@ def distributed_fit_theta(
     psi_c_local: np.ndarray,
     v_pts: np.ndarray,
     c_pts: np.ndarray,
-    *,
-    regularization: float = 1e-12,
 ) -> np.ndarray:
-    """Row-distributed interpolation vectors ``Theta_local`` (Eq. 10).
+    """This rank's fit rows ``M_local = (Z C^T)^T``, ``(N_mu, my_rows)``.
 
     ``v_pts`` / ``c_pts`` are the replicated point values of
     :func:`gather_point_values`.  Two Hadamard tall-skinny GEMMs over the
-    owned grid rows, then the replicated ``N_mu x N_mu`` factorization of
-    the serial fit's shared :func:`solve_theta`; no communication.
+    owned grid rows (:func:`repro.core.fitting.fit_rows`); the ``(C C^T)^{-1}``
+    solve is left to :func:`distributed_isdf_vtilde`, which applies it to
+    the ``N_mu x N_mu`` Gram.  No communication.
     """
-    zct_local = v_pts.T @ psi_v_local  # (N_mu, my_rows)
-    zct_local *= c_pts.T @ psi_c_local
-    return solve_theta(v_pts, c_pts, zct_local, regularization=regularization)
+    return fit_rows(psi_v_local, psi_c_local, v_pts, c_pts)
 
 
 def distributed_optimized_lrtddft(
@@ -168,8 +166,8 @@ def distributed_optimized_lrtddft(
     v_pts, c_pts = gather_point_values(
         comm, psi_v_local, psi_c_local, indices, grid_dist
     )
-    theta_local = distributed_fit_theta(psi_v_local, psi_c_local, v_pts, c_pts)
-    vtilde = distributed_isdf_vtilde(comm, theta_local, kernel, grid_dist)
+    rows_local = distributed_fit_theta(psi_v_local, psi_c_local, v_pts, c_pts)
+    vtilde = distributed_isdf_vtilde(comm, rows_local, v_pts, c_pts, kernel, grid_dist)
 
     # Pair-space quantities: C stays factored from the replicated point
     # values (small), and LOBPCG runs over pair-distributed vectors.

@@ -23,15 +23,16 @@ The rank program:
 So the paper's lines 4-7 (FFT, ``4 pi / G^2``, inverse FFT, transpose
 back, GEMM) no longer run as written: the second exchange carries half
 spectra instead of kernel-applied fields (THEORY §7).  The ISDF variant
-(:func:`distributed_isdf_vtilde`) runs the same Gram on the ``N_mu``
-interpolation vectors instead of the ``N_cv`` pairs — that is the entire
-point of the paper.
+(:func:`distributed_isdf_vtilde`) runs the same Gram on the ``N_mu`` fit
+rows instead of the ``N_cv`` pairs — that is the entire point of the
+paper — and solves the replicated ``N_mu x N_mu`` result for ``Vtilde``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.fitting import solve_vtilde
 from repro.core.isdf import ISDFDecomposition
 from repro.core.kernel import HxcKernel
 from repro.core.pair_products import pair_energies
@@ -150,19 +151,24 @@ def distributed_lrtddft_solve(
 
 def distributed_isdf_vtilde(
     comm: Communicator,
-    theta_local: np.ndarray,
+    rows_local: np.ndarray,
+    v_pts: np.ndarray,
+    c_pts: np.ndarray,
     kernel: HxcKernel,
     row_dist: BlockDistribution1D,
 ) -> np.ndarray:
     """Projected kernel ``Vtilde = Theta^T f_Hxc Theta dV`` from
-    row-distributed interpolation vectors — the optimized version's
-    communication pattern.
+    grid-distributed fit rows — the optimized version's communication
+    pattern.
 
-    ``theta_local`` is ``(my_rows, N_mu)``; :func:`distributed_kernel_gram`
-    over ``N_mu`` fields instead of ``N_cv``.  The fit returns Theta
-    F-ordered, so ``theta_local.T`` is a free contiguous view.
+    ``rows_local`` is this rank's ``(N_mu, my_rows)`` block of the fit rows
+    ``M``: :func:`distributed_kernel_gram` over ``N_mu`` fields instead of
+    ``N_cv`` gives the replicated ``M f_Hxc M^T dV``, and every rank applies
+    the serial :func:`~repro.core.fitting.solve_vtilde` to it with the
+    replicated point values ``v_pts`` / ``c_pts``.
     """
-    return distributed_kernel_gram(comm, theta_local.T, kernel, row_dist)
+    gram = distributed_kernel_gram(comm, rows_local, kernel, row_dist)
+    return solve_vtilde(v_pts, c_pts, gram)
 
 
 def distributed_implicit_solve(
@@ -178,7 +184,7 @@ def distributed_implicit_solve(
     max_iter: int = 300,
     checkpoint=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Optimized distributed path: row-distributed Theta -> Vtilde ->
+    """Optimized distributed path: grid-distributed fit rows -> Vtilde ->
     replicated implicit LOBPCG (the O(N_mu^2) state is tiny by design).
 
     Every rank returns identical eigenpairs.
@@ -194,8 +200,10 @@ def distributed_implicit_solve(
     from repro.eigen.lobpcg import lobpcg
     from repro.utils.rng import default_rng
 
-    theta_local = isdf.theta[row_dist.local_slice(comm.rank)]
-    vtilde = distributed_isdf_vtilde(comm, theta_local, kernel, row_dist)
+    rows_local = isdf.fit_rows[:, row_dist.local_slice(comm.rank)]
+    vtilde = distributed_isdf_vtilde(
+        comm, rows_local, isdf.psi_v_mu, isdf.psi_c_mu, kernel, row_dist
+    )
     op = ImplicitCasidaOperator(isdf, eps_v, eps_c, vtilde=vtilde)
 
     diag = op.diagonal_d

@@ -9,9 +9,9 @@ column the tier's documented tolerances gate on:
 * **K-Means point selection** — fp32 distance/assignment classification
   with fp64 centroid accumulators and a converged-assignment fp64
   recheck (:func:`repro.core.kmeans.weighted_kmeans`),
-* **ISDF least-squares fit** — fp32 tall-skinny GEMMs with the fp64
-  Gram/ridge/Cholesky solve and a sampled fp64 residual check
-  (:func:`repro.core.fitting.fit_interpolation_vectors`),
+* **ISDF fit rows** — fp32 tall-skinny GEMMs with a sampled fp64 residual
+  check (:func:`repro.core.fitting.fit_interpolation_vectors`); the error
+  column is taken on Theta, solved from each tier's rows in fp64,
 * **pair-product assembly** — :func:`repro.core.pair_products.pair_products`
   with fp32 output (the memory-bound ``Z`` build).
 
@@ -28,7 +28,7 @@ import platform
 
 import numpy as np
 
-from repro.core.fitting import fit_interpolation_vectors
+from repro.core.fitting import fit_interpolation_vectors, solve_theta
 from repro.core.kmeans import weighted_kmeans
 from repro.core.pair_products import pair_products
 from repro.perf.backend_bench import (
@@ -129,14 +129,14 @@ def bench_fit_precision(
     tiers: dict[str, dict] = {}
     thetas: dict[str, np.ndarray] = {}
     for tier in ("strict64", "mixed"):
-        seconds, theta = _time_best(
+        seconds, rows = _time_best(
             lambda tier=tier: fit_interpolation_vectors(
                 psi_v, psi_c, indices, precision=tier
             ),
             repeats,
         )
         tiers[tier] = {"seconds": seconds}
-        thetas[tier] = np.asarray(theta)
+        thetas[tier] = solve_theta(psi_v[:, indices], psi_c[:, indices], rows)
     scale = float(np.linalg.norm(thetas["strict64"])) or 1.0
     error = float(np.linalg.norm(thetas["mixed"] - thetas["strict64"])) / scale
     tol = STAGE_TOLERANCES["isdf_fit"]

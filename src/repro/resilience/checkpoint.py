@@ -38,8 +38,9 @@ __all__ = [
     "LoopCheckpointer",
 ]
 
-#: Snapshot layout version; bumped on incompatible state-dict changes.
-CHECKPOINT_FORMAT_VERSION = 1
+#: Snapshot layout version; bumped on incompatible state-dict changes (2: the
+#: ISDF fit stage stores ``fit_rows`` instead of ``theta``).
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):

@@ -35,8 +35,9 @@ __all__ = [
     "save_payload",
 ]
 
-#: On-disk format version; bumped on incompatible layout changes.
-PAYLOAD_FORMAT_VERSION = 1
+#: On-disk format version; bumped on incompatible layout changes (2: ISDF
+#: results carry the fit rows ``fit_rows`` instead of ``theta``).
+PAYLOAD_FORMAT_VERSION = 2
 
 _META_KEY = "__meta__"
 _ARRAY_TAG = "__array__"

@@ -104,6 +104,28 @@ class TestLRTDDFTResultRoundTrip:
         np.testing.assert_array_equal(loaded.isdf.theta, result.isdf.theta)
         np.testing.assert_array_equal(loaded.isdf.indices, result.isdf.indices)
 
+    def test_previous_format_with_theta_rejected(
+        self, tiny_gs, tmp_path, monkeypatch
+    ):
+        """Format 1 stored ISDF results with ``theta``; format 2 stores the
+        fit rows, and a format-1 file fails with the typed error."""
+        from repro.utils import serialization
+
+        result = LRTDDFTSolver(tiny_gs, seed=0).solve(
+            api.TDDFTConfig(method="kmeans-isdf")
+        )
+        data = result.to_dict()
+        isdf = dict(data["isdf"])
+        isdf["theta"] = result.isdf.theta
+        del isdf["fit_rows"]
+        path = tmp_path / "old.npz"
+        monkeypatch.setattr(serialization, "PAYLOAD_FORMAT_VERSION", 1)
+        save_payload(path, {"class": "LRTDDFTResult", "data": {**data, "isdf": isdf}})
+        monkeypatch.undo()
+        assert serialization.PAYLOAD_FORMAT_VERSION == 2
+        with pytest.raises(SerializationError, match="payload format 1 is not supported"):
+            api.LRTDDFTResult.load(path)
+
     def test_round_trip_naive_has_no_isdf(self, tiny_gs, tmp_path):
         solver = LRTDDFTSolver(tiny_gs, seed=0)
         result = solver.solve(api.TDDFTConfig(method="naive", n_excitations=3))

@@ -154,9 +154,9 @@ class TestGram:
         rng = default_rng(10)
         isdf = ISDFDecomposition(
             indices=np.arange(n_mu),
-            theta=np.asfortranarray(rng.standard_normal((basis.n_r, n_mu))),
-            psi_v_mu=np.ones((1, n_mu)),
-            psi_c_mu=np.ones((1, n_mu)),
+            fit_rows=rng.standard_normal((n_mu, basis.n_r)),
+            psi_v_mu=rng.standard_normal((2, n_mu)),
+            psi_c_mu=rng.standard_normal((4, n_mu)),
             method="kmeans",
         )
         counts = {"rfftn": 0, "irfftn": 0, "fftn": 0, "ifftn": 0}

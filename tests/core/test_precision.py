@@ -87,12 +87,14 @@ class TestMixedFit:
         return psi_v, psi_c, idx
 
     def test_mixed_within_tolerance_no_fallback(self, problem, log):
+        from repro.core import isdf_decompose
+
         psi_v, psi_c, idx = problem
         log, before = log
-        theta64 = fit_interpolation_vectors(psi_v, psi_c, idx)
-        theta32 = fit_interpolation_vectors(
-            psi_v, psi_c, idx, precision="mixed"
-        )
+        theta64 = isdf_decompose(psi_v, psi_c, indices=idx).theta
+        theta32 = isdf_decompose(
+            psi_v, psi_c, indices=idx, precision="mixed"
+        ).theta
         err = np.linalg.norm(theta32 - theta64) / np.linalg.norm(theta64)
         assert err <= resolve_precision("mixed").fit_tol
         assert len(log) == before
@@ -100,10 +102,10 @@ class TestMixedFit:
     def test_forced_fallback_is_bit_identical_and_logged(self, problem, log):
         psi_v, psi_c, idx = problem
         log, before = log
-        theta64 = fit_interpolation_vectors(psi_v, psi_c, idx)
+        rows64 = fit_interpolation_vectors(psi_v, psi_c, idx)
         forced = resolve_precision("mixed").replace(fit_tol=0.0)
-        theta = fit_interpolation_vectors(psi_v, psi_c, idx, precision=forced)
-        np.testing.assert_array_equal(theta, theta64)
+        rows = fit_interpolation_vectors(psi_v, psi_c, idx, precision=forced)
+        np.testing.assert_array_equal(rows, rows64)
         events = log.events()[before:]
         assert [(e.stage, e.action) for e in events] == [
             ("isdf-fit", "fallback-fp64")
@@ -115,13 +117,13 @@ class TestMixedFit:
         unchecked = resolve_precision("mixed").replace(
             fit_tol=0.0, verify=False
         )
-        theta = fit_interpolation_vectors(
+        rows = fit_interpolation_vectors(
             psi_v, psi_c, idx, precision=unchecked
         )
         # No event, and the fp32-GEMM result (not the fp64 refit) came back.
         assert len(log) == before
-        theta64 = fit_interpolation_vectors(psi_v, psi_c, idx)
-        assert not np.array_equal(theta, theta64)
+        rows64 = fit_interpolation_vectors(psi_v, psi_c, idx)
+        assert not np.array_equal(rows, rows64)
 
 
 class TestMixedGram:

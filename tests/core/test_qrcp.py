@@ -75,13 +75,12 @@ class TestRandomizedQRCP:
 
     def test_full_rank_selection_enables_exact_isdf(self):
         """At N_mu = N_cv the QRCP points give an (essentially) exact ISDF."""
-        from repro.core import fit_interpolation_vectors, coefficient_matrix, pair_products
+        from repro.core import isdf_decompose, pair_products
 
         rng = default_rng(5)
         psi_v = rng.standard_normal((2, 120))
         psi_c = rng.standard_normal((3, 120))
         res = select_points_qrcp(psi_v, psi_c, 6, sketch="none")
-        theta = fit_interpolation_vectors(psi_v, psi_c, res.indices)
-        c = coefficient_matrix(psi_v, psi_c, res.indices)
+        isdf = isdf_decompose(psi_v, psi_c, indices=res.indices)
         z = pair_products(psi_v, psi_c)
-        np.testing.assert_allclose(theta @ c, z, atol=1e-8)
+        np.testing.assert_allclose(isdf.reconstruct(), z, atol=1e-8)

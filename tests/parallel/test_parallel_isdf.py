@@ -140,14 +140,17 @@ class TestRepresentatives:
 class TestDistributedFit:
     @pytest.mark.parametrize("n_ranks", [1, 2, 4])
     def test_theta_matches_serial_fit(self, problem, n_ranks):
-        from repro.core import fit_interpolation_vectors
+        """Each rank's fit rows are the serial fit rows' column block, and
+        solving them alone gives that block of the serial Theta."""
+        from repro.core import isdf_decompose
+        from repro.core.fitting import solve_theta
         from repro.utils.rng import default_rng
 
         gs, psi_v, _, psi_c, _, _ = problem
         indices = np.sort(
             default_rng(0).choice(gs.basis.n_r, size=24, replace=False)
         )
-        serial = fit_interpolation_vectors(psi_v, psi_c, indices)
+        serial = isdf_decompose(psi_v, psi_c, indices=indices)
         grid_dist = BlockDistribution1D(gs.basis.n_r, n_ranks)
 
         def prog(comm):
@@ -156,11 +159,14 @@ class TestDistributedFit:
             points = gather_point_values(
                 comm, psi_v_local, psi_c_local, indices, grid_dist
             )
-            return distributed_fit_theta(psi_v_local, psi_c_local, *points)
+            rows = distributed_fit_theta(psi_v_local, psi_c_local, *points)
+            return rows, solve_theta(*points, rows.copy())
 
         results = spmd_run(n_ranks, prog)
-        assembled = np.concatenate(results, axis=0)
-        np.testing.assert_allclose(assembled, serial, atol=1e-10)
+        rows = np.concatenate([r for r, _ in results], axis=1)
+        np.testing.assert_allclose(rows, serial.fit_rows, atol=1e-10)
+        theta = np.concatenate([t for _, t in results], axis=0)
+        np.testing.assert_allclose(theta, serial.theta, atol=1e-10)
 
     @pytest.mark.parametrize("n_ranks", [1, 2, 3])
     def test_singular_gram_falls_back_like_serial(
@@ -170,6 +176,7 @@ class TestDistributedFit:
         factorization breaks down, and the serial and distributed fits take
         the same least-squares fallback."""
         from repro.core import fit_interpolation_vectors
+        from repro.core.fitting import solve_theta
         from repro.utils.rng import default_rng
 
         gs, psi_v, _, psi_c, _, _ = problem
@@ -185,8 +192,10 @@ class TestDistributedFit:
             return lstsq(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
-        serial = fit_interpolation_vectors(
-            psi_v, psi_c, indices, regularization=0.0
+        serial = solve_theta(
+            psi_v[:, indices], psi_c[:, indices],
+            fit_interpolation_vectors(psi_v, psi_c, indices),
+            regularization=0.0,
         )
         assert len(calls) == 1
         grid_dist = BlockDistribution1D(gs.basis.n_r, n_ranks)
@@ -197,9 +206,8 @@ class TestDistributedFit:
             points = gather_point_values(
                 comm, psi_v_local, psi_c_local, indices, grid_dist
             )
-            return distributed_fit_theta(
-                psi_v_local, psi_c_local, *points, regularization=0.0
-            )
+            rows = distributed_fit_theta(psi_v_local, psi_c_local, *points)
+            return solve_theta(*points, rows, regularization=0.0)
 
         # Thread ranks: the call counter lives in this process.
         results = spmd_run(n_ranks, prog, backend="thread")

@@ -199,8 +199,10 @@ class TestDistributedISDF:
         dist = BlockDistribution1D(gs.basis.n_r, n_ranks)
 
         def prog(comm):
-            theta_local = isdf.theta[dist.local_slice(comm.rank)]
-            return distributed_isdf_vtilde(comm, theta_local, kernel, dist)
+            rows_local = isdf.fit_rows[:, dist.local_slice(comm.rank)]
+            return distributed_isdf_vtilde(
+                comm, rows_local, isdf.psi_v_mu, isdf.psi_c_mu, kernel, dist
+            )
 
         for vtilde in spmd_run(n_ranks, prog):
             np.testing.assert_allclose(vtilde, serial, atol=1e-12)
@@ -234,8 +236,10 @@ class TestDistributedISDF:
             distributed_build_vhxc(comm, psi_v[:, sl], psi_c[:, sl], kernel, dist)
 
         def isdf_prog(comm):
-            theta_local = isdf.theta[dist.local_slice(comm.rank)]
-            distributed_isdf_vtilde(comm, theta_local, kernel, dist)
+            rows_local = isdf.fit_rows[:, dist.local_slice(comm.rank)]
+            distributed_isdf_vtilde(
+                comm, rows_local, isdf.psi_v_mu, isdf.psi_c_mu, kernel, dist
+            )
 
         _, naive_traffic = spmd_run(2, naive_prog, return_traffic=True)
         _, isdf_traffic = spmd_run(2, isdf_prog, return_traffic=True)

@@ -254,14 +254,40 @@ class TestAlgorithmBitIdentity:
         dist = BlockDistribution1D(gs.basis.n_r, 2)
 
         def prog(comm):
-            theta_local = isdf.theta[dist.local_slice(comm.rank)]
+            rows_local = isdf.fit_rows[:, dist.local_slice(comm.rank)]
             return np.array(
-                distributed_isdf_vtilde(comm, theta_local, kernel, dist)
+                distributed_isdf_vtilde(
+                    comm, rows_local, isdf.psi_v_mu, isdf.psi_c_mu, kernel, dist
+                )
             )
 
         thread, process = both_backends(2, prog)
         for t_v, p_v in zip(thread, process):
             np.testing.assert_array_equal(t_v, p_v)
+
+    def test_optimized_lrtddft(self, si8_synthetic):
+        """The whole distributed version (5): fit rows, Vtilde from their
+        Gram, LOBPCG."""
+        from repro.core import HxcKernel
+        from repro.parallel.parallel_isdf import distributed_optimized_lrtddft
+
+        gs = si8_synthetic
+        psi_v, eps_v, psi_c, eps_c = gs.select_transition_space(8, 6)
+        kernel = HxcKernel(gs.basis, gs.density)
+        dist = BlockDistribution1D(gs.basis.n_r, 2)
+        points = gs.basis.grid.cartesian_points
+
+        def prog(comm):
+            sl = dist.local_slice(comm.rank)
+            energies, _ = distributed_optimized_lrtddft(
+                comm, psi_v[:, sl], psi_c[:, sl], eps_v, eps_c, kernel, dist,
+                40, 4, grid_points_local=points[sl], tol=1e-9,
+            )
+            return np.array(energies)
+
+        thread, process = both_backends(2, prog)
+        for t_e, p_e in zip(thread, process):
+            np.testing.assert_array_equal(t_e, p_e)
 
     def test_distributed_lobpcg(self):
         from repro.utils.rng import default_rng

@@ -85,8 +85,10 @@ def test_isdf_alltoall_volume_scales_with_rank_ratio(problem):
         distributed_build_vhxc(comm, psi_v[:, sl], psi_c[:, sl], kernel, dist)
 
     def isdf_prog(comm):
-        theta_local = isdf.theta[dist.local_slice(comm.rank)]
-        distributed_isdf_vtilde(comm, theta_local, kernel, dist)
+        rows_local = isdf.fit_rows[:, dist.local_slice(comm.rank)]
+        distributed_isdf_vtilde(
+            comm, rows_local, isdf.psi_v_mu, isdf.psi_c_mu, kernel, dist
+        )
 
     _, t_naive = spmd_run(3, naive_prog, return_traffic=True)
     _, t_isdf = spmd_run(3, isdf_prog, return_traffic=True)

@@ -9,12 +9,19 @@ from repro.core import (
     pair_products,
     pair_weights,
 )
+from repro.core.fitting import solve_theta
 from repro.utils.rng import default_rng
 
 
 def _orbitals(seed, n_v, n_c, n_r):
     rng = default_rng(seed)
     return rng.standard_normal((n_v, n_r)), rng.standard_normal((n_c, n_r))
+
+
+def _theta(psi_v, psi_c, idx):
+    """The unridged Theta, solved from the fit rows."""
+    rows = fit_interpolation_vectors(psi_v, psi_c, idx)
+    return solve_theta(psi_v[:, idx], psi_c[:, idx], rows, regularization=0.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -35,7 +42,7 @@ def test_full_rank_isdf_is_exact(seed, n_v, n_c, n_r):
     assume(np.linalg.cond(c) < 1e6)
     # Exactness is a property of the pure least-squares fit; the default
     # ridge trades a ~cond(C)^2-amplified bias for robustness.
-    theta = fit_interpolation_vectors(psi_v, psi_c, idx, regularization=0.0)
+    theta = _theta(psi_v, psi_c, idx)
     z = pair_products(psi_v, psi_c)
     assert np.linalg.norm(z - theta @ c) <= 1e-5 * max(np.linalg.norm(z), 1e-12)
 
@@ -49,7 +56,7 @@ def test_residual_orthogonal_to_c_rows(seed, n_v, n_c):
     rng = default_rng(seed + 2)
     n_mu = min(n_v * n_c - 1, 6)
     idx = rng.choice(n_r, size=n_mu, replace=False)
-    theta = fit_interpolation_vectors(psi_v, psi_c, idx, regularization=0.0)
+    theta = _theta(psi_v, psi_c, idx)
     c = coefficient_matrix(psi_v, psi_c, idx)
     z = pair_products(psi_v, psi_c)
     residual = z - theta @ c
@@ -77,8 +84,8 @@ def test_fit_scale_equivariance(seed, scale):
     psi_v, psi_c = _orbitals(seed, 3, 3, 60)
     rng = default_rng(seed + 3)
     idx = rng.choice(60, size=5, replace=False)
-    theta1 = fit_interpolation_vectors(psi_v, psi_c, idx, regularization=0.0)
-    theta2 = fit_interpolation_vectors(scale * psi_v, psi_c, idx, regularization=0.0)
+    theta1 = _theta(psi_v, psi_c, idx)
+    theta2 = _theta(scale * psi_v, psi_c, idx)
     c1 = coefficient_matrix(psi_v, psi_c, idx)
     c2 = coefficient_matrix(scale * psi_v, psi_c, idx)
     # The reconstructions are proportional even though Theta/C split the
@@ -96,7 +103,7 @@ def test_interpolation_points_reproduce_exactly(seed):
     psi_v, psi_c = _orbitals(seed, 2, 3, 70)
     rng = default_rng(seed + 4)
     idx = np.sort(rng.choice(70, size=6, replace=False))
-    theta = fit_interpolation_vectors(psi_v, psi_c, idx, regularization=0.0)
+    theta = _theta(psi_v, psi_c, idx)
     c = coefficient_matrix(psi_v, psi_c, idx)
     z = pair_products(psi_v, psi_c)
     recon = theta @ c

@@ -74,6 +74,24 @@ class TestCheckpointManager:
         with pytest.raises(CheckpointError, match="format"):
             mgr.load(2)
 
+    def test_previous_format_rejected(self, tmp_path):
+        """Format 1 stored the ISDF fit stage as ``theta``; a format-1
+        snapshot fails to load and ``latest`` passes over it."""
+        mgr = CheckpointManager(tmp_path, tag="isdf")
+        save_payload(
+            mgr.path(1),
+            {
+                "format": CHECKPOINT_FORMAT_VERSION - 1,
+                "tag": "isdf",
+                "step": 1,
+                "state": {"indices": np.arange(3), "method": "kmeans",
+                          "theta": np.ones((5, 3))},
+            },
+        )
+        with pytest.raises(CheckpointError, match="snapshot format 1 not supported"):
+            mgr.load(1)
+        assert mgr.latest() is None
+
     def test_tag_mismatch_rejected(self, tmp_path):
         CheckpointManager(tmp_path, tag="other").save(4, _state(4))
         mgr = CheckpointManager(tmp_path, tag="loop")
