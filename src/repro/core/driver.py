@@ -39,6 +39,7 @@ from repro.eigen.lobpcg import lobpcg
 from repro.precision import resolve_precision
 from repro.utils.rng import default_rng
 from repro.utils.serialization import SerializableResult
+from repro.utils.threads import blas_threads
 from repro.utils.timers import TimerRegistry
 from repro.utils.validation import require
 
@@ -486,7 +487,9 @@ class LRTDDFTSolver:
                 denom = np.maximum(np.abs(diag[:, None] - theta[None, :]), floor)
                 return r / denom
 
-            with timers.scope("diagonalize"):
+            # One BLAS thread: k-wide GEMMs and ~3k x 3k pencils are too
+            # small to split (see repro.utils.threads).
+            with timers.scope("diagonalize"), blas_threads(1):
                 if eigensolver == "davidson":
                     res = davidson(
                         lambda x: h @ x, x0, np.diag(h).copy(), tol=tol,
@@ -540,7 +543,7 @@ class LRTDDFTSolver:
                 )
         k = self._resolve_k(n_excitations)
         x0 = self._initial_block(k)
-        with timers.scope("diagonalize"):
+        with timers.scope("diagonalize"), blas_threads(1):
             if eigensolver == "davidson":
                 res = davidson(
                     op.apply, x0, op.diagonal(), tol=tol, max_iter=max_iter

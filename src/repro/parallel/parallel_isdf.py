@@ -33,6 +33,7 @@ from repro.parallel.distributions import BlockDistribution1D
 from repro.parallel.parallel_kmeans import CommReducer, distributed_kmeans
 from repro.parallel.parallel_lobpcg import distributed_lobpcg
 from repro.parallel.parallel_lrtddft import distributed_isdf_vtilde
+from repro.utils.threads import blas_threads
 from repro.utils.validation import require
 
 
@@ -203,8 +204,9 @@ def distributed_optimized_lrtddft(
     noise = 1e-3 * rng.standard_normal((n_pairs, k))
     x0_local += noise[sl]
 
-    res = distributed_lobpcg(
-        comm, apply_local, x0_local,
-        preconditioner_local=precond_local, tol=tol, max_iter=max_iter,
-    )
+    with blas_threads(1):
+        res = distributed_lobpcg(
+            comm, apply_local, x0_local,
+            preconditioner_local=precond_local, tol=tol, max_iter=max_iter,
+        )
     return res.eigenvalues, res.eigenvectors

@@ -44,6 +44,7 @@ from repro.parallel.redistribute import (
     transpose_to_row_block,
 )
 from repro.utils.linalg import weighted_gram
+from repro.utils.threads import blas_threads
 from repro.utils.validation import require
 
 
@@ -212,8 +213,9 @@ def distributed_implicit_solve(
     lowest = np.argsort(diag)[:k]
     x0[lowest, np.arange(k)] = 1.0
     x0 += 1e-3 * default_rng(0).standard_normal(x0.shape)
-    res = lobpcg(
-        op.apply, x0, preconditioner=op.preconditioner, tol=tol,
-        max_iter=max_iter, checkpoint=checkpoint,
-    )
+    with blas_threads(1):
+        res = lobpcg(
+            op.apply, x0, preconditioner=op.preconditioner, tol=tol,
+            max_iter=max_iter, checkpoint=checkpoint,
+        )
     return res.eigenvalues, res.eigenvectors

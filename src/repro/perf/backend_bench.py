@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.kernel import HxcKernel
 from repro.core.kmeans import weighted_kmeans
 from repro.pw import PlaneWaveBasis, RealSpaceGrid, UnitCell
-from repro.utils import threads
+from repro.utils.threads import blas_info
 from repro.utils.timers import TimerRegistry
 
 
@@ -36,38 +36,6 @@ def _time_best(fn: Callable[[], object], repeats: int) -> tuple[float, object]:
         result = fn()
         best = min(best, time.perf_counter() - t0)
     return best, result
-
-
-def blas_info() -> dict:
-    """BLAS vendor / version / threading facts for benchmark ``meta`` blocks.
-
-    GEMM-heavy numbers are meaningless without knowing which BLAS ran them
-    and on how many threads, so every measured report embeds this: numpy's
-    build metadata, the process's thread budget and the *live* thread count
-    of each OpenBLAS pool (:mod:`repro.utils.threads`).
-    """
-    import os
-
-    info: dict = {
-        "cpu_count": os.cpu_count(),
-        "omp_num_threads": os.environ.get("OMP_NUM_THREADS"),
-        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
-        "thread_budget": threads.budget(),
-        "threadpools": threads.pool_threads(),
-        "vendor": None,
-        "version": None,
-    }
-    try:
-        config = np.show_config(mode="dicts") or {}
-        blas = (config.get("Build Dependencies") or {}).get("blas") or {}
-        info["vendor"] = blas.get("name")
-        info["version"] = blas.get("version")
-        configuration = blas.get("openblas configuration")
-        if configuration:
-            info["configuration"] = str(configuration)
-    except (TypeError, AttributeError, ValueError):
-        pass  # older numpy without mode="dicts" — vendor stays None
-    return info
 
 
 # -- K-Means point selection ------------------------------------------------

@@ -31,14 +31,11 @@ import numpy as np
 from repro.core.fitting import fit_interpolation_vectors, solve_theta
 from repro.core.kmeans import weighted_kmeans
 from repro.core.pair_products import pair_products
-from repro.perf.backend_bench import (
-    _figure8_like_weights,
-    _time_best,
-    blas_info,
-)
+from repro.perf.backend_bench import _figure8_like_weights, _time_best
 from repro.precision import resolve_precision
 from repro.pw import RealSpaceGrid, UnitCell
 from repro.resilience import resilience_log
+from repro.utils.threads import blas_info
 
 #: Composite-speedup floor the committed full-mode report must meet.
 COMPOSITE_TARGET = 1.5

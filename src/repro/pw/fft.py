@@ -222,6 +222,11 @@ class ConvolutionPlan:
         self.degraded = False
         self._verified = False
 
+    @property
+    def fp32(self) -> bool:
+        """Whether calls transform in fp32: an fp32 plan not degraded."""
+        return self.dtype == np.float32 and not self.degraded
+
     @array_contract(
         shapes={"fields": ("...", "n_r")},
         dtypes={"fields": ("float64", "complex128")},
@@ -229,7 +234,7 @@ class ConvolutionPlan:
     )
     def apply(self, fields: np.ndarray) -> np.ndarray:
         """Convolve real ``(..., N_r)`` fields with the planned kernel."""
-        if self.dtype == np.float32 and not self.degraded:
+        if self.fp32:
             out = self._apply_fp32(fields)
             if out is not None:
                 return out
@@ -248,7 +253,7 @@ class ConvolutionPlan:
         One SYRK of the ``rfftn`` spectrum scaled by ``sqrt(w K dV / N_r)``: no
         inverse transform, exactly symmetric, fp32 plans checked as in :meth:`apply`.
         """
-        if self.dtype == np.float32 and not self.degraded:
+        if self.fp32:
             return self._checked(
                 self._parseval_gram(fields.astype(np.float32)),
                 lambda: self._parseval_gram(fields),

@@ -8,16 +8,25 @@ with, so an explicit ``OPENBLAS_NUM_THREADS`` still caps it.
 numpy and scipy each bundle their own OpenBLAS; both are found through the
 loaded-library list (``/proc/self/maps``) and driven through ctypes with
 ``scipy_openblas_{set,get}_num_threads64_`` (numpy's ILP64 build) or
-``scipy_openblas_{set,get}_num_threads`` (scipy's).  Outside
-:func:`split_for_ranks` nothing is changed: the pools keep their startup
-counts and :func:`fft_workers` is the budget.
+``scipy_openblas_{set,get}_num_threads`` (scipy's).  Outside every
+:func:`blas_threads` scope the pools keep their startup counts and
+:func:`fft_workers` is the budget.
 
-Inside :func:`split_for_ranks` (entered by ``spmd_run`` on both backends)
-both pools and the FFT workers get ``max(1, budget // n_ranks)`` threads, so
-N virtual ranks share the host's cores instead of each starting a full set.
-The OpenBLAS setters are process-wide, so the share is set once before the
-rank threads start or the ranks fork, never per rank; nested or concurrent
-runs share one refcount and only the last exit restores the counts.
+Inside ``blas_threads(n)`` both pools and the FFT workers run at
+``min(n, share in force)``.  Two kinds of caller open a scope:
+
+* :func:`split_for_ranks` (entered by ``spmd_run`` on both backends) gives
+  each of N virtual ranks ``max(1, budget // n_ranks)`` threads, so the
+  ranks share the host's cores instead of each starting a full set;
+* the iterative Casida eigensolves run at one thread.  Their GEMMs are
+  ``k`` columns wide and their Rayleigh-Ritz pencils ~3k x 3k, too small
+  to split, and between calls the idle workers of one library's pool spin
+  against the other's.
+
+The OpenBLAS setters are process-wide, so a share is set once per scope,
+never per rank or per thread.  Nested or concurrent scopes run at the
+smallest share still open; the pre-scope counts come back when the last
+one exits.
 
 Where a library lacks the setters, or the platform has no
 ``/proc/self/maps``, one ``thread-budget`` event is recorded in the
@@ -33,7 +42,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-__all__ = ["budget", "fft_workers", "pool_threads", "split_for_ranks"]
+__all__ = [
+    "blas_info",
+    "blas_threads",
+    "budget",
+    "fft_workers",
+    "pool_threads",
+    "split_for_ranks",
+]
 
 _MAPS = Path("/proc/self/maps")
 #: ``(setter, getter)`` symbol pairs of numpy's and scipy's bundled builds.
@@ -88,7 +104,9 @@ def _find_pools() -> tuple[list[_Pool], str | None]:
 _lock = threading.Lock()
 #: ``(pools, budget)``, found once per process by :func:`_discovered`.
 _found: tuple[list[_Pool], int] | None = None
-_depth = 0
+#: The share each open :func:`blas_threads` scope asked for, in entry order.
+_open: list[int] = []
+#: The share in force (the smallest open one), or None outside every scope.
 _share: int | None = None
 _saved: list[int] = []
 
@@ -135,32 +153,82 @@ def pool_threads() -> dict[str, int]:
     return {pool.name: pool.get() for pool in _discovered()[0]}
 
 
-@contextmanager
-def split_for_ranks(n_ranks: int):
-    """Give the pools and FFT workers ``max(1, budget // n_ranks)`` threads.
+def blas_info() -> dict:
+    """BLAS vendor / version / threading facts for benchmark ``meta`` blocks.
 
-    Yields the share in force.  The pre-split counts come back when the
-    last nested or concurrent split exits, also when the body raises;
-    overlapping splits run at the smallest share any of them asked for.
+    GEMM-heavy numbers are meaningless without knowing which BLAS ran them
+    and on how many threads, so every measured report embeds this: numpy's
+    build metadata, the process's thread budget and the *live* thread count
+    of each OpenBLAS pool.
     """
-    global _depth, _share, _saved
+    import numpy as np
+
+    info: dict = {
+        "cpu_count": os.cpu_count(),
+        "omp_num_threads": os.environ.get("OMP_NUM_THREADS"),
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "thread_budget": budget(),
+        "threadpools": pool_threads(),
+        "vendor": None,
+        "version": None,
+    }
+    try:
+        config = np.show_config(mode="dicts") or {}
+        blas = (config.get("Build Dependencies") or {}).get("blas") or {}
+        info["vendor"] = blas.get("name")
+        info["version"] = blas.get("version")
+        configuration = blas.get("openblas configuration")
+        if configuration:
+            info["configuration"] = str(configuration)
+    except (TypeError, AttributeError, ValueError):
+        pass  # older numpy without mode="dicts" — vendor stays None
+    return info
+
+
+def _set_share(pools: list[_Pool], share: int | None) -> None:
+    """Put every pool at ``share`` (None: back to the saved counts); call
+    with ``_lock`` held.
+
+    An unchanged share makes no setter call: in a forked rank the setter
+    restarts the pool's worker threads, which the fork did not copy.
+    """
+    global _share
+    if share == _share:
+        return
+    _share = share
+    counts = _saved if share is None else [share] * len(pools)
+    for pool, count in zip(pools, counts):
+        pool.set(count)
+
+
+@contextmanager
+def blas_threads(n: int):
+    """Run the body with the OpenBLAS pools and FFT workers at
+    ``min(n, share in force)`` threads.
+
+    Yields that share.  Nested or concurrent scopes run at the smallest
+    share still open: when one exits, the others' smallest comes back, and
+    the pre-scope counts come back when the last exits, also when the body
+    raises.
+    """
+    global _saved
     pools, total = _discovered()
-    share = max(1, total // n_ranks)
+    asked = max(1, min(n, total))
     with _lock:
-        if _depth == 0:
+        if not _open:
             _saved = [pool.get() for pool in pools]
-        else:
-            share = min(share, _share)
-        _share = share
-        _depth += 1
-        for pool in pools:
-            pool.set(share)
+        _open.append(asked)
+        share = min(_open)
+        _set_share(pools, share)
     try:
         yield share
     finally:
         with _lock:
-            _depth -= 1
-            if _depth == 0:
-                _share = None
-                for pool, count in zip(pools, _saved):
-                    pool.set(count)
+            _open.remove(asked)
+            _set_share(pools, min(_open) if _open else None)
+
+
+def split_for_ranks(n_ranks: int):
+    """``blas_threads(max(1, budget // n_ranks))``: the share of each of
+    ``n_ranks`` virtual ranks, set once for all of them."""
+    return blas_threads(max(1, budget() // n_ranks))

@@ -128,17 +128,22 @@ class TestMixedFit:
 
 class TestMixedGram:
     """The fp32 Coulomb plan behind ``HxcKernel.gram`` (the ``Vtilde``
-    projection): fp32 transform, fp64 Gram, first-call cross-check."""
+    projection, of the whitened fit rows): fp32 transform, fp64 Gram,
+    first-call cross-check."""
 
     @pytest.fixture()
-    def problem(self, monkeypatch):
+    def private_plans(self, monkeypatch):
+        """A private plan cache: the fp32 plan meets its first call here."""
+        from repro.pw import fft
+
+        monkeypatch.setattr(fft, "_DEFAULT_PLAN_CACHE", fft.PlanCache())
+
+    @pytest.fixture()
+    def problem(self, private_plans):
         from repro.atoms import bulk_silicon
         from repro.core import isdf_decompose
-        from repro.pw import fft
         from repro.synthetic import synthetic_ground_state
 
-        # A private plan cache: the fp32 plan must meet its first call here.
-        monkeypatch.setattr(fft, "_DEFAULT_PLAN_CACHE", fft.PlanCache())
         gs = synthetic_ground_state(
             bulk_silicon(8), ecut=5.0, n_valence=8, n_conduction=6, seed=11
         )
@@ -163,18 +168,82 @@ class TestMixedGram:
         assert 0.0 < err <= resolve_precision("mixed").fft_tol
         assert len(log) == before
 
-    def test_tampered_spectrum_degrades_to_the_fp64_gram(
-        self, problem, log, monkeypatch
-    ):
-        import scipy.fft
+    @staticmethod
+    def _near_neighbour(gs, isdf):
+        """The K-Means points plus each one's grid neighbour (``C C^T`` has
+        cond ~1e5; solving after an fp32 Gram of the unwhitened fit rows put
+        ``Vtilde`` 3.9e-6 off strict64)."""
+        from repro.core import isdf_decompose
 
+        psi_v, _, psi_c, _ = gs.select_transition_space()
+        km = isdf.indices
+        near = np.unique(np.concatenate([km, (km + 1) % gs.basis.n_r]))
+        return isdf_decompose(psi_v, psi_c, indices=near)
+
+    def _strict_and_mixed(self, gs, isdf, precision):
         from repro.core import HxcKernel
+        from repro.core.isdf_hamiltonian import project_kernel
 
+        strict = project_kernel(isdf, HxcKernel(gs.basis, gs.density))
+        kernel = HxcKernel(gs.basis, gs.density, precision=precision)
+        return strict, project_kernel(isdf, kernel), kernel._coulomb_plan
+
+    def test_near_neighbour_vtilde_within_fft_tol_or_degraded(self, problem, log):
         gs, isdf = problem
         log, before = log
-        rows = isdf.theta.T
-        strict = HxcKernel(gs.basis, gs.density).gram(rows)
-        kernel = HxcKernel(gs.basis, gs.density, precision="mixed")
+        mixed = resolve_precision("mixed")
+        strict, vtilde, plan = self._strict_and_mixed(
+            gs, self._near_neighbour(gs, isdf), mixed
+        )
+        events = log.events()[before:]
+        if plan.degraded:
+            assert [(e.stage, e.action) for e in events] == [
+                ("fft-convolve", "fallback-fp64")
+            ]
+            np.testing.assert_array_equal(vtilde, strict)
+        else:
+            assert not events
+            err = np.abs(vtilde - strict).max() / np.abs(strict).max()
+            assert err <= mixed.fft_tol
+
+    def test_si2_coupling_within_fft_tol(self, si2_ground_state, private_plans, log):
+        """On the Si2 K-Means points ``C C^T`` has cond ~4e7.  Solving after
+        an fp32 Gram of the fit rows put the coupling ``C^T Vtilde C`` 1.4e-4
+        off strict64; through the whitened rows it is ~1e-7 off."""
+        from repro.api import TDDFTConfig
+        from repro.core import LRTDDFTSolver
+
+        gs = si2_ground_state
+        log, before = log
+        isdf = LRTDDFTSolver(gs, seed=7).solve(
+            TDDFTConfig(method="kmeans-isdf", n_excitations=4, seed=7)
+        ).isdf
+        strict, vtilde, plan = self._strict_and_mixed(gs, isdf, "mixed")
+        c = isdf.coefficients()
+        reference = c.T @ strict @ c
+        err = np.abs(c.T @ vtilde @ c - reference).max() / np.abs(reference).max()
+        assert not plan.degraded
+        assert 0.0 < err <= resolve_precision("mixed").fft_tol
+        assert len(log) == before
+
+    def test_failed_check_returns_the_strict64_vtilde(
+        self, problem, log, monkeypatch
+    ):
+        gs, isdf = problem
+        log, before = log
+        self._tamper_fp32_spectra(monkeypatch)
+        strict, vtilde, plan = self._strict_and_mixed(gs, isdf, "mixed")
+        assert plan.degraded
+        np.testing.assert_array_equal(vtilde, strict)
+        events = log.events()[before:]
+        assert [(e.stage, e.action) for e in events] == [
+            ("fft-convolve", "fallback-fp64")
+        ]
+
+    @staticmethod
+    def _tamper_fp32_spectra(monkeypatch):
+        import scipy.fft
+
         rfftn = scipy.fft.rfftn
 
         def tampered(x, *args, **kwargs):
@@ -184,6 +253,18 @@ class TestMixedGram:
             return spec
 
         monkeypatch.setattr(scipy.fft, "rfftn", tampered)
+
+    def test_tampered_spectrum_degrades_to_the_fp64_gram(
+        self, problem, log, monkeypatch
+    ):
+        from repro.core import HxcKernel
+
+        gs, isdf = problem
+        log, before = log
+        rows = isdf.theta.T
+        strict = HxcKernel(gs.basis, gs.density).gram(rows)
+        kernel = HxcKernel(gs.basis, gs.density, precision="mixed")
+        self._tamper_fp32_spectra(monkeypatch)
         np.testing.assert_array_equal(kernel.gram(rows), strict)
         assert kernel._coulomb_plan.degraded
         np.testing.assert_array_equal(kernel.gram(rows), strict)

@@ -1,4 +1,5 @@
-"""The thread budget: SPMD ranks split it, and every count comes back."""
+"""The thread budget: SPMD ranks split it, the Casida eigensolve runs at
+one thread, and every count comes back."""
 
 import json
 import os
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import TDDFTConfig
+from repro.core import LRTDDFTSolver
 from repro.parallel import spmd_run
 from repro.resilience import resilience_log
 from repro.utils import threads
@@ -58,6 +61,147 @@ def test_counts_restored_after_return_and_raise(backend):
 
     with pytest.raises(ValueError, match="rank 1 fails"):
         spmd_run(2, prog, backend=backend)
+    assert _counts() == before
+
+
+def _at(share):
+    """The counts at ``share``: every pool and the FFT workers."""
+    return {name: share for name in threads.pool_threads()}, share
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("n_ranks, inner", [(1, 1), (2, 2)])
+def test_nested_scope_runs_at_the_smaller_share(backend, n_ranks, inner):
+    """Inside a rank, ``blas_threads(inner)`` runs at the smaller of its
+    share and the rank's, and the rank's share comes back after it."""
+    outer = _share(n_ranks)
+
+    def prog(comm):
+        with threads.blas_threads(inner) as share:
+            inside = share, _counts()
+        return inside, _counts()
+
+    for (share, inside), after in spmd_run(n_ranks, prog, backend=backend):
+        assert share == min(inner, outer)
+        assert inside == _at(share)
+        assert after == _at(outer)
+
+
+def test_unchanged_share_starts_no_pool_workers_in_a_forked_rank():
+    """A forked rank has none of the pools' worker threads, and a setter
+    call restarts them; a scope at the rank's own share must not call it."""
+
+    def prog(comm):
+        tasks = Path("/proc/self/task")
+        before = len(list(tasks.iterdir()))
+        with threads.blas_threads(_share(2)):
+            inside = len(list(tasks.iterdir()))
+        return before, inside
+
+    for before, inside in spmd_run(2, prog, backend="process"):
+        assert inside == before
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["return", "raise"])
+def test_scope_restores_the_counts(raises):
+    before = _counts()
+
+    def body():
+        with threads.blas_threads(1):
+            assert _counts() == _at(1)
+            if raises:
+                raise ValueError("the body fails")
+
+    if raises:
+        with pytest.raises(ValueError, match="the body fails"):
+            body()
+    else:
+        body()
+    assert _counts() == before
+
+
+def test_scope_outlives_a_concurrent_run():
+    """``blas_threads(1)`` opens, a 1-rank ``spmd_run`` (share: the whole
+    budget) starts and ends inside it: the run sees one thread, and its exit
+    does not restore the counts while the scope is still open."""
+    before, opened, release = _counts(), threading.Event(), threading.Event()
+
+    def scope():
+        with threads.blas_threads(1):
+            opened.set()
+            assert release.wait(60)
+
+    worker = threading.Thread(target=scope)
+    worker.start()
+    try:
+        assert opened.wait(60)
+        assert spmd_run(1, lambda comm: _counts()) == [_at(1)]
+        assert _counts() == _at(1)
+    finally:
+        release.set()
+        worker.join(60)
+    assert not worker.is_alive()
+    assert _counts() == before
+
+
+def test_run_outlives_a_concurrent_scope():
+    """A 1-rank ``spmd_run`` is open when ``blas_threads(1)`` opens and
+    closes in another thread: the run's share comes back, not the counts
+    from before the run."""
+    before, inside, release = _counts(), threading.Event(), threading.Event()
+    seen = {}
+
+    def prog(comm):
+        inside.set()
+        assert release.wait(60)
+        return _counts()
+
+    def run():
+        seen["run"] = spmd_run(1, prog)
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    try:
+        assert inside.wait(60)
+        with threads.blas_threads(1):
+            assert _counts() == _at(1)
+        assert _counts() == _at(_share(1))
+    finally:
+        release.set()
+        worker.join(60)
+    assert not worker.is_alive()
+    assert seen["run"] == [_at(_share(1))]
+    assert _counts() == before
+
+
+@pytest.mark.parametrize(
+    "method", ["implicit-kmeans-isdf-lobpcg", "kmeans-isdf-lobpcg"]
+)
+def test_casida_eigensolve_runs_at_one_thread(si8_synthetic, method):
+    """Every LOBPCG step of the serial solve sees one thread in every pool
+    and FFT worker; after ``solve`` returns the counts are back."""
+    before, seen = _counts(), []
+    result = LRTDDFTSolver(si8_synthetic).solve(
+        TDDFTConfig(method=method, n_excitations=4),
+        progress=lambda event: seen.append(_counts()),
+    )
+    assert result.converged
+    assert len(seen) == result.eigensolver_iterations > 0
+    assert all(counts == _at(1) for counts in seen)
+    assert _counts() == before
+    assert threads.fft_workers() == threads.budget()
+
+
+def test_counts_come_back_after_an_eigensolve_raises(si8_synthetic):
+    before = _counts()
+
+    def fail(event):
+        raise RuntimeError("the observer fails")
+
+    with pytest.raises(RuntimeError, match="the observer fails"):
+        LRTDDFTSolver(si8_synthetic).solve(
+            TDDFTConfig(n_excitations=4), progress=fail
+        )
     assert _counts() == before
 
 
@@ -136,6 +280,8 @@ def test_undiscoverable_pools_give_one_notice(monkeypatch, attribute, value):
     assert threads.pool_threads() == {}
     assert threads.budget() >= 1
     assert spmd_run(2, lambda comm: threads.fft_workers()) == [_share(2)] * 2
+    with threads.blas_threads(1) as share:
+        assert share == threads.fft_workers() == 1
     assert threads.fft_workers() == threads.budget()
 
     events = resilience_log().events("thread-budget")
