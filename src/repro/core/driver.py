@@ -487,8 +487,10 @@ class LRTDDFTSolver:
                 denom = np.maximum(np.abs(diag[:, None] - theta[None, :]), floor)
                 return r / denom
 
-            # One BLAS thread: k-wide GEMMs and ~3k x 3k pencils are too
-            # small to split (see repro.utils.threads).
+            # One BLAS thread, as in _solve_implicit: each `h @ x` streams the
+            # dense matrix once for k columns, which a second thread does not
+            # speed up, and the ~3k x 3k pencils are too small to split (see
+            # repro.utils.threads and docs/performance.md).
             with timers.scope("diagonalize"), blas_threads(1):
                 if eigensolver == "davidson":
                     res = davidson(

@@ -189,29 +189,6 @@ def solve_vtilde(
     return symmetrize(vtilde)
 
 
-def whitened_vtilde(
-    v_pts: np.ndarray, c_pts: np.ndarray, rows: np.ndarray, gram
-) -> np.ndarray | None:
-    """``Vtilde`` from ``gram(W)``, the Gram of the whitened fit rows
-    ``W = R^{-T} M`` (``R^T R = C C^T + ridge``), or None when the
-    factorization breaks down.
-
-    ``gram(W) = R Vtilde R^T`` is ``Vtilde`` in the basis where
-    ``C C^T + ridge`` is the identity, which is how the pairs see it:
-    ``C^T Vtilde C = B^T gram(W) B`` with ``B = R^{-T} C`` and
-    ``||B||_2 <= 1``.  So an error made in ``gram`` (an fp32 transform)
-    reaches the Casida coupling unamplified; in :func:`solve_vtilde` the
-    solve multiplies it by the conditioning of ``C C^T``.  Costs one
-    ``N_mu^2 n_rows`` triangular solve more than :func:`solve_vtilde`.
-    """
-    _, r_factor = _ridged_cholesky(v_pts, c_pts, RIDGE)
-    if r_factor is None:
-        return None
-    whitened = sla.solve_triangular(r_factor, rows, trans="T", check_finite=False)
-    half = sla.solve_triangular(r_factor, gram(whitened), check_finite=False)
-    return symmetrize(sla.solve_triangular(r_factor, half.T, check_finite=False))
-
-
 def _fitting_gemms_fp32(
     psi_v: np.ndarray,
     psi_c: np.ndarray,

@@ -8,10 +8,8 @@ Hartree-exchange-correlation matrix collapses to
 so only ``N_mu`` kernel applications (FFTs) are needed instead of ``N_cv``,
 and the heavy GEMMs shrink from ``N_r x N_cv`` to ``N_r x N_mu``.  The Gram
 runs on the fit rows ``M`` and ``(C C^T)^{-1}`` acts on it from both sides
-(:func:`repro.core.fitting.solve_vtilde`), so Theta is never formed.  The
-fp32 tiers transform whitened rows instead
-(:func:`repro.core.fitting.whitened_vtilde`).  These are versions (2) and
-(3) of the paper's Table 4; the projected kernel
+(:func:`repro.core.fitting.solve_vtilde`), so Theta is never formed.  These
+are versions (2) and (3) of the paper's Table 4; the projected kernel
 ``Vtilde`` is also exactly the object the implicit method (version 5)
 caches.
 """
@@ -20,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.fitting import solve_vtilde, whitened_vtilde
+from repro.core.fitting import solve_vtilde
 from repro.core.isdf import ISDFDecomposition
 from repro.core.kernel import HxcKernel
 from repro.core.pair_products import pair_energies
@@ -35,24 +33,16 @@ def project_kernel(
     timers: TimerRegistry | None = None,
 ) -> np.ndarray:
     """``Vtilde = Theta^T f_Hxc Theta dV`` of shape ``(N_mu, N_mu)`` (Eq. 7):
-    one :meth:`HxcKernel.gram` of the fit rows (``N_mu`` forward FFTs and no
-    inverse), then :func:`solve_vtilde`.
+    one :meth:`HxcKernel.gram_fp64` of the fit rows (``N_mu`` forward FFTs
+    and no inverse), then :func:`solve_vtilde`.
 
-    An fp32 Coulomb plan transforms the whitened rows instead
-    (:func:`whitened_vtilde`), so the fp32 error reaches the coupling
-    unamplified and the plan's first-call check compares ``R Vtilde R^T``,
-    the solved ``Vtilde`` as the pairs see it, with fp64.  When that check
-    degrades the plan, the strict64 result is returned.
+    The transform is fp64 in every precision tier: the solve multiplies a
+    Gram error by the conditioning of ``C C^T``.
     """
     timers = timers or TimerRegistry()
-    v_pts, c_pts, rows = isdf.psi_v_mu, isdf.psi_c_mu, isdf.fit_rows
-    plan = kernel.coulomb_plan
     with timers.scope("isdf_h/kernel_fft"):
-        if plan is not None and plan.fp32:
-            vtilde = whitened_vtilde(v_pts, c_pts, rows, kernel.gram)
-            if vtilde is not None and not plan.degraded:
-                return vtilde
-        return solve_vtilde(v_pts, c_pts, kernel.gram(rows))
+        gram = kernel.gram_fp64(isdf.fit_rows)
+        return solve_vtilde(isdf.psi_v_mu, isdf.psi_c_mu, gram)
 
 
 def build_isdf_hamiltonian(

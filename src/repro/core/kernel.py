@@ -160,11 +160,21 @@ class HxcKernel:
 
     def gram(self, rows: np.ndarray) -> np.ndarray:
         """``rows f_Hxc rows^T dV`` for real rows ``(m, N_r)``, exactly symmetric:
-        :meth:`ConvolutionPlan.gram` plus a Gram weighted by ``f_xc dV``."""
+        :meth:`ConvolutionPlan.gram` (in fp32 on an fp32 plan) plus a Gram
+        weighted by ``f_xc dV``."""
+        return self._gram(rows, fp64=False)
+
+    def gram_fp64(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`gram` with the Coulomb half transformed in fp64 on every plan,
+        for a Gram that is solved against afterwards (the ISDF ``Vtilde``)."""
+        return self._gram(rows, fp64=True)
+
+    def _gram(self, rows: np.ndarray, *, fp64: bool) -> np.ndarray:
         require(rows.ndim == 2 and rows.shape[1] == self.basis.n_r, "rows must be (m, N_r)")
         gram = np.zeros((rows.shape[0], rows.shape[0]))
-        if self._coulomb_plan is not None:
-            gram += self._coulomb_plan.gram(rows)
+        plan = self._coulomb_plan
+        if plan is not None:
+            gram += plan.spectrum_gram(rows) if fp64 else plan.gram(rows)
         if self._fxc_r is not None:
             gram += weighted_gram(rows, self._fxc_r * self.basis.grid.dv)
         return gram

@@ -222,11 +222,6 @@ class ConvolutionPlan:
         self.degraded = False
         self._verified = False
 
-    @property
-    def fp32(self) -> bool:
-        """Whether calls transform in fp32: an fp32 plan not degraded."""
-        return self.dtype == np.float32 and not self.degraded
-
     @array_contract(
         shapes={"fields": ("...", "n_r")},
         dtypes={"fields": ("float64", "complex128")},
@@ -234,7 +229,7 @@ class ConvolutionPlan:
     )
     def apply(self, fields: np.ndarray) -> np.ndarray:
         """Convolve real ``(..., N_r)`` fields with the planned kernel."""
-        if self.fp32:
+        if self.dtype == np.float32 and not self.degraded:
             out = self._apply_fp32(fields)
             if out is not None:
                 return out
@@ -253,14 +248,16 @@ class ConvolutionPlan:
         One SYRK of the ``rfftn`` spectrum scaled by ``sqrt(w K dV / N_r)``: no
         inverse transform, exactly symmetric, fp32 plans checked as in :meth:`apply`.
         """
-        if self.fp32:
+        if self.dtype == np.float32 and not self.degraded:
             return self._checked(
-                self._parseval_gram(fields.astype(np.float32)),
-                lambda: self._parseval_gram(fields),
+                self.spectrum_gram(fields.astype(np.float32)),
+                lambda: self.spectrum_gram(fields),
             )
-        return self._parseval_gram(fields)
+        return self.spectrum_gram(fields)
 
-    def _parseval_gram(self, fields: np.ndarray) -> np.ndarray:
+    def spectrum_gram(self, fields: np.ndarray) -> np.ndarray:
+        """``S S^T`` for ``S`` of :meth:`scaled_spectrum`: :meth:`gram`
+        transformed in the dtype of ``fields``, with no check."""
         flat = self.scaled_spectrum(fields)
         return flat @ flat.T
 
