@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from repro.utils.linalg import symmetrize
+from repro.utils.linalg import COLUMN_BLOCK, symmetrize
 from repro.utils.validation import require
 
 
@@ -117,10 +117,14 @@ def fit_rows(
     psi_v: np.ndarray, psi_c: np.ndarray, v_pts: np.ndarray, c_pts: np.ndarray
 ) -> np.ndarray:
     """``(Z C^T)^T = (v_pts^T psi_v) ∘ (c_pts^T psi_c)``, ``(N_mu, n_rows)``
-    over whatever grid rows ``psi_v`` / ``psi_c`` hold; the Hadamard product
-    folds in place, so one extra ``N_mu x n_rows`` temporary at most."""
+    over whatever grid rows ``psi_v`` / ``psi_c`` hold.  The second factor
+    is formed and folded in place one block of
+    :data:`~repro.utils.linalg.COLUMN_BLOCK` columns at a time, so at most
+    an ``N_mu x COLUMN_BLOCK`` temporary sits beside the rows."""
     rows = v_pts.T @ psi_v
-    rows *= c_pts.T @ psi_c
+    for start in range(0, rows.shape[1], COLUMN_BLOCK):
+        block = slice(start, start + COLUMN_BLOCK)
+        rows[:, block] *= c_pts.T @ psi_c[:, block]
     return rows
 
 

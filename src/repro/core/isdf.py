@@ -45,7 +45,10 @@ def default_rank(n_v: int, n_c: int, n_r: int, rank_factor: float = 10.0) -> int
     """Paper-style default rank ``N_mu ~= rank_factor * sqrt(N_v N_c)``.
 
     (Table 4 note: ``N_mu ~= 10 x N_e`` with ``N_v ~= N_c ~= N_e``.)
-    Clipped to ``min(N_r, N_v * N_c)`` where the decomposition is exact.
+    Clipped to ``min(N_r, N_v * N_c)``.  At ``N_mu = N_v * N_c`` the
+    decomposition is exact only when ``C C^T`` is nonsingular: points that
+    leave ``C`` rank-deficient (fp32 K-Means on Si2 gives rank 23 of 24)
+    fit the missing pair directions with the ridge alone.
     """
     n_mu = int(np.ceil(rank_factor * np.sqrt(n_v * n_c)))
     return max(1, min(n_mu, n_r, n_v * n_c))

@@ -33,8 +33,8 @@ def project_kernel(
     timers: TimerRegistry | None = None,
 ) -> np.ndarray:
     """``Vtilde = Theta^T f_Hxc Theta dV`` of shape ``(N_mu, N_mu)`` (Eq. 7):
-    one :meth:`HxcKernel.gram_fp64` of the fit rows (``N_mu`` forward FFTs
-    and no inverse), then :func:`solve_vtilde`.
+    one :meth:`HxcKernel.gram_fp64` of the fit rows (forward transforms
+    one ``k3``-slab at a time and no inverse), then :func:`solve_vtilde`.
 
     The transform is fp64 in every precision tier: the solve multiplies a
     Gram error by the conditioning of ``C C^T``.

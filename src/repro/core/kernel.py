@@ -5,7 +5,12 @@ over the real-space grid: the Coulomb half is diagonal in reciprocal space
 (batch FFT -> multiply 4 pi / G^2 -> batch inverse FFT, exactly lines 4-5 of
 the paper's Algorithm 1) and the ALDA half is diagonal in real space.
 Matrix elements between the rows of one block (:meth:`HxcKernel.gram`)
-skip the inverse transform: by Parseval they are a Gram of the spectrum.
+skip the inverse transform: by Parseval they are a Gram of the spectrum,
+summed one ``k3``-slab of it at a time
+(:meth:`~repro.pw.fft.ConvolutionPlan.scaled_slabs`), and the ALDA half
+one block of grid columns at a time
+(:func:`~repro.utils.linalg.weighted_gram`), so neither holds a second
+array the size of the rows.
 """
 
 from __future__ import annotations

@@ -32,10 +32,21 @@ HOT_PATH_MANIFEST: dict[str, frozenset[str]] = {
     # be eliminated through any public API.  Everything avoidable has
     # been hoisted: the kernel and its half-spectrum slice are built once
     # per (grid, kernel) in the PlanCache, and the scratch pool reuses
-    # input staging buffers.  The manifest entry keeps the rule watching
-    # so any *new* per-call allocation added here is flagged.
+    # input staging buffers.  The Parseval Gram holds no whole spectrum:
+    # ``scaled_slabs`` allocates one k3-slab per pass in ``_scaled_slab``
+    # (the z-transform GEMM writes into it, ``fft2`` and the scale work in
+    # place), which its consumers drop before the next; the fp32 tier adds
+    # the slab's fp64 upcast.  The manifest entries keep the rule
+    # watching so any *new* per-call allocation added here is flagged.
     "repro/pw/fft.py": frozenset(
-        {"scratch", "FourierGrid.convolve_real", "ConvolutionPlan.apply", "ConvolutionPlan.gram"}
+        {
+            "scratch",
+            "FourierGrid.convolve_real",
+            "ConvolutionPlan.apply",
+            "ConvolutionPlan.gram",
+            "ConvolutionPlan.scaled_slabs",
+            "_scaled_slab",
+        }
     ),
     "repro/core/isdf.py": frozenset(
         {"ISDFDecomposition.apply_c", "ISDFDecomposition.apply_ct"}

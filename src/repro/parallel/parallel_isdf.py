@@ -11,9 +11,11 @@ with the orbitals arriving row-block distributed over grid points and
    both the fit and the pair-space factor ``C``,
 4. fit rows ``M = (Z C^T)^T`` — local Hadamard-GEMMs over the owned grid
    rows, no solve and no communication,
-5. projected kernel ``Vtilde`` — one forward FFT per fit row and a
-   Parseval Gram of the spectra, not Algorithm 1's inverse FFT and GEMM
-   (:func:`repro.parallel.parallel_lrtddft.distributed_kernel_gram`), then
+5. projected kernel ``Vtilde`` — a Parseval Gram of the fit rows'
+   spectra, not Algorithm 1's inverse FFT and GEMM
+   (:func:`repro.parallel.parallel_lrtddft.distributed_kernel_gram`): one
+   alltoall to whole rows, then per ``k3``-slab of their spectra a forward
+   transform, one alltoall to spectral columns and a SYRK, then
    the replicated ``N_mu x N_mu`` Cholesky of Eq. 10 on both sides of the
    Gram (:func:`~repro.parallel.parallel_lrtddft.distributed_isdf_vtilde`),
 6. implicit LOBPCG over pair-distributed Ritz vectors

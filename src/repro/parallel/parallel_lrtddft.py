@@ -9,11 +9,11 @@ The rank program:
 
    - the f_xc half is a local weighted Gram over this rank's grid rows
      (f_xc is diagonal in real space, so it needs no exchange);
-   - ``MPI_Alltoall`` gives each rank whole pair fields, and each field
-     gets one forward ``rfftn``, scaled so that by Parseval the Hartree
-     half is a real Gram of the spectra (no inverse FFT);
-   - ``MPI_Alltoall`` moves the spectra to spectral-row blocks, and a local
-     SYRK forms this rank's share of the Hartree half;
+   - ``MPI_Alltoall`` gives each rank whole pair fields, whose spectra,
+     scaled so that by Parseval the Hartree half is a real Gram of them
+     (no inverse FFT), are formed one ``k3``-slab at a time;
+   - per slab, ``MPI_Alltoall`` moves it to blocks of spectral columns and
+     a local SYRK adds this rank's share of the Hartree half;
    - ``MPI_Allreduce`` sums the exactly symmetric partials;
 
 4. the Hamiltonian diagonal is added and the matrix diagonalized (dense on
@@ -21,7 +21,7 @@ The rank program:
    for the optimized version).
 
 So the paper's lines 4-7 (FFT, ``4 pi / G^2``, inverse FFT, transpose
-back, GEMM) no longer run as written: the second exchange carries half
+back, GEMM) no longer run as written: the spectral exchanges carry half
 spectra instead of kernel-applied fields (THEORY §7).  The ISDF variant
 (:func:`distributed_isdf_vtilde`) runs the same Gram on the ``N_mu`` fit
 rows instead of the ``N_cv`` pairs — that is the entire point of the
@@ -39,10 +39,7 @@ from repro.core.pair_products import pair_energies
 from repro.eigen.dense import dense_lowest
 from repro.parallel.comm import Communicator
 from repro.parallel.distributions import BlockDistribution1D
-from repro.parallel.redistribute import (
-    transpose_to_column_block,
-    transpose_to_row_block,
-)
+from repro.parallel.redistribute import transpose_to_row_block
 from repro.utils.linalg import weighted_gram
 from repro.utils.threads import blas_threads
 from repro.utils.validation import require
@@ -62,12 +59,17 @@ def distributed_kernel_gram(
 
     * f_xc half — :func:`weighted_gram` on the local grid columns.
     * Hartree half — one alltoall to whole fields ``(my_fields, N_r)``,
-      one forward ``rfftn`` per field scaled by
-      :meth:`ConvolutionPlan.scaled_spectrum`, one alltoall of the float64
-      spectra to spectral-row blocks ``(m, my_g)``, and a local SYRK.
-      No inverse FFT.  Ranks that own no field still take part in both
-      exchanges.
+      then per ``k3``-slab of their scaled spectrum
+      (:meth:`ConvolutionPlan.scaled_slabs`, the serial Gram's
+      transform), one alltoall to a block of its columns ``(m, my_cols)``
+      and a local SYRK; the slab is dropped before the next.  No inverse
+      FFT.  Ranks that own no field still take part in every exchange.
     * One allreduce of the summed partials.
+
+    A rank's columns of each slab are its share of a near-even split of
+    the slab whose per-rank totals over all slabs are those of one block
+    split of the whole spectrum, so the exchanges move the same bytes as
+    a single transpose of it.
 
     The spectra are always transformed in fp64, whatever the kernel's
     precision tier: an fp32 plan's first-call cross-check runs once per
@@ -87,11 +89,25 @@ def distributed_kernel_gram(
     if plan is not None:
         field_dist = BlockDistribution1D(m, comm.size)
         fields = transpose_to_row_block(comm, rows_local, field_dist, grid_dist)
-        spec = plan.scaled_spectrum(fields)
-        del fields  # the spectra replace it before the second exchange
-        g_dist = BlockDistribution1D(spec.shape[1], comm.size)
-        spec_rows = transpose_to_column_block(comm, spec, field_dist, g_dist)
-        gram += spec_rows @ spec_rows.T
+        done = 0
+        for slab in plan.scaled_slabs(fields):
+            before = BlockDistribution1D(done, comm.size)
+            done += slab.shape[1]
+            after = BlockDistribution1D(done, comm.size)
+            cols = [
+                slice(
+                    after.displacement(r) - before.displacement(r),
+                    after.displacement(r + 1) - before.displacement(r + 1),
+                )
+                for r in range(comm.size)
+            ]
+            mine = np.empty((m, cols[comm.rank].stop - cols[comm.rank].start))
+            comm.alltoall(
+                [slab[:, c] for c in cols],
+                recv=[mine[field_dist.local_slice(src)] for src in range(comm.size)],
+            )
+            gram += mine @ mine.T
+            del slab, mine  # before the next slab is built
     return comm.allreduce(gram)
 
 

@@ -159,6 +159,47 @@ def _rfft_convolve(
     return grid.flatten_from_grid(out)
 
 
+#: ``k3`` planes per slab of :meth:`ConvolutionPlan.scaled_slabs`.
+SLAB_PLANES = 4
+
+
+def _half_dft(n3: int) -> np.ndarray:
+    """``(n3, 2 (n3 // 2 + 1))`` real matrix taking real z-lines to their
+    ``rfft`` along z, as interleaved (real, imaginary) columns."""
+    j = np.arange(n3)
+    phase = (2.0 * np.pi / n3) * ((j[:, None] * j[None, : n3 // 2 + 1]) % n3)
+    dft = np.empty((n3, 2 * (n3 // 2 + 1)))
+    dft[:, 0::2] = np.cos(phase)
+    dft[:, 1::2] = -np.sin(phase)
+    return dft
+
+
+def _scaled_slab(
+    grid: RealSpaceGrid, lines: np.ndarray, dft: np.ndarray, root: np.ndarray
+) -> np.ndarray:
+    """The ``rfftn`` spectrum of real fields on the ``k3`` planes whose
+    columns of :func:`_half_dft` are ``dft``, times ``root``: complex128
+    ``(m, n1, n2, planes)`` viewed as float64 ``(m, 2 n1 n2 planes)``.
+
+    ``lines`` are the fields' z-lines, ``(m n1 n2, n3)``.  One real GEMM of
+    them against ``dft`` gives the z-transform on those planes, written
+    straight into the slab; an in-place ``fft2`` over ``(k1, k2)`` finishes
+    it.  Transforms in the dtype of ``lines``.
+    """
+    n1, n2, _ = grid.shape
+    m = lines.shape[0] // (n1 * n2)
+    planes = dft.shape[1] // 2
+    dtype = np.result_type(lines.dtype, np.complex64)
+    spec = np.empty((m, n1, n2, planes), dtype=dtype)  # repro-lint: disable=no-alloc-in-hot -- the slab itself, one per pass
+    np.matmul(lines, dft, out=spec.view(lines.dtype).reshape(lines.shape[0], 2 * planes))
+    spec = scipy.fft.fft2(spec, axes=(1, 2), overwrite_x=True, workers=fft_workers())
+    if spec.dtype == np.complex128:
+        spec *= root
+    else:
+        spec = spec * root  # fp32 transform, fp64 Gram
+    return spec.view(np.float64).reshape(m, 2 * n1 * n2 * planes)
+
+
 class ConvolutionPlan:
     """A prepared G-diagonal convolution: kernel plus its half-spectrum cut.
 
@@ -245,8 +286,9 @@ class ConvolutionPlan:
     def gram(self, fields: np.ndarray) -> np.ndarray:
         """``fields K fields^T dV`` for real ``(m, N_r)`` fields, by Parseval.
 
-        One SYRK of the ``rfftn`` spectrum scaled by ``sqrt(w K dV / N_r)``: no
-        inverse transform, exactly symmetric, fp32 plans checked as in :meth:`apply`.
+        One SYRK per ``k3``-slab of the half spectrum scaled by
+        ``sqrt(w K dV / N_r)`` (:meth:`spectrum_gram`): no inverse
+        transform, exactly symmetric, fp32 plans checked as in :meth:`apply`.
         """
         if self.dtype == np.float32 and not self.degraded:
             return self._checked(
@@ -256,29 +298,39 @@ class ConvolutionPlan:
         return self.spectrum_gram(fields)
 
     def spectrum_gram(self, fields: np.ndarray) -> np.ndarray:
-        """``S S^T`` for ``S`` of :meth:`scaled_spectrum`: :meth:`gram`
-        transformed in the dtype of ``fields``, with no check."""
-        flat = self.scaled_spectrum(fields)
-        return flat @ flat.T
+        """``S S^T`` for ``S`` of :meth:`scaled_slabs`, one SYRK per slab:
+        :meth:`gram` transformed in the dtype of ``fields``, with no check."""
+        gram = np.zeros((fields.shape[0], fields.shape[0]))
+        for slab in self.scaled_slabs(fields):
+            gram += slab @ slab.T
+            del slab  # before the next slab is built
+        return gram
 
-    def scaled_spectrum(self, fields: np.ndarray) -> np.ndarray:
+    def scaled_slabs(self, fields: np.ndarray):
         """The factor ``S`` of :meth:`gram` (``gram = S S^T``) for real
-        ``(m, N_r)`` fields: their ``rfftn`` spectrum scaled by
-        ``sqrt(w K dV / N_r)``, as ``(m, 2 N_half)`` float64 rows.
+        ``(m, N_r)`` fields, one block of its columns at a time: their
+        ``rfftn`` spectrum on :data:`SLAB_PLANES` ``k3`` planes, scaled by
+        ``sqrt(w K dV / N_r)``, as ``(m, 2 n1 n2 planes)`` float64 rows.
 
+        Yields ``ceil((n3 // 2 + 1) / SLAB_PLANES)`` slabs in ``k3`` order
+        (the last may hold fewer planes).  Each is a fresh array: drop it
+        before asking for the next, or two slabs sit beside the fields.
         Transforms in the dtype of ``fields``; ``m = 0`` is allowed.
         """
         if (self.kernel_half < 0).any():
             raise ValueError("the Parseval Gram needs a nonnegative kernel")
         grid = self.fourier.grid
-        spec = scipy.fft.rfftn(grid.reshape_to_grid(fields), axes=_AXES, workers=fft_workers())
-        spec = spec.astype(np.complex128, copy=False)
+        n1, n2, n3 = grid.shape
         # w = 1 on the self-conjugate planes k3 = 0 and k3 = n3 / 2 (even
         # n3); every other half-spectrum entry also stands for -G (w = 2).
-        k3 = np.arange(spec.shape[-1])
-        weight = np.where((k3 == 0) | (2 * k3 == grid.shape[2]), 1.0, 2.0)
-        spec *= np.sqrt(self.kernel_half * weight * (grid.dv / grid.n_points))
-        return spec.reshape(fields.shape[0], self.kernel_half.size).view(np.float64)
+        k3 = np.arange(n3 // 2 + 1)
+        weight = np.where((k3 == 0) | (2 * k3 == n3), 1.0, 2.0)
+        root = np.sqrt(self.kernel_half * weight * (grid.dv / grid.n_points))
+        dft = _half_dft(n3).astype(fields.dtype, copy=False)
+        lines = fields.reshape(fields.shape[0] * n1 * n2, n3)
+        for start in range(0, k3.size, SLAB_PLANES):
+            planes = slice(start, start + SLAB_PLANES)
+            yield _scaled_slab(grid, lines, dft[:, 2 * start : 2 * planes.stop], root[..., planes])
 
     def _apply_fp32(self, fields: np.ndarray) -> np.ndarray | None:
         """The fp32-scratch apply; ``None`` defers to the fp64 path.

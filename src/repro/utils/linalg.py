@@ -16,14 +16,30 @@ def symmetrize(matrix: np.ndarray) -> np.ndarray:
     return 0.5 * (matrix + matrix.conj().T)
 
 
+#: Grid columns per block of the column-blocked passes over ``(N_mu, N_r)``
+#: rows (:func:`weighted_gram`, :func:`repro.core.fitting.fit_rows`): each
+#: holds at most an ``N_mu x COLUMN_BLOCK`` temporary beside the rows.
+COLUMN_BLOCK = 4096
+
+
 def weighted_gram(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``rows diag(weights) rows^T``, exactly symmetric: one SYRK of the
-    rows scaled by ``sqrt(|weights|)`` per sign class of ``weights``."""
+    """``rows diag(weights) rows^T``, exactly symmetric: per block of
+    :data:`COLUMN_BLOCK` columns, one SYRK of the rows scaled by
+    ``sqrt(|weights|)`` per sign class of ``weights``."""
     gram = np.zeros((rows.shape[0], rows.shape[0]))
     scale = np.sqrt(np.abs(weights))
-    for mask, sign in ((weights > 0, 1.0), (weights < 0, -1.0)):
-        part = rows * scale if mask.all() else rows[:, mask] * scale[mask]
-        gram += sign * (part @ part.T)
+    for start in range(0, rows.shape[1], COLUMN_BLOCK):
+        block = slice(start, start + COLUMN_BLOCK)
+        for mask, sign in ((weights[block] > 0, 1.0), (weights[block] < 0, -1.0)):
+            if mask.all():
+                part = rows[:, block] * scale[block]
+            elif mask.any():
+                part = rows[:, block][:, mask]
+                part *= scale[block][mask]
+            else:
+                continue
+            gram += sign * (part @ part.T)
+            del part  # before the next block's
     return gram
 
 

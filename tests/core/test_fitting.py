@@ -355,3 +355,51 @@ class TestNoThetaOnTheSolvePaths:
 
         first, second = spmd_run(2, prog, backend="thread")
         np.testing.assert_array_equal(first, second)
+
+
+class TestPeakMemory:
+    """Nothing of ``N_mu x N_r`` size sits beside the fit rows: the fit folds
+    one column block at a time and ``Vtilde`` transforms one k3-slab at a
+    time, so under ``tracemalloc`` the fit plus the projection peak at the
+    rows, one slab and ``O(N_mu^2 + N_r)`` (twice the rows before)."""
+
+    def test_fit_and_projection_peak(self):
+        import tracemalloc
+
+        from repro.atoms import bulk_silicon
+        from repro.core import HxcKernel
+        from repro.core.isdf import ISDFDecomposition, default_rank
+        from repro.core.isdf_hamiltonian import project_kernel
+        from repro.pw.fft import SLAB_PLANES
+        from repro.synthetic import synthetic_ground_state
+        from repro.utils.linalg import COLUMN_BLOCK
+
+        # A 24^3 grid: several column blocks and k3-slabs per field.
+        gs = synthetic_ground_state(
+            bulk_silicon(8), ecut=20.0, n_valence=16, n_conduction=8, seed=11
+        )
+        psi_v, _, psi_c, _ = gs.select_transition_space()
+        kernel = HxcKernel(gs.basis, gs.density)
+        n_r = gs.basis.n_r
+        n_mu = default_rank(psi_v.shape[0], psi_c.shape[0], n_r)
+        idx = np.linspace(0, n_r - 1, n_mu).astype(np.int64)
+        n1, n2, _ = gs.basis.grid.shape
+        slab = 16 * n_mu * n1 * n2 * SLAB_PLANES
+        assert 8 * n_mu * COLUMN_BLOCK < slab and 3 * COLUMN_BLOCK < n_r
+
+        tracemalloc.start()
+        try:
+            rows = fit_interpolation_vectors(psi_v, psi_c, idx)
+            isdf = ISDFDecomposition(
+                indices=idx,
+                fit_rows=rows,
+                psi_v_mu=psi_v[:, idx],
+                psi_c_mu=psi_c[:, idx],
+                method="kmeans",
+            )
+            vtilde = project_kernel(isdf, kernel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vtilde.shape == (n_mu, n_mu)
+        assert peak <= rows.nbytes + slab + 8 * (4 * n_mu**2 + 2 * n_r)

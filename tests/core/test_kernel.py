@@ -141,9 +141,36 @@ class TestGram:
         assert _relative_max(gram, (rows * weights) @ rows.T) <= 1e-13
         np.testing.assert_array_equal(gram, gram.T)
 
+    @pytest.mark.parametrize("m", [0, 1, 7])
+    def test_slab_gram_matches_the_dense_parseval_gram(self, grid_basis, m):
+        """The k3-slab Gram against one ``rfftn`` of the whole fields,
+        scaled by ``sqrt(w K dV / N_r)`` and SYRKed."""
+        import scipy.fft
+
+        from repro.pw.fft import SLAB_PLANES
+
+        rng = default_rng(11)
+        kernel = HxcKernel(grid_basis, rng.random(grid_basis.n_r) + 0.1, include_xc=False)
+        plan = kernel.coulomb_plan
+        grid = grid_basis.grid
+        assert grid.shape[2] // 2 + 1 > SLAB_PLANES  # more than one slab
+        rows = rng.standard_normal((m, grid.n_points))
+        spec = scipy.fft.rfftn(rows.reshape((m, *grid.shape)), axes=(-3, -2, -1))
+        k3 = np.arange(spec.shape[-1])
+        weight = np.where((k3 == 0) | (2 * k3 == grid.shape[2]), 1.0, 2.0)
+        spec *= np.sqrt(plan.kernel_half * weight * grid.dv / grid.n_points)
+        flat = spec.reshape(m, plan.kernel_half.size).view(np.float64)
+        expected = flat @ flat.T
+        gram = plan.spectrum_gram(rows)
+        assert gram.shape == (m, m)
+        np.testing.assert_array_equal(gram, gram.T)
+        if m:
+            assert _relative_max(gram, expected) <= 1e-13
+
     def test_projection_is_forward_transforms_only(self, basis, density, monkeypatch):
-        """``Vtilde`` takes one forward transform per interpolation vector
-        and no inverse transform."""
+        """``Vtilde`` takes one forward ``(k1, k2)`` transform per
+        interpolation vector and half-spectrum ``k3`` plane, and no inverse
+        transform."""
         import scipy.fft
 
         from repro.core.isdf import ISDFDecomposition
@@ -159,15 +186,17 @@ class TestGram:
             psi_c_mu=rng.standard_normal((4, n_mu)),
             method="kmeans",
         )
-        counts = {"rfftn": 0, "irfftn": 0, "fftn": 0, "ifftn": 0}
+        n1, n2, n3 = basis.grid.shape
+        names = ("fft2", "ifft2", "rfftn", "irfftn", "fftn", "ifftn", "ifft", "irfft")
+        counts = dict.fromkeys(names, 0)
         for name in counts:
             original = getattr(scipy.fft, name)
 
             def counted(x, *args, _name=name, _original=original, **kwargs):
-                counts[_name] += int(np.prod(np.shape(x)[:-3]))
+                counts[_name] += np.size(x) // (n1 * n2)
                 return _original(x, *args, **kwargs)
 
             monkeypatch.setattr(scipy.fft, name, counted)
         vtilde = project_kernel(isdf, kernel)
-        assert counts == {"rfftn": n_mu, "irfftn": 0, "fftn": 0, "ifftn": 0}
+        assert counts == {**dict.fromkeys(names, 0), "fft2": n_mu * (n3 // 2 + 1)}
         assert vtilde.shape == (n_mu, n_mu)

@@ -202,17 +202,18 @@ class TestMixedGram:
 
     @staticmethod
     def _tamper_fp32_spectra(monkeypatch):
+        """Double one ``(k1, k2)`` entry of every fp32 k3-slab transform."""
         import scipy.fft
 
-        rfftn = scipy.fft.rfftn
+        fft2 = scipy.fft.fft2
 
         def tampered(x, *args, **kwargs):
-            spec = rfftn(x, *args, **kwargs)
+            spec = fft2(x, *args, **kwargs)
             if spec.dtype == np.complex64:
-                spec[..., 1, 1, 1] *= 2.0
+                spec[:, 1, 1, :] *= 2.0
             return spec
 
-        monkeypatch.setattr(scipy.fft, "rfftn", tampered)
+        monkeypatch.setattr(scipy.fft, "fft2", tampered)
 
     def test_tampered_spectrum_degrades_to_the_fp64_gram(
         self, problem, log, monkeypatch

@@ -55,6 +55,9 @@ class TestDistributedVhxc:
             np.testing.assert_allclose(vhxc, serial_vhxc, atol=1e-12)
 
     def test_uses_two_alltoalls(self, problem):
+        """Two transposes: the pair fields in one alltoall, their spectra in
+        one per k3-slab, moving the bytes of one transpose of the whole
+        spectrum."""
         gs, psi_v, _, psi_c, _, kernel = problem
         dist = BlockDistribution1D(gs.basis.n_r, 2)
 
@@ -63,12 +66,37 @@ class TestDistributedVhxc:
             distributed_build_vhxc(comm, psi_v[:, sl], psi_c[:, sl], kernel, dist)
 
         _, traffic = spmd_run(2, prog, return_traffic=True)
-        assert traffic.calls_by_op["alltoall"] == 2 * 2  # 2 transposes x 2 ranks
+        assert traffic.calls_by_op["alltoall"] == (1 + _n_slabs(gs.basis)) * 2
+        n_cv = psi_v.shape[0] * psi_c.shape[0]
+        assert traffic.bytes_by_op["alltoall"] == _two_transpose_bytes(gs.basis, n_cv, 2)
         assert traffic.calls_by_op["allreduce"] == 1  # one collective (line 8)
 
 
 def _relative_error(got, ref):
     return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+
+def _n_slabs(basis):
+    """k3-slabs of the half spectrum: one spectral alltoall each."""
+    from repro.pw.fft import SLAB_PLANES
+
+    return -(-(basis.grid.shape[2] // 2 + 1) // SLAB_PLANES)
+
+
+def _two_transpose_bytes(basis, m, n_ranks):
+    """Off-rank alltoall bytes of the Hartree half as two whole transposes:
+    ``m`` fields from grid blocks to field blocks, then their float64 half
+    spectra from field blocks to blocks of spectral columns."""
+    n1, n2, n3 = basis.grid.shape
+    grid = BlockDistribution1D(basis.n_r, n_ranks)
+    fields = BlockDistribution1D(m, n_ranks)
+    spectra = BlockDistribution1D(2 * n1 * n2 * (n3 // 2 + 1), n_ranks)
+    return 8 * sum(
+        grid.count(s) * fields.count(d) + fields.count(s) * spectra.count(d)
+        for s in range(n_ranks)
+        for d in range(n_ranks)
+        if s != d
+    )
 
 
 class TestDistributedKernelGram:
@@ -93,12 +121,14 @@ class TestDistributedKernelGram:
     @pytest.mark.parametrize("n_ranks", [1, 2, 3, 4])
     @pytest.mark.parametrize("m", [1, 3, 7, 40])
     def test_matches_serial_gram(self, problem, rows, n_ranks, m):
-        """m < P included: a rank that owns no field still enters both
-        alltoalls (the sanitizer checks that the collectives line up)."""
-        kernel = problem[-1]
+        """m < P included: a rank that owns no field still enters every
+        alltoall (the sanitizer checks that the collectives line up)."""
+        gs, kernel = problem[0], problem[-1]
         serial = kernel.gram(rows[:m])
         results, traffic = self._gram(kernel, rows[:m], n_ranks, return_traffic=True)
-        assert traffic.calls_by_op["alltoall"] == 2 * n_ranks
+        calls = 1 + _n_slabs(gs.basis)
+        assert traffic.calls_by_op["alltoall"] == calls * n_ranks
+        assert traffic.bytes_by_op["alltoall"] == _two_transpose_bytes(gs.basis, m, n_ranks)
         for gram in results:
             assert gram.shape == (m, m)
             assert _relative_error(gram, serial) <= 1e-13
@@ -114,6 +144,8 @@ class TestDistributedKernelGram:
         ],
     )
     def test_kernel_variants(self, problem, rows, options, exchanges):
+        """``exchanges`` counts transposes: with a Hartree half, the fields
+        in one alltoall and the spectra in one per k3-slab."""
         gs = problem[0]
         kernel = HxcKernel(gs.basis, gs.density, **options)
         serial = kernel.gram(rows[:7])
@@ -121,31 +153,70 @@ class TestDistributedKernelGram:
         for gram in results:
             assert _relative_error(gram, serial) <= 1e-13
             assert np.array_equal(gram, gram.T)
-        assert traffic.calls_by_op.get("alltoall", 0) == exchanges * 3
+        calls = 1 + _n_slabs(gs.basis) if exchanges else 0
+        assert traffic.calls_by_op.get("alltoall", 0) == calls * 3
+        moved = _two_transpose_bytes(gs.basis, 7, 3) if exchanges else 0
+        assert traffic.bytes_by_op.get("alltoall", 0) == moved
         assert traffic.calls_by_op["allreduce"] == 1
 
+    def test_slab_widths_not_divisible_by_the_ranks(self):
+        """On a 10^3 grid the two slabs are 800 and 400 columns wide, so
+        three ranks cannot split each one evenly: the per-slab shares still
+        add up to one block split of the whole spectrum (same bytes as one
+        transpose) and the Gram is the serial one."""
+        from repro.pw import PlaneWaveBasis, UnitCell
+
+        basis = PlaneWaveBasis(UnitCell.cubic(9.0), ecut=5.0)
+        assert basis.grid.shape == (10, 10, 10)
+        rng = default_rng(12)
+        kernel = HxcKernel(basis, rng.random(basis.n_r) + 0.1)
+        rows = rng.standard_normal((7, basis.n_r))
+        results, traffic = self._gram(kernel, rows, 3, return_traffic=True)
+        for gram in results:
+            assert _relative_error(gram, kernel.gram(rows)) <= 1e-13
+        assert traffic.calls_by_op["alltoall"] == (1 + _n_slabs(basis)) * 3
+        assert traffic.bytes_by_op["alltoall"] == _two_transpose_bytes(basis, 7, 3)
+
+    @pytest.mark.parametrize(
+        "backend", ["thread", pytest.param("process", marks=pytest.mark.process_backend)]
+    )
+    def test_ranks_without_fields(self, problem, rows, backend):
+        """One field on three ranks: two ranks own no field and no slab
+        rows, yet enter every exchange; the Gram is the serial one and the
+        same on both backends."""
+        kernel = problem[-1]
+        serial = kernel.gram(rows[:1])
+        results = self._gram(kernel, rows[:1], 3, backend=backend)
+        for gram in results:
+            assert gram.shape == (1, 1)
+            assert _relative_error(gram, serial) <= 1e-13
+        thread = self._gram(kernel, rows[:1], 3, backend="thread")
+        np.testing.assert_array_equal(results[0], thread[0])
+
     def test_forward_transforms_only(self, problem, rows, monkeypatch):
-        """No inverse FFT anywhere on the distributed path, and exactly one
-        forward transform per field summed over the ranks."""
+        """No inverse FFT anywhere on the distributed path, and summed over
+        the ranks exactly one forward ``(k1, k2)`` transform per field and
+        half-spectrum ``k3`` plane."""
         import scipy.fft
 
-        kernel = problem[-1]
-        batches = []
-        rfftn = scipy.fft.rfftn
+        gs, kernel = problem[0], problem[-1]
+        n1, n2, n3 = gs.basis.grid.shape
+        planes = []
+        fft2 = scipy.fft.fft2
 
-        def counted_rfftn(x, *args, **kwargs):
-            batches.append(int(np.prod(x.shape[:-3])))
-            return rfftn(x, *args, **kwargs)
+        def counted_fft2(x, *args, **kwargs):
+            planes.append(x.size // (n1 * n2))
+            return fft2(x, *args, **kwargs)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("inverse FFT on the distributed path")
+            raise AssertionError("inverse or whole-field FFT on the distributed path")
 
-        monkeypatch.setattr(scipy.fft, "rfftn", counted_rfftn)
-        monkeypatch.setattr(scipy.fft, "irfftn", forbidden)
-        monkeypatch.setattr(scipy.fft, "ifftn", forbidden)
+        monkeypatch.setattr(scipy.fft, "fft2", counted_fft2)
+        for name in ("ifft", "ifft2", "ifftn", "irfft", "irfft2", "irfftn", "rfftn", "fftn"):
+            monkeypatch.setattr(scipy.fft, name, forbidden)
         # Thread ranks: the counter lives in this process.
         self._gram(kernel, rows[:7], 3, backend="thread")
-        assert sum(batches) == 7
+        assert sum(planes) == 7 * (n3 // 2 + 1)
 
     def test_mixed_kernel_transforms_in_fp64(self, problem, rows):
         """A mixed-precision kernel gives the strict64 Gram bit for bit and
