@@ -17,6 +17,19 @@ from repro.utils.validation import require
 __all__ = ["BatchConfig", "RTConfig", "ResilienceConfig", "SCFConfig", "TDDFTConfig"]
 
 
+def _require_strict64(precision, *, allow_none: bool = False) -> None:
+    """Reject every ``precision`` but ``"strict64"`` (and ``None`` if allowed).
+
+    The field is kept so each config's ``to_dict()``, and with it every
+    request cache key, keeps its established form.
+    """
+    require(
+        precision == "strict64" or (allow_none and precision is None),
+        f"precision must be 'strict64' (the only supported tier)"
+        f"{' or None' if allow_none else ''}, got {precision!r}",
+    )
+
+
 @dataclass(frozen=True)
 class _ConfigBase:
     """Shared dict round-trip / functional-update machinery."""
@@ -44,11 +57,9 @@ class SCFConfig(_ConfigBase):
     """Ground-state SCF parameters: the one config :func:`repro.dft.run_scf`
     takes (directly, or through a ``CalculationRequest``).
 
-    ``precision`` is the mixed-precision execution tier (``"strict64"`` /
-    ``"mixed"`` / ``"fast32"``, see :mod:`repro.precision`).  It is a plain
-    string so it serializes through the exact dict round-trip and therefore
-    participates in the request cache key: a ``mixed`` and a ``strict64``
-    calculation are different cache entries.
+    ``precision`` accepts only ``"strict64"``: every stage computes in
+    float64.  The field stays so that the dict round-trip, and with it the
+    request cache key, is unchanged.
     """
 
     ecut: float = 10.0
@@ -62,34 +73,23 @@ class SCFConfig(_ConfigBase):
     eig_tol_final: float = 1e-8
     seed: int | None = None
     verbose: bool = False
-    #: SCF convergence-critical algebra stays fp64 in every tier; only
-    #: ``fast32`` routes the Hartree solve through fp32 FFT scratch.
     precision: str = "strict64"
 
     def __post_init__(self) -> None:
-        from repro.precision import PRECISION_MODES
-
         require(self.ecut > 0, f"ecut must be positive, got {self.ecut}")
         require(self.max_iter >= 1, f"max_iter must be >= 1, got {self.max_iter}")
         require(
             self.mixer in ("anderson", "linear"),
             f"mixer must be 'anderson' or 'linear', got {self.mixer!r}",
         )
-        require(
-            self.precision in PRECISION_MODES,
-            f"precision must be one of {PRECISION_MODES}, "
-            f"got {self.precision!r}",
-        )
+        _require_strict64(self.precision)
 
 
 @dataclass(frozen=True)
 class TDDFTConfig(_ConfigBase):
     """LR-TDDFT solve parameters (transition space + eigensolver).
 
-    ``precision`` selects the mixed-precision execution tier for the
-    tolerance-bounded ISDF/K-Means/operator stages (see
-    :mod:`repro.precision`); like every other field it enters the request
-    cache key through the dict round-trip.
+    ``precision`` accepts only ``"strict64"`` (see :class:`SCFConfig`).
     """
 
     method: str = "implicit-kmeans-isdf-lobpcg"
@@ -108,7 +108,6 @@ class TDDFTConfig(_ConfigBase):
 
     def __post_init__(self) -> None:
         from repro.core.driver import METHODS
-        from repro.precision import PRECISION_MODES
 
         require(
             self.method in METHODS,
@@ -119,11 +118,7 @@ class TDDFTConfig(_ConfigBase):
             f"spin must be 'singlet' or 'triplet', got {self.spin!r}",
         )
         require(self.max_iter >= 1, f"max_iter must be >= 1, got {self.max_iter}")
-        require(
-            self.precision in PRECISION_MODES,
-            f"precision must be one of {PRECISION_MODES}, "
-            f"got {self.precision!r}",
-        )
+        _require_strict64(self.precision)
 
 
 @dataclass(frozen=True)
@@ -220,10 +215,8 @@ class BatchConfig(_ConfigBase):
         :class:`~repro.batch.results.BatchResult`; off, only the
         per-frame records survive (memory-lean mode).
     precision:
-        Convenience override: when set (``"strict64"`` / ``"mixed"`` /
-        ``"fast32"``), it is pushed into both nested configs at
-        construction, so one knob switches the whole per-frame pipeline;
-        ``None`` (default) leaves the nested configs' own tiers untouched.
+        ``None`` (default) or ``"strict64"``, the only tier the nested
+        configs accept; kept so the dict round-trip is unchanged.
     """
 
     scf: SCFConfig = field(default_factory=SCFConfig)
@@ -247,22 +240,7 @@ class BatchConfig(_ConfigBase):
             isinstance(self.tddft, TDDFTConfig),
             f"tddft must be a TDDFTConfig, got {type(self.tddft).__name__}",
         )
-        if self.precision is not None:
-            from repro.precision import PRECISION_MODES
-
-            require(
-                self.precision in PRECISION_MODES,
-                f"precision must be None or one of {PRECISION_MODES}, "
-                f"got {self.precision!r}",
-            )
-            # Push the tier into the nested configs (idempotent, so the
-            # dict round-trip reconstructs the identical object).
-            object.__setattr__(
-                self, "scf", self.scf.replace(precision=self.precision)
-            )
-            object.__setattr__(
-                self, "tddft", self.tddft.replace(precision=self.precision)
-            )
+        _require_strict64(self.precision, allow_none=True)
         require(
             self.density_extrapolation in ("none", "linear", "quadratic"),
             f"density_extrapolation must be none/linear/quadratic, "

@@ -18,10 +18,6 @@ Commands
 ``bench-spmd``
     Thread vs process SPMD backend comparison (wall time, speedup, and
     the zero-copy/pickled transport split); writes ``BENCH_spmd.json``.
-``bench-precision``
-    strict64 vs mixed precision-tier comparison of the ISDF pipeline's
-    compute stages, with per-stage error columns; writes
-    ``BENCH_precision.json``.
 ``batch``
     Warm-started SCF + LR-TDDFT over a perturbed trajectory of a built-in
     system; prints the per-frame reuse table.
@@ -277,21 +273,6 @@ def cmd_bench_spmd(args) -> int:
     return 0
 
 
-def cmd_bench_precision(args) -> int:
-    from repro.perf.precision_bench import (
-        format_summary,
-        run_precision_bench,
-        write_report,
-    )
-
-    report = run_precision_bench(smoke=args.smoke)
-    print(format_summary(report))
-    if args.out:
-        write_report(report, args.out)
-        print(f"wrote {args.out}")
-    return 0
-
-
 def cmd_batch(args) -> int:
     from repro.api import (
         BatchConfig,
@@ -520,14 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bs.add_argument("--out", default=None,
                       help="write the JSON report here (e.g. BENCH_spmd.json)")
 
-    p_bp = sub.add_parser("bench-precision",
-                          help="benchmark strict64 vs mixed precision tiers")
-    p_bp.add_argument("--smoke", action="store_true",
-                      help="tiny workload for CI (seconds, not minutes)")
-    p_bp.add_argument("--out", default=None,
-                      help="write the JSON report here "
-                           "(e.g. BENCH_precision.json)")
-
     p_batch = sub.add_parser("batch",
                              help="warm-started pipeline over a trajectory")
     p_batch.add_argument("--system", choices=sorted(_builtin_systems()),
@@ -622,7 +595,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "rt": cmd_rt,
         "bench-backend": cmd_bench_backend,
         "bench-spmd": cmd_bench_spmd,
-        "bench-precision": cmd_bench_precision,
         "batch": cmd_batch,
         "bench-batch": cmd_bench_batch,
         "serve": cmd_serve,

@@ -36,7 +36,6 @@ from repro.core.pair_products import pair_energies
 from repro.dft.groundstate import GroundState
 from repro.eigen.davidson import davidson
 from repro.eigen.lobpcg import lobpcg
-from repro.precision import resolve_precision
 from repro.utils.rng import default_rng
 from repro.utils.serialization import SerializableResult
 from repro.utils.threads import blas_threads
@@ -166,13 +165,6 @@ class LRTDDFTSolver:
         (:func:`repro.dft.xc_spin.lda_kernel_triplet`).
     seed:
         Seed of the ISDF point selection and the eigensolver start block.
-    precision:
-        Initial precision tier (mode string or
-        :class:`repro.precision.PrecisionConfig`) for the Hxc kernel and
-        the ISDF pipeline.  The ``precision`` of the
-        :class:`repro.api.TDDFTConfig` passed to :meth:`solve` takes
-        precedence (the kernel is rebuilt if the tier changed — cheap, the
-        FFT plan cache is keyed by dtype).
 
     ``n_valence``, ``n_conduction``, ``include_xc``, ``spin`` and ``seed``
     are also :class:`repro.api.TDDFTConfig` fields; :meth:`solve` rejects a
@@ -189,7 +181,6 @@ class LRTDDFTSolver:
         include_xc: bool = True,
         spin: str = "singlet",
         seed: int | None = None,
-        precision=None,
     ) -> None:
         self.ground_state = ground_state
         (self.psi_v, self.eps_v, self.psi_c, self.eps_c) = (
@@ -197,11 +188,8 @@ class LRTDDFTSolver:
         )
         self.basis = ground_state.basis
         self.spin = spin
-        self._include_xc = include_xc
-        self.precision = resolve_precision(precision)
         self.kernel = HxcKernel(
-            self.basis, ground_state.density, include_xc=include_xc, spin=spin,
-            precision=self.precision,
+            self.basis, ground_state.density, include_xc=include_xc, spin=spin
         )
         self._seed = seed
         #: The TDDFTConfig fields fixed at construction (checked by solve).
@@ -259,8 +247,7 @@ class LRTDDFTSolver:
             control the iterative eigensolver; ``tda=False`` solves the
             *full* Casida problem of Eq. 1 via the Hermitian reduction (see
             :mod:`repro.core.full_casida`) instead of the Tamm-Dancoff
-            Eq. 2; ``precision`` selects the execution tier.  The
-            transition-space fields (``spin``, ``include_xc``,
+            Eq. 2.  The transition-space fields (``spin``, ``include_xc``,
             ``n_valence``, ``n_conduction``, ``seed``) belong to the
             solver's construction: a value that is neither the default nor
             the constructor's raises ``ValueError`` naming the field.
@@ -301,7 +288,6 @@ class LRTDDFTSolver:
                 f"{name}={built!r}, which is fixed at construction; build "
                 f"LRTDDFTSolver(..., {name}={value!r}) instead",
             )
-        self._set_precision(config.precision)
         method, k, tda = config.method, config.n_excitations, config.tda
         timers = TimerRegistry()
         isdf_kwargs = dict(isdf_kwargs or {})
@@ -349,22 +335,6 @@ class LRTDDFTSolver:
             )
 
         return callback
-
-    def _set_precision(self, precision) -> None:
-        """Adopt a new precision tier, rebuilding the Hxc kernel if needed.
-
-        The rebuild is cheap: the Coulomb kernel and its FFT plan come from
-        the process-wide plan cache, which is keyed by dtype, so flipping
-        between tiers reuses previously built plans.
-        """
-        resolved = resolve_precision(precision)
-        if resolved == self.precision:
-            return
-        self.precision = resolved
-        self.kernel = HxcKernel(
-            self.basis, self.ground_state.density,
-            include_xc=self._include_xc, spin=self.spin, precision=resolved,
-        )
 
     def _configure_resilience(self, resilience) -> None:
         """Translate a ResilienceConfig into the solver-side hooks."""
@@ -445,7 +415,6 @@ class LRTDDFTSolver:
             timers=timers,
             fallback=self._selection_fallback,
             checkpoint=self._isdf_checkpoint,
-            precision=self.precision,
             **isdf_kwargs,
         )
 

@@ -44,9 +44,6 @@ def coefficient_matrix(
     return c.reshape(n_mu, -1)
 
 
-#: Row-sample size for the fp32 fitting-GEMM a-posteriori error estimate.
-_FP32_CHECK_ROWS = 256
-
 #: Relative Tikhonov ridge on ``C C^T`` — interpolation points selected by
 #: K-Means can be mildly collinear in the orbital values, and the ridge
 #: keeps the solves stable without visibly perturbing the fit.
@@ -57,8 +54,6 @@ def fit_interpolation_vectors(
     psi_v: np.ndarray,
     psi_c: np.ndarray,
     indices: np.ndarray,
-    *,
-    precision=None,
 ) -> np.ndarray:
     """The fit rows ``M = (Z C^T)^T``, C-ordered ``(N_mu, N_r)``.
 
@@ -70,47 +65,12 @@ def fit_interpolation_vectors(
     ----------
     indices:
         ``(N_mu,)`` grid-point indices of the interpolation points.
-    precision:
-        A precision mode string or :class:`repro.precision.PrecisionConfig`.
-        With ``fit_fp32`` the two ``O(N_r N_mu)`` tall-skinny GEMMs (the
-        whole cost of the fit) run in fp32 and the rows come back in fp64.
-        When verification is on, a deterministic row sample of ``Z C^T`` is
-        recomputed in fp64; a relative deviation above ``fit_tol`` discards
-        the fp32 product, refits entirely in fp64 and records an
-        ``isdf-fit`` degradation event.
     """
     require(psi_v.shape[1] == psi_c.shape[1], "orbital grid mismatch")
     indices = np.asarray(indices)
     require(indices.ndim == 1 and indices.size > 0, "indices must be 1-D, non-empty")
 
-    from repro.precision import resolve_precision
-
-    precision = resolve_precision(precision)
-
-    v_pts = psi_v[:, indices]  # (N_v, N_mu)
-    c_pts = psi_c[:, indices]  # (N_c, N_mu)
-
-    fp32 = bool(precision.fit_fp32) and psi_v.dtype == np.float64
-    if fp32:
-        zct = _fitting_gemms_fp32(psi_v, psi_c, v_pts, c_pts)
-        if precision.verify:
-            error = _sampled_gemm_error(psi_v, psi_c, v_pts, c_pts, zct)
-            if not np.isfinite(error) or error > precision.fit_tol:
-                from repro.resilience.events import resilience_log
-
-                resilience_log().record(
-                    "isdf-fit",
-                    "fallback-fp64",
-                    f"fp32 fitting-GEMM sampled error {error:.3e} exceeds "
-                    f"tolerance {precision.fit_tol:.1e}; refitting in fp64",
-                    error=error,
-                    tol=precision.fit_tol,
-                    n_mu=int(indices.size),
-                )
-                fp32 = False
-    if not fp32:
-        zct = fit_rows(psi_v, psi_c, v_pts, c_pts)
-    return zct
+    return fit_rows(psi_v, psi_c, psi_v[:, indices], psi_c[:, indices])
 
 
 def fit_rows(
@@ -191,42 +151,3 @@ def solve_vtilde(
         half = np.linalg.lstsq(gram, gram_m, rcond=None)[0]
         vtilde = np.linalg.lstsq(gram, half.T, rcond=None)[0]
     return symmetrize(vtilde)
-
-
-def _fitting_gemms_fp32(
-    psi_v: np.ndarray,
-    psi_c: np.ndarray,
-    v_pts: np.ndarray,
-    c_pts: np.ndarray,
-) -> np.ndarray:
-    """``(Z C^T)^T`` with the two tall-skinny GEMMs in fp32, result in fp64.
-
-    The Hadamard fold happens in fp32 (still elementwise-accurate to
-    ~eps_fp32 relative), then one upcast materializes the fp64 rows the
-    fit keeps.
-    """
-    zct32 = v_pts.astype(np.float32).T @ psi_v.astype(np.float32)
-    zct32 *= c_pts.astype(np.float32).T @ psi_c.astype(np.float32)
-    return zct32.astype(np.float64)
-
-
-def _sampled_gemm_error(
-    psi_v: np.ndarray,
-    psi_c: np.ndarray,
-    v_pts: np.ndarray,
-    c_pts: np.ndarray,
-    zct: np.ndarray,
-    n_rows: int = _FP32_CHECK_ROWS,
-) -> float:
-    """Relative error of the fp32 ``(Z C^T)^T`` on a deterministic sample.
-
-    Recomputes ``min(n_rows, N_r)`` evenly spaced grid points of the separable
-    product in fp64 — ``O(n_rows N_mu N_bands)``, a vanishing fraction of
-    the full GEMM — and returns ``max |fp32 - fp64| / max |fp64|``.
-    """
-    n_r = psi_v.shape[1]
-    sample = np.linspace(0, n_r - 1, num=min(n_rows, n_r), dtype=np.int64)
-    sample = np.unique(sample)
-    ref = (v_pts.T @ psi_v[:, sample]) * (c_pts.T @ psi_c[:, sample])
-    scale = float(np.abs(ref).max()) or 1.0
-    return float(np.abs(zct[:, sample] - ref).max()) / scale

@@ -47,8 +47,8 @@ def default_rank(n_v: int, n_c: int, n_r: int, rank_factor: float = 10.0) -> int
     (Table 4 note: ``N_mu ~= 10 x N_e`` with ``N_v ~= N_c ~= N_e``.)
     Clipped to ``min(N_r, N_v * N_c)``.  At ``N_mu = N_v * N_c`` the
     decomposition is exact only when ``C C^T`` is nonsingular: points that
-    leave ``C`` rank-deficient (fp32 K-Means on Si2 gives rank 23 of 24)
-    fit the missing pair directions with the ridge alone.
+    leave ``C`` rank-deficient fit the missing pair directions with the
+    ridge alone.
     """
     n_mu = int(np.ceil(rank_factor * np.sqrt(n_v * n_c)))
     return max(1, min(n_mu, n_r, n_v * n_c))
@@ -215,7 +215,6 @@ def isdf_decompose(
     fallback: str | None = None,
     checkpoint=None,
     indices: np.ndarray | None = None,
-    precision=None,
     **selection_kwargs,
 ) -> ISDFDecomposition:
     """Run point selection + least-squares fit.
@@ -246,11 +245,6 @@ def isdf_decompose(
         1 = fit rows) so a restarted decomposition reuses the selected
         points (and, when present, the fit rows) instead of recomputing.  ``selection_info`` is ``None`` on a
         resumed result.
-    precision:
-        A precision mode string or :class:`repro.precision.PrecisionConfig`,
-        forwarded to the K-Means selection (fp32 classification with fp64
-        accumulators and a converged-assignment recheck) and the
-        fit (fp32 tall-skinny GEMMs with a sampled fp64 residual check).  QRCP selection always runs in fp64.
     selection_kwargs:
         Forwarded to the point selector (e.g. ``prune_threshold``,
         ``sketch``, ``oversample``).
@@ -296,7 +290,7 @@ def isdf_decompose(
                 try:
                     info = select_points_kmeans(
                         psi_v, psi_c, n_mu, grid_points=grid_points, rng=rng,
-                        precision=precision, **selection_kwargs,
+                        **selection_kwargs,
                     )
                     selection_ok = info.converged
                     indices = info.indices
@@ -326,9 +320,7 @@ def isdf_decompose(
 
     if rows is None:
         with timers.scope("isdf/fit"):
-            rows = fit_interpolation_vectors(
-                psi_v, psi_c, indices, precision=precision
-            )
+            rows = fit_interpolation_vectors(psi_v, psi_c, indices)
         if checkpoint is not None:
             checkpoint.save(
                 1,

@@ -33,15 +33,12 @@ def project_kernel(
     timers: TimerRegistry | None = None,
 ) -> np.ndarray:
     """``Vtilde = Theta^T f_Hxc Theta dV`` of shape ``(N_mu, N_mu)`` (Eq. 7):
-    one :meth:`HxcKernel.gram_fp64` of the fit rows (forward transforms
-    one ``k3``-slab at a time and no inverse), then :func:`solve_vtilde`.
-
-    The transform is fp64 in every precision tier: the solve multiplies a
-    Gram error by the conditioning of ``C C^T``.
+    one :meth:`HxcKernel.gram` of the fit rows (forward transforms one
+    ``k3``-slab at a time and no inverse), then :func:`solve_vtilde`.
     """
     timers = timers or TimerRegistry()
     with timers.scope("isdf_h/kernel_fft"):
-        gram = kernel.gram_fp64(isdf.fit_rows)
+        gram = kernel.gram(isdf.fit_rows)
         return solve_vtilde(isdf.psi_v_mu, isdf.psi_c_mu, gram)
 
 

@@ -41,12 +41,6 @@ class HxcKernel:
         Bohr (pass ``"auto"`` for half the shortest box edge) — use for
         molecules in boxes so excitations do not couple to periodic
         images.
-    precision:
-        A precision mode string or :class:`repro.precision.PrecisionConfig`.
-        When the resolved policy enables ``fft_fp32``, the Coulomb
-        convolution runs through an fp32 :class:`~repro.pw.fft.ConvolutionPlan`
-        (fp32 FFT scratch, fp64 result, first-apply fp64 cross-check with
-        permanent fallback); otherwise the fp64 plan is used unchanged.
     """
 
     def __init__(
@@ -59,12 +53,7 @@ class HxcKernel:
         spin: str = "singlet",
         coulomb_truncation: float | str | None = None,
         timers: TimerRegistry | None = None,
-        precision=None,
     ) -> None:
-        from repro.precision import resolve_precision
-
-        precision = resolve_precision(precision)
-        self.precision = precision
         require(
             density.shape == (basis.n_r,),
             f"density must have shape ({basis.n_r},), got {density.shape}",
@@ -87,18 +76,9 @@ class HxcKernel:
             # value share a plan only when they actually coincide.
             from repro.pw.fft import default_plan_cache
 
-            plan_dtype = np.float32 if precision.fft_fp32 else np.float64
-            plan_opts = {
-                "dtype": plan_dtype,
-                "tol": precision.fft_tol,
-                "verify": precision.verify,
-            }
             if coulomb_truncation is None:
                 plan = default_plan_cache().get(
-                    "coulomb",
-                    basis.fft,
-                    lambda: coulomb_kernel(basis),
-                    **plan_opts,
+                    "coulomb", basis.fft, lambda: coulomb_kernel(basis)
                 )
             else:
                 from repro.dft.hartree import truncated_coulomb_kernel
@@ -112,7 +92,6 @@ class HxcKernel:
                     f"coulomb-truncated:{radius!r}",
                     basis.fft,
                     lambda: truncated_coulomb_kernel(basis, radius),
-                    **plan_opts,
                 )
             self._coulomb_plan = plan
             self._coulomb_g = plan.kernel
@@ -165,21 +144,11 @@ class HxcKernel:
 
     def gram(self, rows: np.ndarray) -> np.ndarray:
         """``rows f_Hxc rows^T dV`` for real rows ``(m, N_r)``, exactly symmetric:
-        :meth:`ConvolutionPlan.gram` (in fp32 on an fp32 plan) plus a Gram
-        weighted by ``f_xc dV``."""
-        return self._gram(rows, fp64=False)
-
-    def gram_fp64(self, rows: np.ndarray) -> np.ndarray:
-        """:meth:`gram` with the Coulomb half transformed in fp64 on every plan,
-        for a Gram that is solved against afterwards (the ISDF ``Vtilde``)."""
-        return self._gram(rows, fp64=True)
-
-    def _gram(self, rows: np.ndarray, *, fp64: bool) -> np.ndarray:
+        :meth:`ConvolutionPlan.gram` plus a Gram weighted by ``f_xc dV``."""
         require(rows.ndim == 2 and rows.shape[1] == self.basis.n_r, "rows must be (m, N_r)")
         gram = np.zeros((rows.shape[0], rows.shape[0]))
-        plan = self._coulomb_plan
-        if plan is not None:
-            gram += plan.spectrum_gram(rows) if fp64 else plan.gram(rows)
+        if self._coulomb_plan is not None:
+            gram += self._coulomb_plan.gram(rows)
         if self._fxc_r is not None:
             gram += weighted_gram(rows, self._fxc_r * self.basis.grid.dv)
         return gram

@@ -200,12 +200,6 @@ DEFAULT_TILE_BYTES = 1 << 19  # 512 KiB
 _BOUND_RTOL = 1e-12
 _BOUND_EPS = 64.0 * np.finfo(float).eps
 
-#: Enlarged Hamerly slack for fp32 classification: must cover the relative
-#: error of a single-precision distance (~eps_fp32 * norm scale, with
-#: headroom), so the bounds still only skip provably-unchanged points *up
-#: to fp32 accuracy* — the fp64 final recheck catches the rest.
-_BOUND_RTOL_FP32 = 1e-5
-
 #: Neighbour-list sizes of the restricted classification, below ``N_mu``.
 _NEIGHBOUR_BLOCKS = (4, 8, 16, 32, 64, 128, 256)
 
@@ -343,7 +337,6 @@ def weighted_kmeans(
     rng: np.random.Generator | None = None,
     algorithm: str = "hamerly",
     tile_bytes: int = DEFAULT_TILE_BYTES,
-    precision=None,
     reduce=_SERIAL,
 ) -> tuple[np.ndarray, np.ndarray, float, int, bool]:
     """Weighted Lloyd iterations (Eqs. 11-13), optionally bound-pruned.
@@ -371,17 +364,6 @@ def weighted_kmeans(
         Upper bound on the distance tile of a full classification; the
         ``N x N_mu`` matrix is never allocated at once.  Results do not
         depend on it.
-    precision:
-        A precision mode string or :class:`repro.precision.PrecisionConfig`.
-        With ``kmeans_fp32`` the per-iteration nearest/second-nearest
-        classification runs against fp32 copies of points and centroids
-        with an enlarged Hamerly slack; the *committed* per-point distances, the
-        inertia and the weighted centroid accumulators stay fp64.  With
-        ``kmeans_recheck`` the converged assignment is re-derived in fp64
-        and, unless bit-identical, the whole clustering is re-run in fp64
-        from the same initial centroids (recorded as a ``kmeans-classify``
-        degradation event) — so the returned result is one a pure-fp64 run
-        would accept.
     reduce:
         A :class:`SerialReducer` or a distributed one with its methods; then
         ``points``/``weights`` and the returned labels are this rank's slab,
@@ -399,11 +381,6 @@ def weighted_kmeans(
     require((weights >= 0).all(), "weights must be non-negative")
     require(algorithm in ("hamerly", "lloyd"), f"unknown algorithm {algorithm!r}")
     require(tile_bytes > 0, "tile_bytes must be positive")
-
-    from repro.precision import resolve_precision
-
-    precision = resolve_precision(precision)
-    fp32 = precision.kmeans_fp32
 
     rng = rng or default_rng()
     if initial_centroids is not None or init == "warm":
@@ -424,33 +401,21 @@ def weighted_kmeans(
     else:
         raise ValueError(f"unknown init {init!r}")
 
-    initial_for_rerun = centroids.copy() if fp32 else None
     labels = np.full(n, -1, dtype=np.int64)
     inertia = np.inf
     converged = False
     iteration = 0
-    # fp32 classification operands: one cast of the points up front, one
-    # 3 x n_clusters cast of the centroids per iteration.  Everything the
-    # result depends on directly (committed distances, inertia, centroid
-    # accumulation) stays on the fp64 arrays.
-    points_cls = points.astype(np.float32) if fp32 else points
     # Hamerly state: upper[i] bounds dist(point_i, assigned centroid) from
     # above, lower[i] bounds the distance to every *other* centroid from
     # below.  upper <= lower proves the assignment cannot change.
     x_max = reduce.max(float(np.linalg.norm(points, axis=1).max(initial=0.0)))
-    if fp32:
-        slack = _BOUND_RTOL_FP32 * (x_max + 1.0)
-    else:
-        scale = max(x_max, np.linalg.norm(centroids, axis=1).max())
-        slack = _BOUND_RTOL * (x_max + 1.0) + _BOUND_EPS * scale
+    scale = max(x_max, np.linalg.norm(centroids, axis=1).max())
+    slack = _BOUND_RTOL * (x_max + 1.0) + _BOUND_EPS * scale
     dim = points.shape[1]
 
     for iteration in range(1, max_iter + 1):
-        centroids_cls = centroids.astype(np.float32) if fp32 else centroids
         if algorithm == "lloyd" or iteration == 1:
-            new_labels, d2n, d2s = _classify_tiled(
-                points_cls, centroids_cls, tile_bytes
-            )
+            new_labels, d2n, d2s = _classify_tiled(points, centroids, tile_bytes)
             upper, lower = np.sqrt(d2n), np.sqrt(d2s)
         else:
             # First filter on the stale bounds, then tighten the surviving
@@ -465,13 +430,13 @@ def weighted_kmeans(
             active = maybe[upper[maybe] + slack >= lower[maybe]]
             if active.size:
                 new_labels[active], d2n, lower[active] = _classify_near(
-                    points_cls[active], centroids_cls, labels[active],
+                    points[active], centroids, labels[active],
                     upper[active], slack,
                 )
                 upper[active] = np.sqrt(d2n)
 
-        # Committed per-point distances (same expression in both modes, for
-        # all points): the weighted objective of Eq. 11.
+        # Committed per-point distances (same expression in both algorithms,
+        # for all points): the weighted objective of Eq. 11.
         min_d2 = _assigned_sq_dists(points, centroids, new_labels)
 
         # One reduced block: weighted coordinate sums (Eq. 13) and weights
@@ -517,40 +482,6 @@ def weighted_kmeans(
             break
         labels = new_labels
         inertia = new_inertia
-
-    if fp32 and precision.kmeans_recheck:
-        # Bit-identical assignment recheck: re-derive every label in fp64
-        # against the converged centroids.  Any mismatch means the fp32
-        # classification steered the iteration off the fp64 trajectory, so
-        # the whole clustering re-runs in fp64 from the same initial
-        # centroids — the returned result is then exactly the strict64 one.
-        # The count is reduced so every rank takes the same branch.
-        labels64 = _classify_tiled(points, centroids, tile_bytes)[0]
-        n_bad, n_all = reduce.sum(np.array([np.count_nonzero(labels64 != labels), n]))
-        if n_bad:
-            from repro.resilience.events import resilience_log
-
-            resilience_log().record(
-                "kmeans-classify",
-                "fallback-fp64",
-                f"fp32 classification recheck: {n_bad}/{n_all} assignments "
-                "differ from fp64; re-running clustering in fp64",
-                mismatches=int(n_bad),
-                n_points=int(n_all),
-                n_clusters=int(n_clusters),
-            )
-            return weighted_kmeans(
-                points,
-                weights,
-                n_clusters,
-                initial_centroids=initial_for_rerun,
-                max_iter=max_iter,
-                tol=tol,
-                rng=rng,
-                algorithm=algorithm,
-                tile_bytes=tile_bytes,
-                reduce=reduce,
-            )
 
     return centroids, labels, inertia, iteration, converged
 
@@ -602,7 +533,6 @@ def select_points_kmeans(
     rng: np.random.Generator | None = None,
     algorithm: str = "hamerly",
     tile_bytes: int = DEFAULT_TILE_BYTES,
-    precision=None,
 ) -> KMeansResult:
     """Full paper recipe: weights -> prune -> weighted K-Means -> points.
 
@@ -620,10 +550,6 @@ def select_points_kmeans(
         Warm-start centroids from a previous, nearby selection (see
         :func:`weighted_kmeans`); the pruning and representative-point
         extraction are unchanged.
-    precision:
-        Forwarded to :func:`weighted_kmeans` (fp32 classification with
-        fp64 commits and recheck); the weight evaluation, pruning and
-        representative extraction always run in fp64.
     """
     weights_full = pair_weights(psi_v, psi_c)
     w_max = float(weights_full.max())
@@ -641,7 +567,7 @@ def select_points_kmeans(
     centroids, labels, inertia, n_iter, converged = weighted_kmeans(
         candidates, weights, n_mu, init=init,
         initial_centroids=initial_centroids, max_iter=max_iter, rng=rng,
-        algorithm=algorithm, tile_bytes=tile_bytes, precision=precision,
+        algorithm=algorithm, tile_bytes=tile_bytes,
     )
 
     indices = representatives(candidates, centroids, labels, keep)

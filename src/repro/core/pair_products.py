@@ -23,9 +23,7 @@ def pair_index(v: int, c: int, n_c: int) -> int:
     return v * n_c + c
 
 
-def pair_products(
-    psi_v: np.ndarray, psi_c: np.ndarray, *, dtype=None
-) -> np.ndarray:
+def pair_products(psi_v: np.ndarray, psi_c: np.ndarray) -> np.ndarray:
     """Full pair-product matrix ``Z`` of shape ``(N_r, N_v * N_c)``.
 
     Parameters
@@ -34,12 +32,6 @@ def pair_products(
         ``(N_v, N_r)`` valence orbitals in real space.
     psi_c:
         ``(N_c, N_r)`` conduction orbitals in real space.
-    dtype:
-        Output dtype; ``None`` (default) keeps ``result_type(psi_v, psi_c)``.
-        Pass ``numpy.float32`` under the mixed-precision ``pair_fp32``
-        policy to materialize the matrix at half the bytes — each entry is
-        a single product, so the elementwise relative error is one fp32
-        rounding, no accumulation.
 
     Notes
     -----
@@ -54,16 +46,10 @@ def pair_products(
     )
     n_v, n_r = psi_v.shape
     n_c = psi_c.shape[0]
-    if dtype is None:
-        dtype = np.result_type(psi_v, psi_c)
-    else:
-        dtype = np.dtype(dtype)
-        psi_v = np.asarray(psi_v, dtype=dtype)
-        psi_c = np.asarray(psi_c, dtype=dtype)
     # Write the (N_r, N_v * N_c) layout directly: one einsum into a
     # preallocated C-contiguous array instead of the broadcast-product +
     # reshape + transpose-copy round trip, which peaked at 2x the matrix.
-    z = np.empty((n_r, n_v * n_c), dtype=dtype)
+    z = np.empty((n_r, n_v * n_c), dtype=np.result_type(psi_v, psi_c))
     np.einsum("vr,cr->rvc", psi_v, psi_c, out=z.reshape(n_r, n_v, n_c))
     return z
 

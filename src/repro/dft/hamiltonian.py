@@ -44,19 +44,10 @@ def local_pseudopotential_real(basis: PlaneWaveBasis) -> np.ndarray:
 
 
 class KohnShamHamiltonian:
-    """KS Hamiltonian bound to a basis; refresh with :meth:`update_density`.
+    """KS Hamiltonian bound to a basis; refresh with :meth:`update_density`."""
 
-    ``precision`` (a mode string or :class:`repro.precision.PrecisionConfig`)
-    is forwarded to the Hartree solve; only the ``fast32`` tier actually
-    changes it (fp32 FFT scratch with verified fallback — see
-    :func:`repro.dft.hartree.hartree_potential`).
-    """
-
-    def __init__(self, basis: PlaneWaveBasis, *, precision=None) -> None:
-        from repro.precision import resolve_precision
-
+    def __init__(self, basis: PlaneWaveBasis) -> None:
         self.basis = basis
-        self.precision = resolve_precision(precision)
         self.v_local = local_pseudopotential_real(basis)
         self.projectors: NonlocalProjectors = build_projectors(basis)
         self.v_hartree = np.zeros(basis.n_r)
@@ -71,9 +62,7 @@ class KohnShamHamiltonian:
             density.shape == (self.basis.n_r,),
             f"density must have shape ({self.basis.n_r},), got {density.shape}",
         )
-        self.v_hartree = hartree_potential(
-            density, self.basis, precision=self.precision
-        )
+        self.v_hartree = hartree_potential(density, self.basis)
         self.v_xc = lda_potential(density)
         self._v_eff = self.v_local + self.v_hartree + self.v_xc
 

@@ -52,9 +52,7 @@ def truncated_coulomb_kernel(
     return kernel
 
 
-def hartree_potential(
-    density: np.ndarray, basis: PlaneWaveBasis, *, precision=None
-) -> np.ndarray:
+def hartree_potential(density: np.ndarray, basis: PlaneWaveBasis) -> np.ndarray:
     """Real-space Hartree potential of a real density field ``(..., N_r)``.
 
     Routed through the real-field convolution fast path
@@ -63,26 +61,11 @@ def hartree_potential(
     process-wide :func:`~repro.pw.fft.default_plan_cache`, so the per-SCF-
     iteration calls (and consecutive trajectory frames sharing a lattice)
     build them exactly once.
-
-    ``precision`` (a mode string or :class:`repro.precision.PrecisionConfig`)
-    enables fp32 FFT scratch only when the resolved policy sets
-    ``scf_fft_fp32`` (the ``fast32`` tier) — the SCF convergence loop keeps
-    fp64 transforms in ``strict64`` and ``mixed``.  An fp32 plan whose
-    first-apply cross-check exceeds ``fft_tol`` permanently falls back to
-    fp64 and records an ``scf-hartree`` event in the resilience log.
     """
-    from repro.precision import resolve_precision
     from repro.pw.fft import default_plan_cache
 
-    precision = resolve_precision(precision)
     plan = default_plan_cache().get(
-        "coulomb",
-        basis.fft,
-        lambda: coulomb_kernel(basis),
-        dtype=np.float32 if precision.scf_fft_fp32 else np.float64,
-        tol=precision.fft_tol,
-        verify=precision.verify,
-        stage="scf-hartree",
+        "coulomb", basis.fft, lambda: coulomb_kernel(basis)
     )
     return plan.apply(density)
 

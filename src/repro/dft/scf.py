@@ -172,7 +172,7 @@ def run_scf(
         n_bands <= basis.n_pw,
         f"n_bands={n_bands} exceeds basis size N_pw={basis.n_pw}; raise ecut",
     )
-    ham = KohnShamHamiltonian(basis, precision=config.precision)
+    ham = KohnShamHamiltonian(basis)
     rng = default_rng(config.seed)
 
     mixer = (

@@ -35,8 +35,8 @@ HOT_PATH_MANIFEST: dict[str, frozenset[str]] = {
     # input staging buffers.  The Parseval Gram holds no whole spectrum:
     # ``scaled_slabs`` allocates one k3-slab per pass in ``_scaled_slab``
     # (the z-transform GEMM writes into it, ``fft2`` and the scale work in
-    # place), which its consumers drop before the next; the fp32 tier adds
-    # the slab's fp64 upcast.  The manifest entries keep the rule
+    # place), which its consumers drop before the next; ``gram`` adds only
+    # its m x m result.  The manifest entries keep the rule
     # watching so any *new* per-call allocation added here is flagged.
     "repro/pw/fft.py": frozenset(
         {

@@ -418,23 +418,6 @@ class Communicator:
             return result
         raise ValueError(f"unknown reduction op {op!r}")
 
-    @staticmethod
-    def _combine_sum_accumulate(values, dtype) -> np.ndarray:
-        """Rank-ordered sum with an explicit accumulation dtype.
-
-        The wire half of the mixed-precision reduce: contributions arrive
-        in the (possibly narrower) wire dtype; the root accumulates into a
-        fresh ``dtype`` buffer in rank order, upcasting each contribution
-        as it is added.  Both SPMD backends funnel through this one
-        expression, so their results are bit-identical by construction.
-        ``astype`` always copies, which also detaches the result from any
-        zero-copy shared-memory view in ``values[0]``.
-        """
-        result = values[0].astype(dtype)
-        for v in values[1:]:  # rank order: deterministic
-            result += v
-        return result
-
     def reduce(self, value, root: int = 0, op: str = "sum"):
         """Reduce to ``root``; traffic = one payload per non-root rank."""
         self._enter("reduce", value, detail=f"root={root},op={op}")
@@ -459,13 +442,7 @@ class Communicator:
             self.traffic.record("allreduce", vol)
         return result
 
-    def ireduce(
-        self,
-        value: np.ndarray,
-        root: int = 0,
-        *,
-        wire_dtype=None,
-    ) -> ReduceHandle:
+    def ireduce(self, value: np.ndarray, root: int = 0) -> ReduceHandle:
         """Nonblocking rank-ordered sum-reduce of an ndarray to ``root``.
 
         The contribution is copied at post time, so the caller may reuse
@@ -476,15 +453,6 @@ class Communicator:
         the returned handle yields the combined array on ``root`` and
         ``None`` elsewhere; results are bit-identical to blocking
         :meth:`reduce` (same rank-ordered combine tree).
-
-        ``wire_dtype`` decouples the dtype *on the wire* from the dtype of
-        the accumulation: when given (``numpy.float32`` under the mixed-
-        precision wire policy), each contribution is cast to that dtype at
-        post time — halving the bytes every transport sees — and the root
-        accumulates the rank-ordered sum into a buffer of the original
-        dtype (:meth:`_combine_sum_accumulate`).  Both SPMD backends use
-        the same post-cast + accumulate expressions, so their results stay
-        bit-identical to each other in every mode.
         """
         require(
             isinstance(value, np.ndarray),
@@ -494,26 +462,15 @@ class Communicator:
         value = self._fault_corrupt("reduce", value)
         seq = self._ireduce_seq.get(root, 0)
         self._ireduce_seq[root] = seq + 1
-        if wire_dtype is None:
-            contribution = np.array(value)
-            accumulate = None
-        else:
-            accumulate = value.dtype
-            contribution = np.array(value, dtype=wire_dtype)
+        contribution = np.array(value)
         key = (root, seq)
         self._shared.reduce_board.post(key, self._rank, contribution)
         if self._rank != root:
             return ReduceHandle(None)
         self.traffic.record("reduce", contribution.nbytes * (self.size - 1))
         board, shared = self._shared.reduce_board, self._shared
-        if accumulate is None:
-            return ReduceHandle(
-                waiter=lambda: self._combine(board.wait(key, shared), "sum")
-            )
         return ReduceHandle(
-            waiter=lambda: self._combine_sum_accumulate(
-                board.wait(key, shared), accumulate
-            )
+            waiter=lambda: self._combine(board.wait(key, shared), "sum")
         )
 
     def alltoall(self, chunks, recv=None):

@@ -11,7 +11,7 @@ rank runs the shared bound-pruned loop of
 are per point, so they stay local.  :class:`CommReducer` turns the loop's
 cross-point steps into one Allreduce per iteration (cluster statistics,
 inertia and changed flag in one block) plus one-off collectives for the
-bound slack, empty-cluster reseeds and the fp32 recheck.  Labels equal the
+bound slack and empty-cluster reseeds.  Labels equal the
 serial ones; centroids agree to rounding.
 """
 

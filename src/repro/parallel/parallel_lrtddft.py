@@ -70,12 +70,6 @@ def distributed_kernel_gram(
     the slab whose per-rank totals over all slabs are those of one block
     split of the whole spectrum, so the exchanges move the same bytes as
     a single transpose of it.
-
-    The spectra are always transformed in fp64, whatever the kernel's
-    precision tier: an fp32 plan's first-call cross-check runs once per
-    plan object, and thread ranks share that object while forked ranks
-    each hold a copy, so checking here would let the two backends take
-    different paths.
     """
     m, my_points = rows_local.shape
     require(my_points == grid_dist.count(comm.rank), "slab/distribution mismatch")

@@ -42,7 +42,6 @@ def pipelined_vhxc_rows(
     dv: float,
     *,
     out_dist: BlockDistribution1D | None = None,
-    precision=None,
 ) -> tuple[np.ndarray, BlockDistribution1D]:
     """Blocked ``V_Hxc = dV * Z^T K`` with per-block Reduce to the owner.
 
@@ -54,28 +53,12 @@ def pipelined_vhxc_rows(
     out_dist:
         Ownership of the output rows; defaults to the near-even block split
         of ``N_cv`` over the communicator.
-    precision:
-        A precision mode string or :class:`repro.precision.PrecisionConfig`,
-        identical on every rank.  With ``wire_fp32`` the partial GEMM still
-        runs in fp64, but each block crosses the wire as fp32
-        (``ireduce(..., wire_dtype=float32)`` — the zero-copy byte counts
-        halve) while the owner accumulates in fp64.  Each rank tracks a
-        cheap a-posteriori bound on its cast error (``eps_fp32 / 2`` when
-        every block stayed finite and inside fp32 range, ``inf``
-        otherwise); one unconditional ``allreduce(max)`` after the loop
-        makes the verdict SPMD-uniform, and a bound above ``wire_tol``
-        re-runs the whole build with the fp64 wire on every rank (recorded
-        once as a ``wire-reduce`` degradation event).
 
     Returns
     -------
     ``(my_vhxc_rows, out_dist)`` — this rank's owned rows of ``V_Hxc``
     (shape ``(out_dist.count(rank), N_cv)``).
     """
-    from repro.precision import resolve_precision
-
-    precision = resolve_precision(precision)
-    wire32 = bool(precision.wire_fp32)
     require(z_local.shape == k_local.shape, "Z/K slab shape mismatch")
     n_pairs = z_local.shape[1]
     if out_dist is None:
@@ -85,7 +68,6 @@ def pipelined_vhxc_rows(
     my_handle: ReduceHandle | None = None
     partial: np.ndarray | None = None
     zt_block: np.ndarray | None = None
-    peak = 0.0  # largest |entry| posted to the fp32 wire (finite-range check)
     for owner in range(comm.size):
         rows = out_dist.local_slice(owner)
         n_block = rows.stop - rows.start  # repro-lint: disable=no-alloc-in-hot -- scalar slice arithmetic, no array temporary
@@ -106,46 +88,13 @@ def pipelined_vhxc_rows(
         # 4).  The contribution is captured at post time, so reusing
         # ``partial`` for the next block is safe, and the next GEMM starts
         # while this block is still in flight.
-        handle = comm.ireduce(
-            partial, root=owner, wire_dtype=np.float32 if wire32 else None
-        )
-        if wire32 and partial.size:
-            # Scalar min/max only — no array temporary in the hot loop.
-            peak = max(peak, abs(float(partial.max())), abs(float(partial.min())))
+        handle = comm.ireduce(partial, root=owner)
         if comm.rank == owner:
             my_handle = handle
     my_rows = my_handle.wait() if my_handle is not None else None
     assert my_rows is not None or out_dist.count(comm.rank) == 0
     if my_rows is None:
         my_rows = np.zeros((0, n_pairs))  # repro-lint: disable=no-alloc-in-hot -- empty placeholder for ranks owning zero rows
-    if wire32 and precision.verify:
-        # A-posteriori cast-error bound: every fp32 rounding is relative to
-        # its own entry, so max|x - fl32(x)| / max|x| <= eps_fp32 / 2 as
-        # long as every entry stayed finite and inside fp32 range; outside
-        # it, the cast saturated and the bound is vacuous (inf).  One
-        # *unconditional* allreduce keeps the verdict SPMD-uniform — a
-        # collective inside a data-dependent branch would deadlock.
-        safe = np.isfinite(peak) and peak <= float(np.finfo(np.float32).max)
-        local_err = 0.5 * float(np.finfo(np.float32).eps) if safe else np.inf
-        err = float(comm.allreduce(np.float64(local_err), op="max"))
-        if err > precision.wire_tol:
-            if comm.rank == 0:
-                from repro.resilience.events import resilience_log
-
-                resilience_log().record(
-                    "wire-reduce",
-                    "fallback-fp64",
-                    f"fp32 wire cast-error bound {err:.3e} exceeds "
-                    f"tolerance {precision.wire_tol:.1e}; re-running "
-                    "pipelined reduce with the fp64 wire",
-                    error=err,
-                    tol=precision.wire_tol,
-                    n_pairs=int(n_pairs),
-                )
-            # Uniform fp64 redo on every rank: discard the fp32-wire rows.
-            return pipelined_vhxc_rows(
-                comm, z_local, k_local, dv, out_dist=out_dist
-            )
     return my_rows, out_dist
 
 
@@ -154,13 +103,9 @@ def pipelined_vhxc_full(
     z_local: np.ndarray,
     k_local: np.ndarray,
     dv: float,
-    *,
-    precision=None,
 ) -> np.ndarray:
     """Convenience: pipelined build followed by an Allgather of the rows
     (for tests comparing against the monolithic Allreduce path)."""
-    my_rows, out_dist = pipelined_vhxc_rows(
-        comm, z_local, k_local, dv, precision=precision
-    )
+    my_rows, out_dist = pipelined_vhxc_rows(comm, z_local, k_local, dv)
     pieces = comm.allgather(my_rows)
     return np.concatenate(pieces, axis=0)

@@ -390,36 +390,18 @@ class ProcessCommunicator(Communicator):
 
     # -- nonblocking reduce --------------------------------------------------
 
-    def ireduce(
-        self,
-        value: np.ndarray,
-        root: int = 0,
-        *,
-        wire_dtype=None,
-    ) -> ReduceHandle:
+    def ireduce(self, value: np.ndarray, root: int = 0) -> ReduceHandle:
         """Nonblocking sum-reduce: contribution goes into the grow-only
         arena, a tiny descriptor into the root's inbox queue; the posting
         rank returns immediately (this is where the pipelined GEMM's
-        overlap comes from — see :mod:`repro.parallel.pipeline`).
-
-        ``wire_dtype`` (see :meth:`Communicator.ireduce`) casts the
-        contribution before it enters the shared-memory arena, so the
-        zero-copy byte counters (``traffic.shm_bytes_by_op``) record the
-        genuinely halved wire volume; the root accumulates into the
-        original dtype with the same rank-ordered expression as the
-        thread backend."""
+        overlap comes from — see :mod:`repro.parallel.pipeline`)."""
         require(
             isinstance(value, np.ndarray),
             f"ireduce payload must be an ndarray, got {type(value).__name__}",
         )
         self._enter("reduce", value, detail=f"root={root},op=sum,async")
         value = self._fault_corrupt("reduce", value)
-        if wire_dtype is None:
-            accumulate = None
-            arr = np.ascontiguousarray(value)
-        else:
-            accumulate = value.dtype
-            arr = np.ascontiguousarray(np.asarray(value, dtype=wire_dtype))
+        arr = np.ascontiguousarray(value)
         seq = self._ireduce_seq.get(root, 0)
         self._ireduce_seq[root] = seq + 1
         segment, offset = self._arena.write_array(arr)
@@ -430,15 +412,12 @@ class ProcessCommunicator(Communicator):
         if self._rank != root:
             return ReduceHandle(None)
         self.traffic.record("reduce", arr.nbytes * (self.size - 1))
-        return ReduceHandle(
-            waiter=lambda: self._ireduce_wait(seq, accumulate=accumulate)
-        )
+        return ReduceHandle(waiter=lambda: self._ireduce_wait(seq))
 
-    def _ireduce_wait(self, seq: int, accumulate=None) -> np.ndarray:
+    def _ireduce_wait(self, seq: int) -> np.ndarray:
         """Root side: collect every rank's contribution for ``seq`` from
         the inbox (buffering out-of-order arrivals) and combine them in
-        rank order from zero-copy arena views (accumulating into
-        ``accumulate`` dtype when the wire dtype was narrowed)."""
+        rank order from zero-copy arena views."""
         deadline = time.monotonic() + self._runtime.timeout
         inbox = self._runtime.inboxes[self._rank]
         while any(
@@ -465,9 +444,6 @@ class ProcessCommunicator(Communicator):
             view = slab.view(shape, dtype, offset)
             view.flags.writeable = False
             views.append(view)
-        if accumulate is not None:
-            # astype copies, so the result is already detached from shm.
-            return self._combine_sum_accumulate(views, accumulate)
         result = self._combine(views, "sum")
         if self.size == 1:  # combine returned the lone view itself: detach
             result = np.array(result)
@@ -543,15 +519,20 @@ def process_spmd_run(
     }
     inboxes = [ctx.Queue() for _ in range(n_ranks)]
     results_queue = ctx.Queue()
+    # The ranks reach both boards only through the mapping they inherit at
+    # fork, never by name, so the names go at once: a SIGKILLed parent then
+    # leaves no board segment in /dev/shm.
     board = shm.SharedSlab.create(
         shm.segment_name(run_id, 0, "board"), n_ranks * _META_SLOT
     )
+    board.unlink()
     sanitizer = None
     san_board = None
     if sanitize:
         san_board = shm.SharedSlab.create(
             shm.segment_name(run_id, 0, "san"), board_size(n_ranks)
         )
+        san_board.unlink()
         sanitizer = SpmdSanitizer(
             n_ranks, san_board.buf, ctx.Barrier(n_ranks), abort_event, sanitize_timeout
         )
@@ -631,10 +612,8 @@ def process_spmd_run(
                 proc.terminate()
                 proc.join(timeout=5.0)
         board.close()
-        board.unlink()
         if san_board is not None:
             san_board.close()
-            san_board.unlink()
         shm.reap_run_segments(run_id)  # leak guard: nothing survives the run
         for q in list(queues.values()) + inboxes + [results_queue]:
             q.cancel_join_thread()

@@ -184,19 +184,15 @@ def _scaled_slab(
     ``lines`` are the fields' z-lines, ``(m n1 n2, n3)``.  One real GEMM of
     them against ``dft`` gives the z-transform on those planes, written
     straight into the slab; an in-place ``fft2`` over ``(k1, k2)`` finishes
-    it.  Transforms in the dtype of ``lines``.
+    it.
     """
     n1, n2, _ = grid.shape
     m = lines.shape[0] // (n1 * n2)
     planes = dft.shape[1] // 2
-    dtype = np.result_type(lines.dtype, np.complex64)
-    spec = np.empty((m, n1, n2, planes), dtype=dtype)  # repro-lint: disable=no-alloc-in-hot -- the slab itself, one per pass
-    np.matmul(lines, dft, out=spec.view(lines.dtype).reshape(lines.shape[0], 2 * planes))
+    spec = np.empty((m, n1, n2, planes), dtype=complex)  # repro-lint: disable=no-alloc-in-hot -- the slab itself, one per pass
+    np.matmul(lines, dft, out=spec.view(np.float64).reshape(lines.shape[0], 2 * planes))
     spec = scipy.fft.fft2(spec, axes=(1, 2), overwrite_x=True, workers=fft_workers())
-    if spec.dtype == np.complex128:
-        spec *= root
-    else:
-        spec = spec * root  # fp32 transform, fp64 Gram
+    spec *= root
     return spec.view(np.float64).reshape(m, 2 * n1 * n2 * planes)
 
 
@@ -205,63 +201,18 @@ class ConvolutionPlan:
 
     Bundles everything :meth:`FourierGrid.convolve_real` can precompute for
     a fixed ``(grid, kernel)`` pair — the ``rfftn`` half-spectrum slice of
-    the kernel, and for ``dtype=float32`` plans its single-precision copy —
-    so repeat appliers (the SCF Hartree solve runs one per iteration, the
-    f_Hxc Coulomb half one per operator application) pay the slice exactly
-    once.  Plans are immutable after construction apart from the
-    mixed-precision degradation latch and safe to share across threads:
-    ``apply`` only reads (the one-shot ``degraded`` flip is idempotent).
-
-    ``dtype=float32`` plans route real fields through single-precision FFT
-    scratch (half the transform flops and spectrum bytes) and upcast the
-    result to float64.  The first fp32 apply is cross-checked against the
-    fp64 path; a relative deviation above ``tol`` permanently degrades the
-    plan to fp64 and records a ``fft-convolve`` event in the resilience
-    log.
+    the kernel — so repeat appliers (the SCF Hartree solve runs one per
+    iteration, the f_Hxc Coulomb half one per operator application) pay the
+    slice exactly once.  Plans are immutable after construction and safe to
+    share across threads.
     """
 
-    __slots__ = (
-        "fourier",
-        "kernel",
-        "kernel_half",
-        "kernel_half32",
-        "dtype",
-        "tol",
-        "verify",
-        "stage",
-        "degraded",
-        "_verified",
-    )
+    __slots__ = ("fourier", "kernel", "kernel_half")
 
-    def __init__(
-        self,
-        fourier: FourierGrid,
-        kernel: np.ndarray,
-        *,
-        dtype=np.float64,
-        tol: float = 1e-5,
-        verify: bool = True,
-        stage: str = "fft-convolve",
-    ) -> None:
+    def __init__(self, fourier: FourierGrid, kernel: np.ndarray) -> None:
         self.fourier = fourier
         self.kernel = np.asarray(kernel, dtype=float)
         self.kernel_half = fourier.half_kernel(self.kernel)
-        self.dtype = np.dtype(dtype)
-        if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise ValueError(
-                f"ConvolutionPlan dtype must be float64 or float32, "
-                f"got {self.dtype}"
-            )
-        self.kernel_half32 = (
-            self.kernel_half.astype(np.float32)
-            if self.dtype == np.float32
-            else None
-        )
-        self.tol = float(tol)
-        self.verify = bool(verify)
-        self.stage = str(stage)
-        self.degraded = False
-        self._verified = False
 
     @array_contract(
         shapes={"fields": ("...", "n_r")},
@@ -270,10 +221,6 @@ class ConvolutionPlan:
     )
     def apply(self, fields: np.ndarray) -> np.ndarray:
         """Convolve real ``(..., N_r)`` fields with the planned kernel."""
-        if self.dtype == np.float32 and not self.degraded:
-            out = self._apply_fp32(fields)
-            if out is not None:
-                return out
         return self.fourier.convolve_real(
             fields, self.kernel, kernel_half=self.kernel_half
         )
@@ -284,23 +231,10 @@ class ConvolutionPlan:
         returns={"shape": ("m", "m"), "dtype": "float64"},
     )
     def gram(self, fields: np.ndarray) -> np.ndarray:
-        """``fields K fields^T dV`` for real ``(m, N_r)`` fields, by Parseval.
-
-        One SYRK per ``k3``-slab of the half spectrum scaled by
-        ``sqrt(w K dV / N_r)`` (:meth:`spectrum_gram`): no inverse
-        transform, exactly symmetric, fp32 plans checked as in :meth:`apply`.
-        """
-        if self.dtype == np.float32 and not self.degraded:
-            return self._checked(
-                self.spectrum_gram(fields.astype(np.float32)),
-                lambda: self.spectrum_gram(fields),
-            )
-        return self.spectrum_gram(fields)
-
-    def spectrum_gram(self, fields: np.ndarray) -> np.ndarray:
-        """``S S^T`` for ``S`` of :meth:`scaled_slabs`, one SYRK per slab:
-        :meth:`gram` transformed in the dtype of ``fields``, with no check."""
-        gram = np.zeros((fields.shape[0], fields.shape[0]))
+        """``fields K fields^T dV`` for real ``(m, N_r)`` fields, by Parseval:
+        ``S S^T`` for ``S`` of :meth:`scaled_slabs`, one SYRK per slab.  No
+        inverse transform; exactly symmetric."""
+        gram = np.zeros((fields.shape[0], fields.shape[0]))  # repro-lint: disable=no-alloc-in-hot -- the m x m result
         for slab in self.scaled_slabs(fields):
             gram += slab @ slab.T
             del slab  # before the next slab is built
@@ -315,7 +249,7 @@ class ConvolutionPlan:
         Yields ``ceil((n3 // 2 + 1) / SLAB_PLANES)`` slabs in ``k3`` order
         (the last may hold fewer planes).  Each is a fresh array: drop it
         before asking for the next, or two slabs sit beside the fields.
-        Transforms in the dtype of ``fields``; ``m = 0`` is allowed.
+        ``m = 0`` is allowed.
         """
         if (self.kernel_half < 0).any():
             raise ValueError("the Parseval Gram needs a nonnegative kernel")
@@ -326,63 +260,22 @@ class ConvolutionPlan:
         k3 = np.arange(n3 // 2 + 1)
         weight = np.where((k3 == 0) | (2 * k3 == n3), 1.0, 2.0)
         root = np.sqrt(self.kernel_half * weight * (grid.dv / grid.n_points))
-        dft = _half_dft(n3).astype(fields.dtype, copy=False)
+        dft = _half_dft(n3)
         lines = fields.reshape(fields.shape[0] * n1 * n2, n3)
         for start in range(0, k3.size, SLAB_PLANES):
             planes = slice(start, start + SLAB_PLANES)
             yield _scaled_slab(grid, lines, dft[:, 2 * start : 2 * planes.stop], root[..., planes])
 
-    def _apply_fp32(self, fields: np.ndarray) -> np.ndarray | None:
-        """The fp32-scratch apply; ``None`` defers to the fp64 path.
-
-        Only real fields benefit (the complex round-trip would upcast
-        anyway), so complex input defers.
-        """
-        fields = np.asarray(fields)
-        if not np.isrealobj(fields):
-            return None
-        out = _rfft_convolve(self.fourier.grid, fields.astype(np.float32), self.kernel_half32)
-        return self._checked(
-            out.astype(np.float64),
-            lambda: self.fourier.convolve_real(fields, self.kernel, kernel_half=self.kernel_half),
-        )
-
-    def _checked(self, result: np.ndarray, reference) -> np.ndarray:
-        """``result`` of an fp32 call; on the first, a deviation above ``tol``
-        from the fp64 ``reference()`` degrades the plan and returns that."""
-        if not self.verify or self._verified:
-            return result
-        self._verified = True
-        expected = reference()
-        scale = float(np.abs(expected).max()) or 1.0
-        error = float(np.abs(result - expected).max()) / scale
-        if np.isfinite(error) and error <= self.tol:
-            return result
-        self.degraded = True
-        from repro.resilience.events import resilience_log
-
-        resilience_log().record(
-            self.stage,
-            "fallback-fp64",
-            f"fp32 FFT scratch error {error:.3e} exceeds "
-            f"tolerance {self.tol:.1e}; plan degraded to fp64",
-            error=error,
-            tol=self.tol,
-            grid=tuple(self.fourier.grid.shape),
-        )
-        return expected
-
 
 class PlanCache:
     """Process-wide LRU cache of :class:`ConvolutionPlan` objects.
 
-    Keyed by ``(tag, grid shape, lattice bytes, plan dtype)`` so plans are
-    reused across *calculations* — consecutive trajectory frames that
-    share a lattice and cutoff hit the same plan even though each frame
-    builds a fresh basis — while any change that alters the kernel values
+    Keyed by ``(tag, grid shape, lattice bytes)`` so plans are reused
+    across *calculations* — consecutive trajectory frames that share a
+    lattice and cutoff hit the same plan even though each frame builds a
+    fresh basis — while any change that alters the kernel values
     (different lattice, different grid, a kernel-variant tag such as a
-    truncation radius) or the compute precision (an fp32 plan and an fp64
-    plan for the same kernel must never collide) misses and rebuilds.
+    truncation radius) misses and rebuilds.
 
     Thread-safe: lookups and insertions hold a lock; the ``build`` callback
     runs outside it, so two threads may race to build the same plan, in
@@ -399,33 +292,14 @@ class PlanCache:
         self._hits = 0
         self._misses = 0
 
-    def get(
-        self,
-        tag: str,
-        fourier: FourierGrid,
-        build,
-        *,
-        dtype=np.float64,
-        tol: float = 1e-5,
-        verify: bool = True,
-        stage: str = "fft-convolve",
-    ) -> ConvolutionPlan:
+    def get(self, tag: str, fourier: FourierGrid, build) -> ConvolutionPlan:
         """Return the cached plan for ``tag`` on this grid, building on miss.
 
         ``build`` is a zero-argument callable returning the full-spectrum
-        kernel array; it is only invoked when the cache misses.  ``dtype``
-        selects the plan's compute precision and participates in the cache
-        key, so fp32 and fp64 plans for the same kernel coexist; ``tol``,
-        ``verify`` and ``stage`` configure the fp32 cross-check and do not
-        key the cache (one fp32 plan per kernel, first caller's bound wins).
+        kernel array; it is only invoked when the cache misses.
         """
         grid = fourier.grid
-        key = (
-            tag,
-            grid.shape,
-            grid.cell.lattice.tobytes(),
-            np.dtype(dtype).str,
-        )
+        key = (tag, grid.shape, grid.cell.lattice.tobytes())
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None:
@@ -433,9 +307,7 @@ class PlanCache:
                 self._hits += 1
                 return plan
             self._misses += 1
-        plan = ConvolutionPlan(
-            fourier, build(), dtype=dtype, tol=tol, verify=verify, stage=stage
-        )
+        plan = ConvolutionPlan(fourier, build())
         with self._lock:
             self._plans[key] = plan
             self._plans.move_to_end(key)

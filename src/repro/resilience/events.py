@@ -3,9 +3,9 @@
 The degradation ladders (K-Means->QRCP selection, iterative->dense
 eigensolver) each fall back *silently* from the caller's point of view —
 the result is still correct, just produced by a slower or stricter path.
-The mixed-precision tiers add a third rung (fp32 stage ->
-fp64 recompute) that can fire deep inside an SCF iteration, so operators
-need a single place to see *that* a fallback happened, *where*, and *why*.
+Other degradations fire deep inside a run (the thread-budget probe leaves
+the OpenBLAS pools unchanged when it cannot drive them), so operators need
+a single place to see *that* a fallback happened, *where*, and *why*.
 
 :func:`resilience_log` returns the process-wide :class:`ResilienceLog`;
 stages record :class:`DegradationEvent` entries through it.  The log is
@@ -29,10 +29,9 @@ class DegradationEvent:
     Attributes
     ----------
     stage:
-        The degrading stage (``"kmeans-classify"``, ``"isdf-fit"``,
-        ``"fft-convolve"``, ``"wire-reduce"``, ``"scf-hartree"``, ...).
+        The degrading stage (``"thread-budget"``, ...).
     action:
-        What the ladder did (``"fallback-fp64"``, ...).
+        What the ladder did (``"pools-unchanged"``, ...).
     reason:
         Human-readable cause, including the estimate and its bound where
         applicable.

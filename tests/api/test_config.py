@@ -132,22 +132,17 @@ class TestPrecisionThreading:
         assert api.TDDFTConfig().precision == "strict64"
         assert api.BatchConfig().precision is None
 
-    def test_batch_precision_pushes_down_to_both_stages(self):
-        cfg = api.BatchConfig(precision="mixed")
-        assert cfg.scf.precision == "mixed"
-        assert cfg.tddft.precision == "mixed"
-
-    def test_batch_none_preserves_nested_tiers(self):
-        cfg = api.BatchConfig(
-            scf=api.SCFConfig(precision="fast32"),
-            tddft=api.TDDFTConfig(precision="mixed"),
-        )
-        assert cfg.scf.precision == "fast32"
-        assert cfg.tddft.precision == "mixed"
-
     def test_precision_survives_the_dict_round_trip(self):
-        cfg = api.TDDFTConfig(precision="mixed")
-        assert api.TDDFTConfig.from_dict(cfg.to_dict()).precision == "mixed"
+        cfg = api.TDDFTConfig(precision="strict64")
+        assert api.TDDFTConfig.from_dict(cfg.to_dict()).precision == "strict64"
+
+    @pytest.mark.parametrize("tier", ["mixed", "fast32"])
+    @pytest.mark.parametrize(
+        "config", [api.SCFConfig, api.TDDFTConfig, api.BatchConfig]
+    )
+    def test_retired_fp32_tiers_are_rejected(self, config, tier):
+        with pytest.raises(ValueError, match="'strict64'"):
+            config(precision=tier)
 
 
 class TestDeprecationShims:

@@ -129,9 +129,7 @@ class TestCacheKeyStability:
         assert scf.cache_key() != td.cache_key()
 
     def test_precision_tier_is_part_of_the_key(self, cell):
-        # strict64 and mixed results are (deliberately) not interchangeable
-        # in the content-addressed cache: the tier must enter the key, and
-        # the default tier must alias its explicit spelling.
+        # The default tier must alias its explicit spelling.
         strict = CalculationRequest(
             kind="tddft", structure=cell, tddft=TDDFTConfig()
         )
@@ -139,12 +137,17 @@ class TestCacheKeyStability:
             kind="tddft", structure=cell,
             tddft=TDDFTConfig(precision="strict64"),
         )
-        mixed = CalculationRequest(
-            kind="tddft", structure=cell,
-            tddft=TDDFTConfig(precision="mixed"),
-        )
         assert strict.cache_key() == explicit.cache_key()
-        assert strict.cache_key() != mixed.cache_key()
+
+    @pytest.mark.parametrize("tier", ["mixed", "fast32"])
+    @pytest.mark.parametrize("stage", ["scf", "tddft"])
+    def test_payload_with_a_retired_tier_is_rejected(self, cell, stage, tier):
+        # The serve layer rebuilds requests with from_dict: a payload that
+        # still names an fp32 tier must fail there, not run in strict64.
+        payload = CalculationRequest(kind="tddft", structure=cell).to_dict()
+        payload[stage]["precision"] = tier
+        with pytest.raises(ValueError, match="'strict64'"):
+            CalculationRequest.from_dict(payload)
 
     def test_resilience_is_part_of_the_key(self, cell):
         plain = CalculationRequest(kind="scf", structure=cell)

@@ -174,52 +174,14 @@ class TestPhysicalBehaviour:
         np.testing.assert_allclose(norms, 1.0, atol=1e-10)
 
 
-class TestPrecisionTiers:
-    """The solver threads the TDDFTConfig precision tier down to K-Means,
-    the ISDF fit and the Hxc convolution plans (see repro.precision)."""
+def test_strict64_default_is_bit_identical_to_explicit(si2_ground_state):
+    """``precision`` accepts only its default, and spelling it out changes
+    nothing: two fresh solvers give the same energies bit for bit."""
+    from repro import api
 
-    @pytest.fixture(scope="class")
-    def fresh_solver(self, si2_ground_state):
-        # Class-local instance: these tests mutate the solver's precision
-        # state, so the module-scope solver stays untouched.
-        return LRTDDFTSolver(si2_ground_state, seed=7)
-
-    def _config(self, precision):
-        from repro import api
-
-        return api.TDDFTConfig(
-            method="kmeans-isdf", n_excitations=4, seed=7, precision=precision
-        )
-
-    def test_strict64_default_is_bit_identical_to_explicit(self, fresh_solver):
-        implicit = fresh_solver.solve(self._config("strict64"))
-        rebuilt = LRTDDFTSolver(fresh_solver.ground_state, seed=7)
-        default = rebuilt.solve(
-            self._config("strict64").replace(precision="strict64")
-        )
-        np.testing.assert_array_equal(default.energies, implicit.energies)
-
-    def test_mixed_tier_stays_close_and_never_degrades(self, fresh_solver):
-        from repro.resilience import resilience_log
-
-        log = resilience_log()
-        before = len(log)
-        strict = fresh_solver.solve(self._config("strict64"))
-        mixed = fresh_solver.solve(self._config("mixed"))
-        # fp32 K-Means may legally converge along a different iteration
-        # trajectory, selecting slightly different interpolation points —
-        # both clusterings sit inside the paper's ~0.1-1% ISDF error band,
-        # so the tiers agree to well within that band (not to fp32 eps).
-        rel = np.abs(mixed.energies - strict.energies) / np.abs(strict.energies)
-        assert rel.max() <= 2e-3
-        assert len(log) == before
-
-    def test_precision_change_rebuilds_the_kernel_once(self, fresh_solver):
-        fresh_solver.solve(self._config("strict64"))
-        kernel64 = fresh_solver.kernel
-        fresh_solver.solve(self._config("mixed"))
-        kernel32 = fresh_solver.kernel
-        assert kernel32 is not kernel64
-        # Same tier again: no rebuild.
-        fresh_solver.solve(self._config("mixed"))
-        assert fresh_solver.kernel is kernel32
+    config = api.TDDFTConfig(method="kmeans-isdf", n_excitations=4, seed=7)
+    default = LRTDDFTSolver(si2_ground_state, seed=7).solve(config)
+    explicit = LRTDDFTSolver(si2_ground_state, seed=7).solve(
+        config.replace(precision="strict64")
+    )
+    np.testing.assert_array_equal(explicit.energies, default.energies)

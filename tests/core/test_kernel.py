@@ -161,7 +161,7 @@ class TestGram:
         spec *= np.sqrt(plan.kernel_half * weight * grid.dv / grid.n_points)
         flat = spec.reshape(m, plan.kernel_half.size).view(np.float64)
         expected = flat @ flat.T
-        gram = plan.spectrum_gram(rows)
+        gram = plan.gram(rows)
         assert gram.shape == (m, m)
         np.testing.assert_array_equal(gram, gram.T)
         if m:

@@ -20,7 +20,6 @@ SANITIZED_MODULES = frozenset(
         "test_parallel_lobpcg",
         "test_parallel_lrtddft",
         "test_parallel_rt",
-        "test_precision_wire",
         "test_redistribute",
     }
 )

@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import pair_weights
-from repro.core import kmeans as kmeans_mod
-from repro.core.kmeans import _init_greedy_weight, weighted_kmeans
+from repro.core.kmeans import weighted_kmeans
 from repro.parallel import BlockDistribution1D, distributed_kmeans, spmd_run
-from repro.parallel.parallel_kmeans import CommReducer
-from repro.resilience.events import resilience_log
 
 
 @pytest.fixture(scope="module")
@@ -145,81 +142,3 @@ def test_warm_start_bit_identical_across_backends(workload, serial_result):
         np.testing.assert_array_equal(t[1], p[1])  # labels
         assert t[2] == p[2]  # inertia, exact
         assert t[3:] == p[3:]  # n_iter, converged
-
-
-def _mixed_with_one_bad_recheck(points, weights, n_ranks, backend, monkeypatch):
-    """Distributed mixed-precision K-Means whose fp64 recheck finds one
-    mismatch on rank 0 only: the fp64 re-run must still happen on every
-    rank (a rank-local decision would run different collectives)."""
-    init = points[_init_greedy_weight(points, weights, 20)]
-    dist = BlockDistribution1D(len(points), n_ranks)
-    real = kmeans_mod._classify_tiled
-    tampered_once = []
-
-    def tampered(pts, centroids, tile_bytes):
-        labels, d2n, d2s = real(pts, centroids, tile_bytes)
-        # In mixed mode the loop classifies against fp32 centroids, so the
-        # first fp64 call is the recheck; only rank 0 owns points[0].
-        if (
-            centroids.dtype == np.float64
-            and not tampered_once
-            and len(pts)
-            and np.array_equal(pts[0], points[0])
-        ):
-            tampered_once.append(True)
-            labels = labels.copy()
-            labels[0] = (labels[0] + 1) % centroids.shape[0]
-        return labels, d2n, d2s
-
-    monkeypatch.setattr(kmeans_mod, "_classify_tiled", tampered)
-
-    def prog(comm):
-        sl = dist.local_slice(comm.rank)
-        return weighted_kmeans(
-            points[sl], weights[sl], 20, initial_centroids=init,
-            precision="mixed",
-            reduce=CommReducer(comm, dist.displacement(comm.rank)),
-        )
-
-    return spmd_run(n_ranks, prog, backend=backend)
-
-
-@pytest.mark.parametrize("n_ranks", [2, 3])
-def test_mixed_recheck_reruns_on_every_rank(
-    workload, serial_result, n_ranks, monkeypatch
-):
-    points, weights = workload
-    log = resilience_log()
-    before = len(log)
-    results = _mixed_with_one_bad_recheck(
-        points, weights, n_ranks, "thread", monkeypatch
-    )
-    labels = np.concatenate([r[1] for r in results])
-    np.testing.assert_array_equal(labels, serial_result[1])
-    assert all(r[3] == serial_result[3] for r in results)
-    # One event per rank, each with the global count.
-    events = log.events()[before:]
-    assert [(e.stage, e.action) for e in events] == [
-        ("kmeans-classify", "fallback-fp64")
-    ] * n_ranks
-    for e in events:
-        assert e.detail["mismatches"] >= 1
-        assert e.detail["n_points"] == len(points)
-
-
-@pytest.mark.process_backend
-@pytest.mark.parametrize("n_ranks", [2, 3])
-def test_mixed_recheck_bit_identical_across_backends(
-    workload, n_ranks, monkeypatch
-):
-    points, weights = workload
-    thread = _mixed_with_one_bad_recheck(
-        points, weights, n_ranks, "thread", monkeypatch
-    )
-    process = _mixed_with_one_bad_recheck(
-        points, weights, n_ranks, "process", monkeypatch
-    )
-    for t, p in zip(thread, process):
-        np.testing.assert_array_equal(t[0], p[0])  # centroids
-        np.testing.assert_array_equal(t[1], p[1])  # labels
-        assert t[2:] == p[2:]  # inertia (exact), n_iter, converged

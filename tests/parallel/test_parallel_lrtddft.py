@@ -218,23 +218,6 @@ class TestDistributedKernelGram:
         self._gram(kernel, rows[:7], 3, backend="thread")
         assert sum(planes) == 7 * (n3 // 2 + 1)
 
-    def test_mixed_kernel_transforms_in_fp64(self, problem, rows):
-        """A mixed-precision kernel gives the strict64 Gram bit for bit and
-        never runs (or records) the fp32 cross-check."""
-        from repro.resilience.events import resilience_log
-
-        gs = problem[0]
-        strict = HxcKernel(gs.basis, gs.density)
-        mixed = HxcKernel(gs.basis, gs.density, precision="mixed")
-        assert mixed.coulomb_plan.dtype == np.float32
-        log = resilience_log()
-        before = len(log)
-        got = self._gram(mixed, rows[:7], 2)
-        want = self._gram(strict, rows[:7], 2)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
-        assert not [e for e in log.events()[before:] if e.stage == "fft-convolve"]
-
 
 class TestDistributedSolve:
     def test_matches_serial_excitations(self, problem):

@@ -25,6 +25,7 @@ from repro.parallel import (
     transpose_to_column_block,
     transpose_to_row_block,
 )
+from repro.parallel import shm
 from repro.parallel.parallel_lobpcg import distributed_lobpcg
 from repro.parallel.pipeline import pipelined_vhxc_rows
 from repro.resilience.faults import FaultInjector, FaultSpec, InjectedRankFailure
@@ -389,6 +390,27 @@ class TestFaultsAndCleanup:
         )
         ref = spmd_run(3, prog, backend="thread")
         assert results == ref
+        assert shm_residue() == []
+
+    @pytest.mark.parametrize("sanitize", [False, True])
+    def test_boards_have_no_name_while_the_ranks_run(self, sanitize, shm_residue):
+        # The metadata board (and the sanitizer board) reach the ranks
+        # through the fork, so their names are gone before any rank starts:
+        # a SIGKILLed parent has nothing of them left to leak.
+        def prog(comm):
+            run_id = comm._runtime.run_id
+            boards = {shm.segment_name(run_id, 0, kind) for kind in ("board", "san")}
+            named = sorted(boards & set(shm.list_run_segments(run_id)))
+            comm.barrier()  # every rank has looked before any rank returns
+            total = comm.allreduce(np.full(3, comm.rank + 1.0))
+            gathered = comm.allgather(comm.rank)
+            return named, total.tolist(), gathered
+
+        results = spmd_run(3, prog, backend="process", sanitize=sanitize)
+        for named, total, gathered in results:
+            assert named == []
+            assert total == [6.0, 6.0, 6.0]
+            assert gathered == [0, 1, 2]
         assert shm_residue() == []
 
     def test_injected_failure_pickles_faithfully(self):

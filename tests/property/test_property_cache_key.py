@@ -77,7 +77,7 @@ def request_specs(draw):
         "mixing_beta": draw(_unit),
         "seed": draw(st.none() | st.integers(0, 2**31)),
         "mixer": draw(st.sampled_from(["anderson", "linear"])),
-        "precision": draw(st.sampled_from(["strict64", "mixed", "fast32"])),
+        "precision": "strict64",
     }
     tddft = {
         "rank_factor": draw(_positive),

@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 from repro.core.kmeans import (
     _BOUND_EPS,
     _BOUND_RTOL,
-    _BOUND_RTOL_FP32,
     _assigned_sq_dists,
     _classify_near,
     _classify_tiled,
@@ -159,18 +158,14 @@ def test_pairwise_distances_match_direct(points, centroids):
     assert (d2 >= 0).all()
 
 
-def _restricted_vs_full(points, centroids, labels, inflate, fp32):
+def _restricted_vs_full(points, centroids, labels, inflate):
     """Classify with the neighbour-restricted classifier and with the full
     argmin; the restricted one starts from arbitrary labels whose upper
     bounds are the exact distances, inflated by ``inflate >= 1``."""
     upper = np.sqrt(_assigned_sq_dists(points, centroids, labels)) * inflate
     x_max = np.linalg.norm(points, axis=1).max()
     scale = max(x_max, np.linalg.norm(centroids, axis=1).max())
-    if fp32:
-        slack = _BOUND_RTOL_FP32 * (x_max + 1.0)
-        points, centroids = points.astype(np.float32), centroids.astype(np.float32)
-    else:
-        slack = _BOUND_RTOL * (x_max + 1.0) + _BOUND_EPS * scale
+    slack = _BOUND_RTOL * (x_max + 1.0) + _BOUND_EPS * scale
     got, d2_near, lower = _classify_near(points, centroids, labels, upper, slack)
     full, d2_full, d2_second = _classify_tiled(points, centroids, 1 << 20)
     np.testing.assert_array_equal(got, full)
@@ -187,10 +182,9 @@ def _restricted_vs_full(points, centroids, labels, inflate, fp32):
     st.sampled_from(["random", "lattice", "coincident"]),
     st.floats(1.0, 3.0),
     st.booleans(),
-    st.booleans(),
 )
 def test_restricted_classifier_matches_full_argmin(
-    seed, n_points, n_centroids, cloud, inflate, fp32, from_nearest
+    seed, n_points, n_centroids, cloud, inflate, from_nearest
 ):
     """Labels equal the full argmin (ties: lowest index) and ``lower`` bounds
     the second distance, from the nearest or any starting label: random
@@ -212,4 +206,4 @@ def test_restricted_classifier_matches_full_argmin(
         # The converging loop's case: the second-nearest centroid is often
         # outside the neighbour block, so ``lower`` comes from the bound.
         labels = _classify_tiled(points, centroids, 1 << 20)[0]
-    _restricted_vs_full(points, centroids, labels, inflate, fp32)
+    _restricted_vs_full(points, centroids, labels, inflate)

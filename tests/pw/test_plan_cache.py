@@ -83,66 +83,6 @@ class TestPlanCache:
         assert default_plan_cache() is default_plan_cache()
         assert isinstance(default_plan_cache(), PlanCache)
 
-    def test_dtype_is_part_of_the_key(self, fourier):
-        # Regression: a mixed-precision fp32 plan and the strict64 fp64
-        # plan for the same (tag, grid) must never collide — a collision
-        # would hand a strict64 caller fp32 FFT scratch silently.
-        cache = PlanCache()
-        builds = []
-
-        def build():
-            builds.append(1)
-            return _kernel(fourier)
-
-        p64 = cache.get("k", fourier, build)
-        p32 = cache.get("k", fourier, build, dtype=np.float32)
-        assert p64 is not p32
-        assert p64.dtype == np.dtype(np.float64)
-        assert p32.dtype == np.dtype(np.float32)
-        assert len(builds) == 2
-        assert cache.get("k", fourier, build) is p64
-        assert cache.get("k", fourier, build, dtype=np.float32) is p32
-        assert cache.stats() == {"plans": 2, "hits": 2, "misses": 2}
-
-
-class TestFp32Plans:
-    def test_fp32_apply_within_tolerance(self, fourier, rng):
-        kernel = _kernel(fourier)
-        fields = rng.standard_normal((2, fourier.grid.n_points))
-        exact = ConvolutionPlan(fourier, kernel).apply(fields)
-        plan = ConvolutionPlan(fourier, kernel, dtype=np.float32)
-        approx = plan.apply(fields)
-        assert approx.dtype == np.float64  # fp32 is scratch, not output
-        scale = np.abs(exact).max()
-        assert np.abs(approx - exact).max() / scale <= plan.tol
-        assert not plan.degraded
-
-    def test_zero_tolerance_degrades_to_fp64_bit_identical(self, fourier, rng):
-        from repro.resilience import resilience_log
-
-        log = resilience_log()
-        before = len(log)
-        kernel = _kernel(fourier)
-        fields = rng.standard_normal((2, fourier.grid.n_points))
-        exact = ConvolutionPlan(fourier, kernel).apply(fields)
-        plan = ConvolutionPlan(
-            fourier, kernel, dtype=np.float32, tol=0.0, stage="test-fft"
-        )
-        first = plan.apply(fields)
-        np.testing.assert_array_equal(first, exact)
-        assert plan.degraded
-        events = log.events()[before:]
-        assert [(e.stage, e.action) for e in events] == [
-            ("test-fft", "fallback-fp64")
-        ]
-        # Degradation is permanent: later applies go straight to fp64.
-        np.testing.assert_array_equal(plan.apply(fields), exact)
-        assert len(log) == before + 1
-
-    def test_rejects_non_float_dtype(self, fourier):
-        with pytest.raises(ValueError, match="dtype"):
-            ConvolutionPlan(fourier, _kernel(fourier), dtype=np.complex64)
-
 
 def test_hartree_potential_uses_the_default_cache(si2_ground_state):
     """The SCF Hartree solve must route through the plan cache (the batch

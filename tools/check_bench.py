@@ -98,34 +98,6 @@ def check_committed_backend() -> None:
         _ok("BENCH_backend.json: K-Means bit-identity flags hold")
 
 
-def check_committed_precision(min_composite_speedup: float) -> None:
-    report = _load(REPO / "BENCH_precision.json")
-    if report is None:
-        return
-    for name, stage in report.get("stages", {}).items():
-        if not stage.get("within_tolerance", False):
-            _fail(
-                f"BENCH_precision.json: stage {name!r} error "
-                f"{stage.get('error')!r} exceeds tolerance "
-                f"{stage.get('tolerance')!r}"
-            )
-    composite = report.get("composite", {})
-    speedup = float(composite.get("speedup", 0.0))
-    mode = report.get("meta", {}).get("mode")
-    if mode == "full" and speedup < min_composite_speedup:
-        _fail(
-            f"BENCH_precision.json: committed full-mode composite speedup "
-            f"{speedup:.2f}x < {min_composite_speedup:.1f}x"
-        )
-    elif not composite.get("meets_target", False) and mode == "full":
-        _fail("BENCH_precision.json: meets_target is false in full mode")
-    else:
-        _ok(
-            f"BENCH_precision.json: composite {speedup:.2f}x ({mode} mode), "
-            "per-stage errors within tolerance"
-        )
-
-
 def check_committed_batch(min_full_speedup: float) -> None:
     report = _load(REPO / "BENCH_batch.json")
     if report is None:
@@ -260,35 +232,6 @@ def rerun_serve_smoke() -> None:
         )
 
 
-def rerun_precision_smoke() -> None:
-    """Fresh smoke of the precision bench: numerics only, no perf floor.
-
-    Smoke-sized workloads are too small for a stable speedup on a shared
-    1-CPU container, so only the dimensionless facts are gated: every
-    stage's error column must sit inside its documented tolerance and no
-    precision fallback may fire (a fallback in the bench means the mixed
-    tier is silently running fp64 redo work).
-    """
-    from repro.perf.precision_bench import run_precision_bench
-
-    failures = len(_FAILURES)
-    report = run_precision_bench(smoke=True)
-    for name, stage in report["stages"].items():
-        if not stage["within_tolerance"]:
-            _fail(
-                f"fresh precision smoke: stage {name!r} error "
-                f"{stage['error']:.3e} exceeds tolerance "
-                f"{stage['tolerance']:.0e}"
-            )
-    if report["fallback_events"]:
-        _fail(
-            "fresh precision smoke: precision fallback(s) fired: "
-            f"{report['fallback_events']}"
-        )
-    if len(_FAILURES) == failures:
-        _ok("fresh precision smoke: all stage errors within tolerance")
-
-
 def rerun_spmd_smoke() -> None:
     from repro.perf.spmd_bench import run_spmd_bench
 
@@ -322,13 +265,6 @@ def update_bench() -> None:
 
     print("check-bench: regenerating BENCH_serve.json (full mode)...")
     write_serve(run_serve_bench(smoke=False), REPO / "BENCH_serve.json")
-    from repro.perf.precision_bench import run_precision_bench
-    from repro.perf.precision_bench import write_report as write_precision
-
-    print("check-bench: regenerating BENCH_precision.json (full mode)...")
-    write_precision(
-        run_precision_bench(smoke=False), REPO / "BENCH_precision.json"
-    )
     print(
         "check-bench: BENCH_backend.json is regenerated via "
         "'python benchmarks/bench_backend.py' (slow); not rerun here."
@@ -344,11 +280,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--min-full-speedup", type=float, default=2.0,
         help="floor on the committed full-mode batch speedup (default 2.0)",
-    )
-    parser.add_argument(
-        "--min-precision-speedup", type=float, default=1.5,
-        help="floor on the committed full-mode mixed-precision composite "
-             "speedup (default 1.5)",
     )
     parser.add_argument(
         "--skip-rerun", action="store_true",
@@ -367,14 +298,12 @@ def main(argv=None) -> int:
 
     check_committed_spmd()
     check_committed_backend()
-    check_committed_precision(args.min_precision_speedup)
     check_committed_batch(args.min_full_speedup)
     check_committed_serve()
     if not args.skip_rerun:
         rerun_batch_smoke(args.min_batch_speedup)
         rerun_spmd_smoke()
         rerun_serve_smoke()
-        rerun_precision_smoke()
 
     if _FAILURES:
         print(f"check-bench: {len(_FAILURES)} failure(s)")

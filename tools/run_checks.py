@@ -29,12 +29,10 @@ Runs, in order:
 10. **tier-1 tests** — ``pytest -x -q``, with every ``@array_contract``
     enforced at runtime (``tests/conftest.py`` sets
     ``REPRO_ARRAY_CONTRACTS=1``; skip with ``--no-tests`` for the fast
-    pre-commit loop).  Tier-1 also asserts what the deleted process,
-    precision and serve smoke stages did: thread/process bit-identity,
-    zero-copy traffic and no ``/dev/shm`` residue
-    (``tests/parallel/test_process_backend.py``), the mixed tier's error
-    bounds and halved wire bytes (``tests/core/test_precision.py``,
-    ``tests/parallel/test_precision_wire.py``), and bit-identical cache
+    pre-commit loop).  Tier-1 also asserts what the deleted process
+    and serve smoke stages did: thread/process bit-identity, zero-copy
+    traffic and no ``/dev/shm`` residue
+    (``tests/parallel/test_process_backend.py``), and bit-identical cache
     hits and warm starts (``tests/serve/test_server.py``).
 
 Exit status is nonzero if any mandatory stage fails.  Optional tools that
