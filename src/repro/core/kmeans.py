@@ -23,15 +23,23 @@ Two execution strategies share one code path (``algorithm=``):
 
 * ``"lloyd"`` — the naive full-classification loop: every iteration
   evaluates all ``N_r' x N_mu`` distances (in cache-sized tiles).
-* ``"hamerly"`` (default) — bound-pruned Lloyd: each point carries an
-  upper bound on its distance to its assigned centroid and a lower bound
-  on the distance to every other centroid, maintained with per-iteration
-  centroid drifts.  Points whose bounds prove the assignment cannot change
-  skip classification entirely.  The rest are *neighbour-restricted*: a
-  point at distance ``u`` from its centroid ``c_a`` can only move to a
-  centroid within ``2u`` of ``c_a`` (triangle inequality), so it is
-  compared with that handful of nearest neighbours of ``c_a`` instead of
-  all ``N_mu`` centroids.
+* ``"hamerly"`` (default) — bound-pruned Lloyd: each point carries a
+  lower bound on its distance to every centroid but its own, maintained
+  with per-iteration centroid drifts; its exact distance to its own
+  centroid is the upper bound.  Points whose bounds prove the assignment
+  cannot change skip classification entirely.  The rest are
+  *neighbour-restricted*: a point at distance ``u`` from its centroid
+  ``c_a`` can only move to a centroid within ``2u`` of ``c_a`` (triangle
+  inequality), so it is compared with that handful of nearest neighbours
+  of ``c_a`` instead of all ``N_mu`` centroids.  No point is ever compared
+  with all ``N_mu`` centroids just to seed its bounds: the first iteration
+  starts each point from the centroid of its cell in a coarse bucket grid
+  and reaches the full argmin through the same restricted classification.
+  The neighbour lists are built once and kept across iterations with each
+  centroid's accumulated drift ``D``; ``edge - D_a - max D`` still bounds
+  the distance from ``c_a`` to every centroid outside a block, and the
+  lists are rebuilt only once ``max D`` passes a fixed fraction of the
+  typical neighbour spacing.
 
 Every distance is the difference form ``sum_d (x_d - c_d)^2``, evaluated
 by the same per-pair arithmetic whatever the array shape, tile or
@@ -40,7 +48,7 @@ the lowest centroid index.  So a bound or neighbour list only ever skips
 centroids that provably lose, and ``"hamerly"`` is bit-identical to
 ``"lloyd"`` (labels, centroids, inertia, iteration count) by
 construction; neither depends on ``tile_bytes``, which only bounds the
-distance tile a full classification materializes at once.
+distance tile either materializes at once.
 """
 
 from __future__ import annotations
@@ -113,7 +121,50 @@ def _assigned_sq_dists(
     points: np.ndarray, centroids: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
     """Squared distance of every point to its assigned centroid."""
-    return _sq_dists(points.T, centroids[labels].T)
+    return _sq_dists(points.T, (column[labels] for column in centroids.T))
+
+
+def _greedy_walk(
+    points: np.ndarray, candidates: np.ndarray, n_mu: int, r_min: float
+) -> np.ndarray:
+    """Seeds of the greedy walk over ``candidates`` (in walking order).
+
+    A candidate is accepted if it is at least ``r_min`` from every seed
+    accepted before it; returns up to ``n_mu`` of them.
+    """
+    sub = points[candidates]
+    # Candidates sorted by x: only those in the slab |x - x_seed| <= r_min
+    # of a new seed can become blocked by it.
+    by_x = np.argsort(sub[:, 0], kind="stable")
+    sorted_points, sorted_x = sub[by_x], sub[by_x, 0]
+    position = np.empty_like(by_x)
+    position[by_x] = np.arange(by_x.size)
+    # A running distance to the accepted set (x-sorted): O(1) test per
+    # candidate, one vectorized update of the seed's slab per acceptance.
+    # The slab is widened by 1% so rounding can never leave out a point
+    # within r_min.
+    chosen: list[int] = []
+    min_d2 = np.full(candidates.size, np.inf)
+    threshold = r_min * r_min
+    for start in range(0, candidates.size, _SEED_CHUNK):
+        # min_d2 only falls as seeds are accepted, so a candidate already
+        # within r_min of the accepted set stays rejected: one vectorized
+        # test drops those, and only the rest are walked one by one.
+        chunk = position[start : start + _SEED_CHUNK]
+        for k in start + np.flatnonzero(min_d2[chunk] >= threshold):
+            if min_d2[position[k]] < threshold:
+                continue
+            chosen.append(int(candidates[k]))
+            if len(chosen) == n_mu:
+                return np.asarray(chosen, dtype=np.int64)
+            x = sub[k, 0]
+            lo, hi = np.searchsorted(sorted_x, (x - 1.01 * r_min, x + 1.01 * r_min))
+            delta = sorted_points[lo:hi] - sub[k]
+            np.minimum(
+                min_d2[lo:hi], np.einsum("ij,ij->i", delta, delta),
+                out=min_d2[lo:hi],
+            )
+    return np.asarray(chosen, dtype=np.int64)
 
 
 def _init_greedy_weight(
@@ -125,40 +176,27 @@ def _init_greedy_weight(
     farther than ``r_min`` from every accepted seed, where ``r_min`` is set
     so ``n_mu`` spheres roughly tile the candidate bounding box.  If the
     separation rule exhausts candidates, it is relaxed geometrically.
+
+    Only candidates up to the last accepted seed are ever tested, so the
+    walk runs over the heaviest ``_SEED_PREFIX * n_mu`` first and restarts
+    on a four times longer prefix until it yields ``n_mu`` seeds; a seed's
+    test depends only on the seeds before it, so the restarts repeat the
+    same decisions and the seeds are exactly those of a walk over all
+    candidates.
     """
     order = np.argsort(weights)[::-1]
     span = np.ptp(points[order[: max(4 * n_mu, 64)]], axis=0)
     volume = float(np.prod(np.where(span > 0, span, 1.0)))
     r_min = 0.5 * (volume / max(n_mu, 1)) ** (1.0 / 3.0)
-    # Points sorted by x: only those in the slab |x - x_seed| <= r_min of a
-    # new seed can become blocked by it.
-    by_x = np.argsort(points[:, 0], kind="stable")
-    sorted_points, sorted_x = points[by_x], points[by_x, 0]
-    position = np.empty_like(by_x)
-    position[by_x] = np.arange(by_x.size)
-
     while True:
-        # Walk candidates in decreasing weight keeping a running distance to
-        # the accepted set (x-sorted): O(1) test per candidate, one
-        # vectorized update of the seed's slab per acceptance.  The slab is
-        # widened by 1% so rounding can never leave out a point within r_min.
-        chosen: list[int] = []
-        min_d2 = np.full(points.shape[0], np.inf)
-        threshold = r_min * r_min
-        for idx in order:
-            if min_d2[position[idx]] >= threshold:
-                chosen.append(int(idx))
-                if len(chosen) == n_mu:
-                    return np.asarray(chosen)
-                x = points[idx, 0]
-                lo, hi = np.searchsorted(
-                    sorted_x, (x - 1.01 * r_min, x + 1.01 * r_min)
-                )
-                delta = sorted_points[lo:hi] - points[idx]
-                np.minimum(
-                    min_d2[lo:hi], np.einsum("ij,ij->i", delta, delta),
-                    out=min_d2[lo:hi],
-                )
+        prefix = min(order.size, _SEED_PREFIX * n_mu)
+        while True:
+            chosen = _greedy_walk(points, order[:prefix], n_mu, r_min)
+            if chosen.size == n_mu:
+                return chosen
+            if prefix == order.size:
+                break
+            prefix = min(order.size, 4 * prefix)
         r_min *= 0.7
         if r_min < 1e-8:
             # Degenerate geometry: just take the top-weight points.
@@ -203,31 +241,123 @@ _BOUND_EPS = 64.0 * np.finfo(float).eps
 #: Neighbour-list sizes of the restricted classification, below ``N_mu``.
 _NEIGHBOUR_BLOCKS = (4, 8, 16, 32, 64, 128, 256)
 
+#: The neighbour lists are rebuilt once the largest accumulated centroid
+#: drift passes this fraction of the median nearest-neighbour spacing: the
+#: drift-corrected block edges shrink by up to twice that drift.
+_REBUILD_DRIFT = 0.25
+
+#: Bucket cells per centroid of the first iteration's starting labels.
+_CELLS_PER_CENTROID = 2
+
+#: Candidates of the greedy seeding's weight order tested per vectorized pass.
+_SEED_CHUNK = 256
+
+#: Heaviest candidates per seed the greedy seeding first walks over.
+_SEED_PREFIX = 16
+
 
 def _classify_tiled(
     points: np.ndarray, centroids: np.ndarray, tile_bytes: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nearest/second-nearest classification, one distance tile at a time.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-centroid classification, one distance tile at a time.
 
-    Returns ``(labels, d2_nearest, d2_second)`` (ties: lowest centroid
-    index); the ``N x N_mu`` matrix never exists beyond one ``tile_bytes``
-    tile.
+    Returns ``(labels, d2_nearest)`` (ties: lowest centroid index); the
+    ``N x N_mu`` matrix never exists beyond one ``tile_bytes`` tile.
     """
     n = points.shape[0]
     labels = np.empty(n, dtype=np.int64)
     d2_near = np.empty(n)
-    d2_second = np.empty(n)
     tile_rows = max(1, int(tile_bytes) // (8 * max(centroids.shape[0], 1)))
     for start in range(0, n, tile_rows):
         stop = min(start + tile_rows, n)
         d2 = _pairwise_sq_dists(points[start:stop], centroids)
-        rows = np.arange(stop - start)
         lab = np.argmin(d2, axis=1)
         labels[start:stop] = lab
-        d2_near[start:stop] = d2[rows, lab]
-        d2[rows, lab] = np.inf
-        d2_second[start:stop] = d2.min(axis=1)
-    return labels, d2_near, d2_second
+        d2_near[start:stop] = d2[np.arange(stop - start), lab]
+    return labels, d2_near
+
+
+class _NeighbourLists:
+    """Index-sorted neighbour blocks of every centroid, kept across iterations.
+
+    ``members[j][a]`` holds the ``blocks[j]`` nearest neighbours of centroid
+    ``a`` in index order and ``edge[j, a]`` the distance from ``a`` to its
+    first neighbour past that block, both at the centroids the lists were
+    built on.  ``drift[a]`` accumulates how far ``a`` has moved since, so by
+    the triangle inequality :meth:`edges` -- ``edge - drift[a] - max(drift)``
+    -- still bounds the distance from the current ``a`` to every current
+    centroid outside the block from below.  The build holds one row chunk of
+    at most ``tile_bytes`` of centroid distances at a time.
+    """
+
+    def __init__(self, centroids: np.ndarray, tile_bytes: int) -> None:
+        n_mu = centroids.shape[0]
+        self.blocks = [b for b in _NEIGHBOUR_BLOCKS if b < n_mu]
+        self.members = [np.empty((n_mu, b), dtype=np.int64) for b in self.blocks]
+        self.edge = np.empty((len(self.blocks), n_mu))
+        nearest = np.empty(n_mu)
+        rows = max(1, int(tile_bytes) // (8 * n_mu))
+        for start in range(0, n_mu, rows):
+            stop = min(start + rows, n_mu)
+            dist = np.sqrt(_pairwise_sq_dists(centroids[start:stop], centroids))
+            order = np.argsort(dist, axis=1)
+            for j, b in enumerate(self.blocks):
+                self.members[j][start:stop] = np.sort(order[:, :b], axis=1)
+            ranked = np.take_along_axis(dist, order, axis=1)
+            self.edge[:, start:stop] = ranked[:, self.blocks].T
+            nearest[start:stop] = ranked[:, min(1, n_mu - 1)]
+        self.spacing = float(np.median(nearest))
+        self.drift = np.zeros(n_mu)
+
+    def edges(self) -> np.ndarray:
+        """``(len(blocks), N_mu)`` block edges corrected for the drift."""
+        return self.edge - (self.drift + self.drift.max(initial=0.0))
+
+    def stale(self) -> bool:
+        """Whether the drift has eaten enough of the edges to rebuild."""
+        return bool(self.blocks) and (
+            self.drift.max(initial=0.0) > _REBUILD_DRIFT * self.spacing
+        )
+
+
+def _bucket_labels(
+    points: np.ndarray, centroids: np.ndarray, tile_bytes: int
+) -> np.ndarray:
+    """A nearby centroid for every point, from a coarse grid of buckets.
+
+    About ``_CELLS_PER_CENTROID * N_mu`` cubic cells cover the centroids'
+    bounding box; each cell takes the centroid nearest its centre and each
+    point the label of the cell it falls in (clipped to the box).  Any label
+    is a valid start for :func:`_classify_near`; a near one keeps the
+    neighbour blocks small.  O(N + cells N_mu) work on replicated centroids.
+    """
+    n_mu, dim = centroids.shape
+    lo = centroids.min(axis=0)
+    span = centroids.max(axis=0) - lo
+    extent = span[span > 0]
+    if not extent.size:
+        return np.zeros(points.shape[0], dtype=np.int64)
+    cells = _CELLS_PER_CENTROID * n_mu
+    scale = float(extent.max())
+    side = scale * float(np.prod(extent / scale) / cells) ** (1.0 / extent.size)
+    shape = np.maximum(np.ceil(span / side), 1)
+    while shape.prod() > 2 * cells:
+        # A thin box: coarsen until the cell count is back near ``cells``.
+        side *= 1.25
+        shape = np.maximum(np.ceil(span / side), 1)
+    shape = shape.astype(np.int64)
+    axes = [lo[d] + side * (np.arange(shape[d]) + 0.5) for d in range(dim)]
+    centres = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, dim)
+    cell_labels = np.empty(centres.shape[0], dtype=np.int64)
+    rows = max(1, int(tile_bytes) // (8 * n_mu))
+    for start in range(0, centres.shape[0], rows):
+        d2 = _pairwise_sq_dists(centres[start : start + rows], centroids)
+        cell_labels[start : start + rows] = np.argmin(d2, axis=1)
+    cell = np.zeros(points.shape[0], dtype=np.int64)
+    for d in range(dim):
+        index = np.floor((points[:, d] - lo[d]) / side)
+        cell = cell * shape[d] + np.clip(index, 0, shape[d] - 1).astype(np.int64)
+    return cell_labels[cell]
 
 
 def _classify_near(
@@ -236,6 +366,8 @@ def _classify_near(
     labels: np.ndarray,
     upper: np.ndarray,
     slack: float,
+    neighbours: _NeighbourLists,
+    tile_bytes: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nearest centroid of each point among those that can beat its own.
 
@@ -243,42 +375,58 @@ def _classify_near(
     ``c_a``, ``a = labels[i]``, from above, so a centroid farther than
     ``2 upper[i] + slack`` from ``c_a`` is farther from the point than
     ``c_a``.  Each point is compared with the nearest 4, 8, ..., 256 or all
-    neighbours of ``c_a`` (the smallest block reaching past that radius).
-    Returns ``(labels, d2_nearest, lower)`` with the full argmin's labels
-    (ties: lowest centroid index) and ``lower`` bounding the distance to
-    every other centroid from below.
+    neighbours of ``c_a`` in ``neighbours``: the smallest block whose
+    drift-corrected edge reaches past that radius.  Returns ``(labels,
+    d2_nearest, lower)`` with the full argmin's labels (ties: lowest
+    centroid index), their squared distances, and ``lower`` bounding the
+    distance to every other centroid from below.  Each block is evaluated
+    in row chunks of at most ``tile_bytes`` of distances, so any number of
+    points stays within a few tiles (beside the block's centroid
+    coordinates, the size of the neighbour lists).
     """
     n_mu = centroids.shape[0]
-    rows, row = np.unique(labels, return_inverse=True)
-    dist = np.sqrt(_pairwise_sq_dists(centroids[rows], centroids))
-    neighbours = np.argsort(dist, axis=1)
-    blocks = [b for b in _NEIGHBOUR_BLOCKS if b < n_mu]
-    # edge[j]: distance from each c_a to its first neighbour past blocks[j].
-    edge = np.take_along_axis(dist, neighbours[:, blocks], axis=1).T
+    edge = neighbours.edges()
     reach = 2.0 * upper + slack
-    size = np.full(labels.size, n_mu)
-    for b, past in zip(blocks[::-1], edge[::-1]):
-        size[past[row] > reach] = b
+    # The edges grow with the block, so the smallest block reaching past
+    # the radius is the count of those that do not: an index into
+    # [*blocks, N_mu], the last one with no edge.
+    size = np.zeros(labels.size, dtype=np.int8)
+    for past in edge:
+        size += past[labels] <= reach
+    edge = np.vstack([edge, np.full(n_mu, np.inf)])
     columns = np.ascontiguousarray(centroids.T)
     new_labels = np.empty(labels.size, dtype=np.int64)
     d2_near = np.empty(labels.size)
     lower = np.empty(labels.size)
-    for j, b in enumerate([*blocks, n_mu]):
-        sel = np.flatnonzero(size == b)
-        if not sel.size:
+    for j, b in enumerate([*neighbours.blocks, n_mu]):
+        members = np.flatnonzero(size == j)
+        if not members.size:
             continue
-        # Candidates in index order, so the argmin breaks ties to the lowest.
-        cand = np.sort(neighbours[:, :b], axis=1)[row[sel]]
-        d2 = _sq_dists(points[sel].T[:, :, None], [col[cand] for col in columns])
-        pick = np.arange(sel.size)
-        nearest = np.argmin(d2, axis=1)
-        new_labels[sel] = cand[pick, nearest]
-        d2_near[sel] = d2[pick, nearest]
-        d2[pick, nearest] = np.inf
-        lower[sel] = np.sqrt(d2.min(axis=1))
         if b < n_mu:
-            # Excluded centroids lie past the first excluded neighbour.
-            lower[sel] = np.minimum(lower[sel], edge[j][row[sel]] - upper[sel])
+            # The block's coordinates for the centroids in use, each row in
+            # index order so the argmin breaks ties to the lowest index.
+            used = np.bincount(labels[members], minlength=n_mu) > 0
+            row = np.cumsum(used) - 1
+            block = neighbours.members[j][used]
+            coords = columns[:, block]
+        rows = max(1, int(tile_bytes) // (8 * b))
+        for start in range(0, members.size, rows):
+            sel = members[start : start + rows]
+            x = np.take(points, sel, axis=0).T[:, :, None]
+            if b < n_mu:
+                r = row[labels[sel]]
+                d2 = _sq_dists(x, (np.take(c, r, axis=0) for c in coords))
+            else:
+                d2 = _sq_dists(x, columns[:, None, :])
+            pick = np.arange(sel.size)
+            nearest = np.argmin(d2, axis=1)
+            new_labels[sel] = block[r, nearest] if b < n_mu else nearest
+            d2_near[sel] = d2[pick, nearest]
+            d2[pick, nearest] = np.inf
+            # Centroids outside the block lie past its corrected edge.
+            lower[sel] = np.minimum(
+                np.sqrt(d2.min(axis=1)), edge[j, labels[sel]] - upper[sel]
+            )
     return new_labels, d2_near, lower
 
 
@@ -351,9 +499,10 @@ def weighted_kmeans(
         ``(n_clusters, d)`` starting centroids (``init="warm"`` is implied
         when given).  This is the cross-calculation warm start: seeding from
         a nearby converged clustering collapses the iteration count to the
-        few steps needed to track the perturbation, and the first iteration
-        classifies every point, so the Hamerly bounds are re-seeded
-        consistently.
+        few steps needed to track the perturbation.  The first iteration
+        classifies every point afresh (from its bucket centroid, through the
+        neighbour-restricted classification), so the Hamerly bounds are
+        re-seeded consistently.
     algorithm:
         ``"hamerly"`` (default) skips the classification for points whose
         distance bounds prove the assignment is unchanged and compares the
@@ -361,9 +510,10 @@ def weighted_kmeans(
         every point against every centroid every iteration.  Results are
         bit-identical (see the module docstring).
     tile_bytes:
-        Upper bound on the distance tile of a full classification; the
-        ``N x N_mu`` matrix is never allocated at once.  Results do not
-        depend on it.
+        Upper bound on the distance tile of a full classification and on
+        each row chunk of a neighbour-restricted one (also in the first
+        iteration, when every point is classified); the ``N x N_mu``
+        matrix is never allocated at once.  Results do not depend on it.
     reduce:
         A :class:`SerialReducer` or a distributed one with its methods; then
         ``points``/``weights`` and the returned labels are this rank's slab,
@@ -405,45 +555,51 @@ def weighted_kmeans(
     inertia = np.inf
     converged = False
     iteration = 0
-    # Hamerly state: upper[i] bounds dist(point_i, assigned centroid) from
-    # above, lower[i] bounds the distance to every *other* centroid from
-    # below.  upper <= lower proves the assignment cannot change.
+    # Hamerly state: lower[i] bounds the distance of point i to every centroid
+    # but its own from below, and the neighbour lists of the centroids.
     x_max = reduce.max(float(np.linalg.norm(points, axis=1).max(initial=0.0)))
     scale = max(x_max, np.linalg.norm(centroids, axis=1).max())
     slack = _BOUND_RTOL * (x_max + 1.0) + _BOUND_EPS * scale
     dim = points.shape[1]
+    # The scatter-add operands of the cluster statistics, fixed for the run.
+    stat_columns = [*(points.T * weights), weights]
+    neighbours = None
 
     for iteration in range(1, max_iter + 1):
-        if algorithm == "lloyd" or iteration == 1:
-            new_labels, d2n, d2s = _classify_tiled(points, centroids, tile_bytes)
-            upper, lower = np.sqrt(d2n), np.sqrt(d2s)
+        if algorithm == "lloyd":
+            new_labels, min_d2 = _classify_tiled(points, centroids, tile_bytes)
         else:
-            # First filter on the stale bounds, then tighten the surviving
-            # upper bounds with one exact distance and filter again — the
-            # standard two-stage Hamerly test.  Survivors are classified
-            # against the neighbours of their centroid only.
-            new_labels = labels.copy()
-            maybe = np.flatnonzero(upper + slack >= lower)
-            upper[maybe] = np.sqrt(
-                _assigned_sq_dists(points[maybe], centroids, labels[maybe])
-            )
-            active = maybe[upper[maybe] + slack >= lower[maybe]]
+            if iteration == 1:
+                # Start from a nearby bucket centroid, with no lower bound:
+                # the restricted classification reaches the full argmin
+                # without comparing any point with all N_mu centroids.
+                start = _bucket_labels(points, centroids, tile_bytes)
+                lower = np.full(n, -np.inf)
+            else:
+                start = labels
+            # The exact distance to the current centroid is the upper bound
+            # (and the committed distance of every point that keeps its
+            # label), one pass over all points that also replaces the
+            # tightening of stale upper bounds: upper <= lower proves the
+            # label cannot change, the rest are compared with their
+            # centroid's neighbours only.
+            min_d2 = _assigned_sq_dists(points, centroids, start)
+            upper = np.sqrt(min_d2)
+            active = np.flatnonzero(upper + slack >= lower)
+            new_labels = start.copy()
             if active.size:
-                new_labels[active], d2n, lower[active] = _classify_near(
-                    points[active], centroids, labels[active],
-                    upper[active], slack,
+                if neighbours is None:
+                    neighbours = _NeighbourLists(centroids, tile_bytes)
+                new_labels[active], min_d2[active], lower[active] = _classify_near(
+                    np.take(points, active, axis=0), centroids, start[active],
+                    upper[active], slack, neighbours, tile_bytes,
                 )
-                upper[active] = np.sqrt(d2n)
-
-        # Committed per-point distances (same expression in both algorithms,
-        # for all points): the weighted objective of Eq. 11.
-        min_d2 = _assigned_sq_dists(points, centroids, new_labels)
 
         # One reduced block: weighted coordinate sums (Eq. 13) and weights
         # per cluster, each a scatter-add in point order, then the objective
         # (Eq. 11) and whether any label changed in a trailing row.
         stats = np.zeros((n_clusters + 1, dim + 1))
-        for col, values in enumerate([*(points.T * weights), weights]):
+        for col, values in enumerate(stat_columns):
             stats[:n_clusters, col] = np.bincount(
                 new_labels, weights=values, minlength=n_clusters
             )
@@ -464,10 +620,15 @@ def weighted_kmeans(
             for slot, point in zip(empty, worst):
                 centroids[slot] = point
 
-        # Drift update keeps the bounds valid across the centroid motion.
-        drift = np.linalg.norm(centroids - old_centroids, axis=1)
-        upper += drift[new_labels]
-        lower -= drift.max(initial=0.0)
+        if algorithm == "hamerly":
+            # Drift update keeps the bounds and the neighbour-list edges
+            # valid across the centroid motion.
+            drift = np.linalg.norm(centroids - old_centroids, axis=1)
+            lower -= drift.max(initial=0.0)
+            if neighbours is not None:
+                neighbours.drift += drift
+                if neighbours.stale():
+                    neighbours = None
 
         # The relative-inertia stop needs a previous inertia: the first
         # iteration compares with inf, which would pass any tolerance.

@@ -77,6 +77,15 @@ __all__ = ["ProcessCommunicator", "process_spmd_run"]
 _META_SLOT = 64
 _META = struct.Struct("<QQQ")  # outbox generation, descriptor offset, length
 
+#: Smallest outbox, and the factor by which an outbox may exceed the size a
+#: publish would give it before it is replaced by a right-sized one.  One
+#: large exchange (the kernel Gram's field transpose) then keeps its pages
+#: and the peers' mappings of them no longer than the next small exchange,
+#: while payloads down to an eighth of the one that sized the outbox (the
+#: Gram's per-slab transposes after the field one) keep using it.
+_OUTBOX_MIN = 1 << 20
+_OUTBOX_SHRINK = 8
+
 _ENV_TIMEOUT = "REPRO_SPMD_TIMEOUT"
 
 
@@ -220,7 +229,11 @@ class ProcessCommunicator(Communicator):
         shared slab (zero-copy for readers), whatever its strides; the
         structural descriptor and non-array leaves are pickled after
         them.  Reuses the outbox across epochs — the exchange barriers
-        guarantee the previous epoch's readers are done.
+        guarantee the previous epoch's readers are done — unless it is too
+        small, or ``_OUTBOX_SHRINK`` times larger than the ``2 x`` payload
+        size it would be made at now: then a new generation of that size
+        replaces it, and peers drop their mapping of the old one when they
+        next read this rank's payload.
         """
         arrays: list[np.ndarray] = []
         encoded = _strip_arrays(value, arrays)
@@ -234,13 +247,18 @@ class ProcessCommunicator(Communicator):
         descriptor = pickle.dumps((encoded, metas), protocol=pickle.HIGHEST_PROTOCOL)
         desc_off = cursor
         total = desc_off + len(descriptor)
-        if self._outbox is None or total > self._outbox.size:
+        fitted = max(_OUTBOX_MIN, 2 * total)
+        if (
+            self._outbox is None
+            or total > self._outbox.size
+            or _OUTBOX_SHRINK * fitted <= self._outbox.size
+        ):
             previous = self._outbox
             self._outbox_gen += 1
             name = shm.segment_name(
                 self._runtime.run_id, self._rank, "out", self._outbox_gen
             )
-            self._outbox = self._registry.create(name, max(1 << 20, 2 * total))
+            self._outbox = self._registry.create(name, fitted)
             if previous is not None:
                 self._registry.release(previous.name)
         for off, arr in zip(offsets, arrays):

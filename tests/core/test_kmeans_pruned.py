@@ -7,10 +7,13 @@ the real-orbital pair weights the paper's Eq. 14 selection runs on — or
 interpolation-point selection would silently depend on the algorithm flag.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.atoms import bulk_silicon
+from repro.core import kmeans as kmeans_mod
 from repro.core import pair_weights, select_points_kmeans
 from repro.core.kmeans import DEFAULT_TILE_BYTES, weighted_kmeans
 from repro.synthetic import synthetic_ground_state
@@ -105,7 +108,72 @@ class TestBitIdentity:
         )
 
 
+class TestNoFullClassification:
+    def test_hamerly_never_classifies_against_all_centroids(self, monkeypatch):
+        # N_mu > 256: some points need the all-N_mu block (the far, light
+        # outliers), and the centroids drift far enough to rebuild the
+        # neighbour lists.  Neither makes the loop classify every point
+        # against every centroid.
+        rng = default_rng(11)
+        points = np.vstack([rng.random((6000, 3)) * 12.0,
+                            rng.random((8, 3)) * 12.0 + 60.0])
+        weights = np.concatenate([rng.random(6000) + 0.1, np.full(8, 1e-3)])
+        k = 300
+        tiled = kmeans_mod._classify_tiled
+        calls = {"tiled": 0, "builds": 0, "all": 0}
+
+        def counting_tiled(*args, **kwargs):
+            calls["tiled"] += 1
+            return tiled(*args, **kwargs)
+
+        class CountingLists(kmeans_mod._NeighbourLists):
+            def __init__(self, *args, **kwargs):
+                calls["builds"] += 1
+                super().__init__(*args, **kwargs)
+
+        near = kmeans_mod._classify_near
+
+        def spying_near(points, centroids, labels, upper, slack, lists, tile):
+            past = lists.edges()[:, labels] <= 2.0 * upper + slack
+            calls["all"] += int(past.all(axis=0).sum())
+            return near(points, centroids, labels, upper, slack, lists, tile)
+
+        monkeypatch.setattr(kmeans_mod, "_classify_tiled", counting_tiled)
+        monkeypatch.setattr(kmeans_mod, "_NeighbourLists", CountingLists)
+        monkeypatch.setattr(kmeans_mod, "_classify_near", spying_near)
+        hamerly = weighted_kmeans(points, weights, k, init="greedy-weight")
+        assert calls["tiled"] == 0
+        assert calls["builds"] > 1
+        assert calls["all"] > 0
+        lloyd = weighted_kmeans(
+            points, weights, k, init="greedy-weight", algorithm="lloyd"
+        )
+        assert calls["tiled"] == lloyd[3]
+        _assert_bit_identical(lloyd, hamerly)
+
+
 class TestTiling:
+    @pytest.mark.parametrize("tile_bytes", [DEFAULT_TILE_BYTES, 4096])
+    def test_hamerly_peak_is_bookkeeping_plus_tiles(self, tile_bytes):
+        # Every point is classified in the first iteration; its neighbour
+        # blocks are evaluated in row chunks of at most tile_bytes, so the
+        # peak is O(N) per-point state, the neighbour lists (a few hundred
+        # indices per centroid) and a few tiles, whatever N is.  Measured
+        # at 0.81x (default tile) and 0.91x (4 KiB) of this bound; a
+        # classification of all points of a block at once needs 1.48x at
+        # 4 KiB.
+        rng = default_rng(31)
+        n, k = 12000, 280
+        points = rng.random((n, 3)) * 20.0
+        weights = rng.random(n) + 0.1
+        tracemalloc.start()
+        try:
+            weighted_kmeans(points, weights, k, tile_bytes=tile_bytes, max_iter=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (24 * n + 640 * k) + 6 * tile_bytes
+
     def test_tiny_tiles_change_nothing(self):
         rng = default_rng(21)
         points = rng.standard_normal((300, 3))

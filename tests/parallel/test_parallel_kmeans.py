@@ -142,3 +142,32 @@ def test_warm_start_bit_identical_across_backends(workload, serial_result):
         np.testing.assert_array_equal(t[1], p[1])  # labels
         assert t[2] == p[2]  # inertia, exact
         assert t[3:] == p[3:]  # n_iter, converged
+
+
+@pytest.mark.process_backend
+def test_past_the_largest_neighbour_block_matches_serial_lloyd():
+    """N_mu > 256 on 2 ranks, each seeding its own bounds from the bucket
+    grid and keeping its own neighbour lists: labels and iteration count
+    equal serial Lloyd's, and the two backends agree to the bit."""
+    rng = np.random.default_rng(5)
+    points = rng.random((4000, 3)) * 12.0
+    weights = rng.random(4000) + 0.1
+    c_ref, l_ref, i_ref, n_ref, conv_ref = weighted_kmeans(
+        points, weights, 270, algorithm="lloyd"
+    )
+    dist = BlockDistribution1D(len(points), 2)
+
+    def prog(comm):
+        sl = dist.local_slice(comm.rank)
+        return distributed_kmeans(comm, points[sl], weights[sl], 270, dist)
+
+    thread = spmd_run(2, prog, backend="thread")
+    process = spmd_run(2, prog, backend="process")
+    np.testing.assert_array_equal(np.concatenate([r[1] for r in thread]), l_ref)
+    assert thread[0][3:] == (n_ref, conv_ref)
+    np.testing.assert_allclose(thread[0][0], c_ref, rtol=0, atol=1e-12)
+    assert thread[0][2] == pytest.approx(i_ref, rel=1e-12)
+    for t, p in zip(thread, process):
+        np.testing.assert_array_equal(t[0], p[0])
+        np.testing.assert_array_equal(t[1], p[1])
+        assert t[2:] == p[2:]

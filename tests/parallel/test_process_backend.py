@@ -431,3 +431,74 @@ class TestFaultsAndCleanup:
         # spec consumed: a second run is clean
         out2 = spmd_run(2, prog, fault_injector=inj, backend="process")
         assert out2 == [8.0, 8.0]
+
+
+class TestOutboxGenerations:
+    """A large exchange's outbox does not outlive the next small one."""
+
+    MIB = 1 << 17  # float64 elements per MiB
+
+    @staticmethod
+    def _outboxes(comm):
+        """Every rank's outbox segments (``r<rank>_out<generation>``) once
+        all ranks got here."""
+        comm.barrier()
+        prefix = shm.run_prefix(comm._runtime.run_id)
+        names = [
+            name[len(prefix):]
+            for name in shm.list_run_segments(comm._runtime.run_id)
+            if "_out" in name
+        ]
+        comm.barrier()  # nobody publishes before every rank has listed
+        return names
+
+    @staticmethod
+    def _mapped(suffix):
+        """Whether this process still maps a segment named ``...suffix``."""
+        with open("/proc/self/maps") as maps:
+            return any(line.rstrip().endswith((suffix, suffix + " (deleted)"))
+                       for line in maps)
+
+    def test_small_exchanges_release_the_large_generation(self, shm_residue):
+        def prog(comm):
+            comm.allreduce(np.ones(4))
+            small = self._outboxes(comm)
+            tiles = [np.full(4 * self.MIB, float(comm.rank))] * comm.size
+            got = comm.alltoall(tiles)
+            large = self._outboxes(comm)
+            held = [self._mapped(name) for name in large]
+            for _ in range(3):
+                total = comm.allreduce(np.full(4, comm.rank + 1.0))
+            after = self._outboxes(comm)
+            mapped = [self._mapped(name) for name in large]
+            return small, large, held, after, mapped, [float(g[0]) for g in got], total
+
+        for small, large, held, after, mapped, got, total in spmd_run(
+            2, prog, backend="process"
+        ):
+            assert small == ["r0_out0", "r1_out0"]
+            assert large == ["r0_out1", "r1_out1"]
+            assert after == ["r0_out2", "r1_out2"]
+            # Both large outboxes were mapped in every rank (its own and the
+            # peer's); neither stays mapped past the small exchanges.
+            assert held == [True, True]
+            assert mapped == [False, False]
+            assert got == [0.0, 1.0]
+            np.testing.assert_array_equal(total, np.full(4, 3.0))
+        assert shm_residue() == []
+
+    def test_similar_sized_exchanges_share_a_generation(self, shm_residue):
+        # The kernel Gram's pattern: one field transpose, then per-slab
+        # transposes down to a quarter of its size, all in one outbox.
+        def prog(comm):
+            outboxes = []
+            for mib in (4, 1, 2, 1, 3, 1):
+                tiles = [np.full(mib * self.MIB, float(comm.rank))] * comm.size
+                got = comm.alltoall(tiles)
+                assert [float(g[-1]) for g in got] == [0.0, 1.0]
+                outboxes.append(self._outboxes(comm))
+            return outboxes
+
+        for outboxes in spmd_run(2, prog, backend="process"):
+            assert outboxes == [["r0_out0", "r1_out0"]] * 6
+        assert shm_residue() == []

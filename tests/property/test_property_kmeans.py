@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 from repro.core.kmeans import (
     _BOUND_EPS,
     _BOUND_RTOL,
+    _NeighbourLists,
     _assigned_sq_dists,
     _classify_near,
     _classify_tiled,
@@ -158,18 +159,28 @@ def test_pairwise_distances_match_direct(points, centroids):
     assert (d2 >= 0).all()
 
 
-def _restricted_vs_full(points, centroids, labels, inflate):
+def _restricted_vs_full(
+    points, centroids, labels, inflate, neighbours=None, tile_bytes=1 << 20
+):
     """Classify with the neighbour-restricted classifier and with the full
     argmin; the restricted one starts from arbitrary labels whose upper
-    bounds are the exact distances, inflated by ``inflate >= 1``."""
+    bounds are the exact distances, inflated by ``inflate >= 1``, with the
+    given (possibly stale) neighbour lists or ones built on ``centroids``."""
     upper = np.sqrt(_assigned_sq_dists(points, centroids, labels)) * inflate
     x_max = np.linalg.norm(points, axis=1).max()
     scale = max(x_max, np.linalg.norm(centroids, axis=1).max())
     slack = _BOUND_RTOL * (x_max + 1.0) + _BOUND_EPS * scale
-    got, d2_near, lower = _classify_near(points, centroids, labels, upper, slack)
-    full, d2_full, d2_second = _classify_tiled(points, centroids, 1 << 20)
+    if neighbours is None:
+        neighbours = _NeighbourLists(centroids, tile_bytes)
+    got, d2_near, lower = _classify_near(
+        points, centroids, labels, upper, slack, neighbours, tile_bytes
+    )
+    full, d2_full = _classify_tiled(points, centroids, 1 << 20)
     np.testing.assert_array_equal(got, full)
     np.testing.assert_array_equal(d2_near, d2_full)
+    d2 = _pairwise_sq_dists(points, centroids)
+    d2[np.arange(len(points)), full] = np.inf
+    d2_second = d2.min(axis=1)
     # The bound tests add the same slack to every comparison.
     assert (lower <= np.sqrt(d2_second) + slack).all()
 
@@ -207,3 +218,54 @@ def test_restricted_classifier_matches_full_argmin(
         # outside the neighbour block, so ``lower`` comes from the bound.
         labels = _classify_tiled(points, centroids, 1 << 20)[0]
     _restricted_vs_full(points, centroids, labels, inflate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 300),
+    st.integers(1, 320),
+    st.sampled_from(["random", "lattice", "coincident"]),
+    st.floats(0.0, 2.0),
+    st.floats(1.0, 3.0),
+    st.booleans(),
+    st.sampled_from([64, 4096, 1 << 20]),
+)
+def test_stale_neighbour_lists_match_full_argmin(
+    seed, n_points, n_centroids, cloud, move, inflate, from_nearest, tile_bytes
+):
+    """Neighbour lists built on earlier centroids, with each centroid's
+    accumulated drift, still give the full argmin and a valid ``lower`` on
+    the moved centroids: the drift-corrected block edges stay lower bounds.
+    Centroids move by up to ``move`` typical spacings each, in random
+    directions, and the recorded drift is at least the displacement (a sum
+    of per-iteration drifts is); tiles from a few rows to all of them."""
+    rng = default_rng(seed)
+    if cloud == "random":
+        points = rng.standard_normal((n_points, 3)) * 5.0
+        built = rng.standard_normal((n_centroids, 3)) * 5.0
+    else:
+        points = rng.integers(0, 8, (n_points, 3)).astype(float)
+        built = rng.integers(0, 8, (n_centroids, 3)).astype(float)
+        if cloud == "coincident":
+            built = built[rng.integers(0, max(1, n_centroids // 3), n_centroids)]
+            built += 0.5
+    neighbours = _NeighbourLists(built, tile_bytes)
+    step = rng.standard_normal((n_centroids, 3))
+    step *= (rng.random(n_centroids) * move * max(neighbours.spacing, 0.5)
+             / np.maximum(np.linalg.norm(step, axis=1), 1e-300))[:, None]
+    centroids = built + step
+    neighbours.drift = np.linalg.norm(centroids - built, axis=1)
+    neighbours.drift *= 1.0 + rng.random(n_centroids) * (rng.random() < 0.5)
+    # Each corrected edge bounds the distance from its (moved) centroid to
+    # every (moved) centroid outside the block.
+    dist = np.sqrt(_pairwise_sq_dists(centroids, centroids))
+    for members, edges in zip(neighbours.members, neighbours.edges()):
+        outside = np.ones_like(dist, dtype=bool)
+        np.put_along_axis(outside, members, False, axis=1)
+        nearest_outside = np.where(outside, dist, np.inf).min(axis=1)
+        assert (edges <= nearest_outside + 1e-12 * (1.0 + dist.max())).all()
+    labels = rng.integers(0, n_centroids, n_points)
+    if from_nearest:
+        labels = _classify_tiled(points, centroids, 1 << 20)[0]
+    _restricted_vs_full(points, centroids, labels, inflate, neighbours, tile_bytes)
