@@ -14,6 +14,12 @@ Robustness follows Duersch, Shao, Yang & Gu (SISC 2018, the paper's ref
 [11]): W and P are orthonormalized against the current X-block before the
 Rayleigh-Ritz solve, and the projected pencil is solved with a rank-revealing
 whitening that tolerates the near-dependence that appears at convergence.
+
+The same loop runs over row-distributed vectors: given a ``reducer`` (an
+allreduce over ranks), every cross-row quantity -- the Gram products, the
+projections, the Cholesky-QR Gram and the column norms -- is a local product
+summed through it, and the small projected problems are solved redundantly
+on every rank (Koval, Foerster & Coulaud, arXiv:1005.5340).
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ import numpy as np
 from repro.eigen.results import EigenResult
 from repro.utils.hot import array_contract
 from repro.utils.linalg import (
+    ReduceFn,
+    no_reduce,
     orthonormalize,
     orthonormalize_against,
     stable_generalized_eigh,
@@ -41,6 +49,11 @@ ApplyFn = Callable[[np.ndarray], np.ndarray]
 PrecondFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
+def _column_norms(block: np.ndarray, reduce: ReduceFn) -> np.ndarray:
+    """``np.linalg.norm(block, axis=0)``, its squared sums reduced over rows."""
+    return np.sqrt(reduce(np.add.reduce((block.conj() * block).real, axis=0)))
+
+
 @array_contract(
     shapes={"x0": ("n", "k")},
     dtypes={"x0": ("float64", "complex128")},
@@ -55,6 +68,7 @@ def lobpcg(
     verbose: bool = False,
     checkpoint=None,
     callback=None,
+    reducer=None,
 ) -> EigenResult:
     """Find the lowest-``k`` eigenpairs of a Hermitian operator.
 
@@ -79,15 +93,25 @@ def lobpcg(
         The full iteration-boundary state (``X``, ``H X``, ``P``, ``H P``,
         best-residual watermark, residual history) is snapshotted after
         each iteration, and a run started with a restart-enabled
-        checkpointer resumes from the newest snapshot — continuing
-        *bit-identically* to the uninterrupted run, since every quantity
-        the remaining iterations consume round-trips exactly.
+        checkpointer resumes from the newest snapshot every rank holds —
+        continuing *bit-identically* to the uninterrupted run, since every
+        quantity the remaining iterations consume round-trips exactly.
+        With a ``reducer`` each rank snapshots its own rows, so every rank
+        needs its own tag (e.g. ``lobpcg-r{rank}``).
     callback:
         Optional per-iteration observer ``callback(iteration, theta,
         residual_norms)`` invoked after each Rayleigh-Ritz step with the
         current eigenvalue estimates — this is how the job server streams
         partial spectra while a solve is still running.  Purely
         observational: it must not mutate its arguments.
+    reducer:
+        Optional cross-row reducer for row-distributed vectors, e.g.
+        :class:`~repro.parallel.parallel_kmeans.CommReducer`: ``.sum`` is
+        an allreduce, ``.min`` a min-allreduce.  ``apply_h`` (which owns
+        whatever communication its operator needs), ``x0``, the
+        preconditioner (which must be row-local) and the returned
+        eigenvectors then hold this rank's rows, and every rank gets the
+        same eigenvalues.  Without it all rows are local.
 
     Notes
     -----
@@ -95,14 +119,16 @@ def lobpcg(
     from the W/P expansion blocks (saving operator applications) but the
     vector stays in the subspace so later rotations keep it accurate.
     """
+    reduce = no_reduce if reducer is None else reducer.sum
     x = np.array(x0, dtype=complex if np.iscomplexobj(x0) else float, copy=True)
-    n, k = x.shape
+    k = x.shape[1]
     if k == 0:
         raise ValueError("x0 must contain at least one column")
+    n = int(reduce(np.array([x.shape[0]]))[0])
     if k > n:
         raise ValueError(f"requested {k} pairs from an order-{n} operator")
 
-    x = orthonormalize(x)
+    x = orthonormalize(x, reduce=reduce)
     p: np.ndarray | None = None
     hp: np.ndarray | None = None
     history: list[float] = []
@@ -110,6 +136,17 @@ def lobpcg(
     start_iteration = 0
 
     resumed = checkpoint.resume() if checkpoint is not None else None
+    if reducer is not None and checkpoint is not None and checkpoint.restart:
+        # A crash can leave one rank's snapshots a step behind its peers'
+        # (the abort reached it after its last collective, before its save).
+        # Resuming each rank from its own latest() would deadlock the
+        # collectives, so all ranks roll back to the newest common step.
+        local_step = resumed[0] if resumed is not None else -1
+        common_step = int(reducer.min(np.array([local_step]))[0])
+        if common_step < 0:
+            resumed = None  # some rank has no snapshot: everyone starts fresh
+        elif resumed is None or resumed[0] != common_step:
+            resumed = (common_step, checkpoint.manager.load(common_step))
     if resumed is not None:
         start_iteration, state = resumed
         x = np.array(state["x"])
@@ -128,13 +165,13 @@ def lobpcg(
         # Rayleigh-Ritz on the current X block keeps theta and X consistent
         # (X is B-orthonormal from the whitened subspace solve, so this is a
         # plain symmetric eigenproblem).
-        h_xx = symmetrize(x.conj().T @ hx)
+        h_xx = symmetrize(reduce(x.conj().T @ hx))
         theta, rot = np.linalg.eigh(h_xx)
         x = x @ rot
         hx = hx @ rot
 
         residual = hx - x * theta
-        residual_norms = np.linalg.norm(residual, axis=0)
+        residual_norms = _column_norms(residual, reduce)
         max_residual = float(residual_norms.max())
         history.append(max_residual)
         if callback is not None:
@@ -163,7 +200,7 @@ def lobpcg(
         w = residual[:, active]
         if preconditioner is not None:
             w = preconditioner(w, theta[active])
-        w = orthonormalize_against(w, x)
+        w = orthonormalize_against(w, x, reduce=reduce)
 
         blocks = [x, w]
         h_blocks = [hx, apply_h(w)]
@@ -171,7 +208,7 @@ def lobpcg(
             # Column-normalize P (pure scaling: the H P recurrence stays an
             # exact linear combination, no cancellation); near-zero columns
             # carry no new direction and are dropped.
-            col_norms = np.linalg.norm(p, axis=0)
+            col_norms = _column_norms(p, reduce)
             keep = col_norms > 1e-12
             if keep.any():
                 scale = 1.0 / col_norms[keep]
@@ -181,8 +218,8 @@ def lobpcg(
         subspace = np.hstack(blocks)
         h_subspace = np.hstack(h_blocks)
 
-        h_proj = symmetrize(subspace.conj().T @ h_subspace)
-        s_proj = symmetrize(subspace.conj().T @ subspace)
+        h_proj = symmetrize(reduce(subspace.conj().T @ h_subspace))
+        s_proj = symmetrize(reduce(subspace.conj().T @ subspace))
         evals, coeffs = stable_generalized_eigh(h_proj, s_proj)
         coeffs = coeffs[:, :k]
 
@@ -212,11 +249,11 @@ def lobpcg(
             )
 
     # Final Rayleigh-Ritz for a consistent return state.
-    h_xx = symmetrize(x.conj().T @ hx)
+    h_xx = symmetrize(reduce(x.conj().T @ hx))
     theta, rot = np.linalg.eigh(h_xx)
     x = x @ rot
     hx = hx @ rot
-    residual_norms = np.linalg.norm(hx - x * theta, axis=0)
+    residual_norms = _column_norms(hx - x * theta, reduce)
     converged = bool(
         (residual_norms <= tol * np.maximum(1.0, np.abs(theta))).all()
     )

@@ -50,7 +50,6 @@ from repro.parallel.redistribute import (
 from repro.parallel.parallel_kmeans import distributed_kmeans
 from repro.parallel.parallel_lrtddft import (
     distributed_build_vhxc,
-    distributed_implicit_solve,
     distributed_isdf_vtilde,
     distributed_kernel_gram,
     distributed_lrtddft_solve,
@@ -88,7 +87,6 @@ __all__ = [
     "distributed_isdf_vtilde",
     "distributed_kernel_gram",
     "distributed_lrtddft_solve",
-    "distributed_implicit_solve",
     "pipelined_vhxc_rows",
     "pipelined_vhxc_full",
     "row_block_to_block_cyclic",

@@ -18,8 +18,14 @@ with the orbitals arriving row-block distributed over grid points and
    transform, one alltoall to spectral columns and a SYRK, then
    the replicated ``N_mu x N_mu`` Cholesky of Eq. 10 on both sides of the
    Gram (:func:`~repro.parallel.parallel_lrtddft.distributed_isdf_vtilde`),
-6. implicit LOBPCG over pair-distributed Ritz vectors
-   (:func:`repro.parallel.parallel_lobpcg.distributed_lobpcg`).
+6. implicit LOBPCG over pair-distributed Ritz vectors: the serial
+   :func:`repro.eigen.lobpcg.lobpcg` loop with allreduced Grams and column
+   norms (:func:`repro.parallel.parallel_lobpcg.distributed_lobpcg`),
+   applying ``H`` through
+   :func:`~repro.parallel.parallel_lobpcg.make_distributed_implicit_apply`.
+
+:func:`distributed_optimized_lrtddft` is the one distributed version (5)
+pipeline.
 """
 
 from __future__ import annotations
@@ -33,7 +39,10 @@ from repro.core.pair_products import pair_energies
 from repro.parallel.comm import Communicator
 from repro.parallel.distributions import BlockDistribution1D
 from repro.parallel.parallel_kmeans import CommReducer, distributed_kmeans
-from repro.parallel.parallel_lobpcg import distributed_lobpcg
+from repro.parallel.parallel_lobpcg import (
+    distributed_lobpcg,
+    make_distributed_implicit_apply,
+)
 from repro.parallel.parallel_lrtddft import distributed_isdf_vtilde
 from repro.utils.threads import blas_threads
 from repro.utils.validation import require
@@ -174,41 +183,23 @@ def distributed_optimized_lrtddft(
 
     # Pair-space quantities: C stays factored from the replicated point
     # values (small), and LOBPCG runs over pair-distributed vectors.
-    n_v, n_c = v_pts.shape[0], c_pts.shape[0]
-    n_pairs = n_v * n_c
-    c_full = (
-        v_pts.T[:, :, None] * c_pts.T[:, None, :]
-    ).reshape(indices.size, n_pairs)
-
-    d = pair_energies(np.asarray(eps_v, float), np.asarray(eps_c, float))
+    n_pairs = v_pts.shape[0] * c_pts.shape[0]
     pair_dist = BlockDistribution1D(n_pairs, comm.size)
-    sl = pair_dist.local_slice(comm.rank)
-    d_local = d[sl]
-    c_local = np.ascontiguousarray(c_full[:, sl])
+    apply_local, precond_local = make_distributed_implicit_apply(
+        comm, v_pts, c_pts, eps_v, eps_c, vtilde, pair_dist
+    )
 
-    def apply_local(x_local: np.ndarray) -> np.ndarray:
-        cx = comm.allreduce(c_local @ x_local)
-        return d_local[:, None] * x_local + 2.0 * (c_local.T @ (vtilde @ cx))
-
-    def precond_local(r_local: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        denom = np.maximum(np.abs(d_local[:, None] - theta[None, :]), 1e-2)
-        return r_local / denom
-
-    # Deterministic start: unit vectors on the globally lowest transitions.
+    # Deterministic start: unit vectors on the globally lowest transitions
+    # plus the same global perturbation on every rank, sliced locally.
     k = n_excitations
-    lowest = np.argsort(d)[:k]
-    x0_local = np.zeros((d_local.shape[0], k))
-    for col, global_row in enumerate(lowest):
-        if sl.start <= global_row < sl.stop:
-            x0_local[global_row - sl.start, col] = 1.0
-    rng = np.random.default_rng(seed)
-    # Same global perturbation on every rank, sliced locally.
-    noise = 1e-3 * rng.standard_normal((n_pairs, k))
-    x0_local += noise[sl]
+    d = pair_energies(np.asarray(eps_v, float), np.asarray(eps_c, float))
+    x0 = np.zeros((n_pairs, k))
+    x0[np.argsort(d)[:k], np.arange(k)] = 1.0
+    x0 += 1e-3 * np.random.default_rng(seed).standard_normal((n_pairs, k))
 
     with blas_threads(1):
         res = distributed_lobpcg(
-            comm, apply_local, x0_local,
+            comm, apply_local, x0[pair_dist.local_slice(comm.rank)],
             preconditioner_local=precond_local, tol=tol, max_iter=max_iter,
         )
     return res.eigenvalues, res.eigenvectors

@@ -4,230 +4,78 @@ The paper's optimized path iteratively diagonalizes the implicit LR-TDDFT
 Hamiltonian in parallel: the Ritz block ``X`` is distributed over the pair
 index, every inner product becomes a local GEMM + ``MPI_Allreduce`` of a
 small Gram matrix, and the ``3k x 3k`` projected eigenproblem is solved
-redundantly on every rank (standard practice — it is tiny).
+redundantly on every rank (standard practice — it is tiny).  That is the
+serial :func:`repro.eigen.lobpcg.lobpcg` loop with a :class:`CommReducer`.
 
 Determinism: all ranks reduce identical Gram matrices in rank order, so
 every rank applies the same rotation and the distributed iterate equals
-the serial one to floating-point summation order.
+the serial one to floating-point summation order (bit for bit on 1 rank).
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from repro.core.isdf import ISDFDecomposition
 from repro.core.pair_products import pair_energies
+from repro.eigen.lobpcg import ApplyFn, PrecondFn, lobpcg
 from repro.eigen.results import EigenResult
 from repro.parallel.comm import Communicator
 from repro.parallel.distributions import BlockDistribution1D
-from repro.utils.linalg import stable_generalized_eigh, symmetrize
-from repro.utils.validation import require
-
-ApplyLocalFn = Callable[[np.ndarray], np.ndarray]
-
-
-def _dot(comm: Communicator, a_local: np.ndarray, b_local: np.ndarray) -> np.ndarray:
-    """Global ``A^H B`` from row-distributed blocks (one Allreduce)."""
-    return comm.allreduce(a_local.conj().T @ b_local)
-
-
-def _orthonormalize_distributed(
-    comm: Communicator, x_local: np.ndarray
-) -> np.ndarray:
-    """Cholesky-QR on distributed columns, eigh fallback on rank deficiency."""
-    gram = symmetrize(_dot(comm, x_local, x_local))
-    try:
-        chol = np.linalg.cholesky(gram)  # lower triangular, gram = L L^H
-        return np.linalg.solve(chol.conj(), x_local.T).T  # x @ L^{-H}
-    except np.linalg.LinAlgError:
-        evals, evecs = np.linalg.eigh(gram)
-        floor = max(evals[-1], 1.0) * np.finfo(float).eps * gram.shape[0]
-        evals = np.maximum(evals, floor)
-        return x_local @ (evecs / np.sqrt(evals))
+from repro.parallel.parallel_kmeans import CommReducer
 
 
 def distributed_lobpcg(
     comm: Communicator,
-    apply_h_local: ApplyLocalFn,
+    apply_h_local: ApplyFn,
     x0_local: np.ndarray,
     *,
-    preconditioner_local: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    preconditioner_local: PrecondFn | None = None,
     tol: float = 1e-8,
     max_iter: int = 200,
     checkpoint=None,
 ) -> EigenResult:
-    """LOBPCG over row-distributed vectors.
+    """LOBPCG over row-distributed vectors: :func:`~repro.eigen.lobpcg.lobpcg`
+    with its cross-row sums as allreduces over ``comm``.
 
-    Parameters
-    ----------
-    apply_h_local:
-        ``(my_rows, m) -> (my_rows, m)`` block application of the global
-        Hermitian operator restricted to this rank's rows (the callable
-        owns whatever communication its operator needs).
-    x0_local:
-        ``(my_rows, k)`` local slab of the start block.
-    preconditioner_local:
-        Optional ``(R_local, theta) -> W_local`` — must be row-local
-        (diagonal preconditioners are).
-    checkpoint:
-        Optional per-rank :class:`~repro.resilience.checkpoint.LoopCheckpointer`
-        (each rank snapshots its *local* rows, so callers must hand every
-        rank a distinct tag, e.g. ``lobpcg-r{rank}``).  On restart the
-        ranks agree (one Allreduce) on the newest step *every* rank holds
-        and resume from that common snapshot bit-identically — a crash mid
-        iteration can leave one rank's snapshot set a step behind its
-        peers', and resuming from per-rank ``latest()`` would deadlock.
-
-    Returns
-    -------
-    :class:`~repro.eigen.results.EigenResult` whose ``eigenvectors`` are
-    this rank's local rows; eigenvalues are replicated.
+    ``apply_h_local`` maps this rank's ``(my_rows, m)`` rows to those of
+    ``H X`` (it owns whatever communication its operator needs),
+    ``x0_local`` is this rank's slab of the start block, and
+    ``preconditioner_local`` must be row-local.  ``checkpoint`` is a
+    per-rank checkpointer (a distinct tag on every rank); on restart the
+    ranks resume from the newest step all of them hold.  The returned
+    eigenvectors are this rank's rows; eigenvalues are replicated.
     """
-    x = np.array(x0_local, copy=True, dtype=complex if np.iscomplexobj(x0_local) else float)
-    k = x.shape[1]
-    require(k >= 1, "x0 must contain at least one column")
-
-    x = _orthonormalize_distributed(comm, x)
-    p = None
-    hp = None
-    history: list[float] = []
-    best_residual = np.inf
-    start_iteration = 0
-
-    resumed = checkpoint.resume() if checkpoint is not None else None
-    if checkpoint is not None and checkpoint.restart:
-        # Consistent recovery line.  A crash can tear the per-rank snapshot
-        # sets: the abort that unwinds the surviving ranks may reach a rank
-        # after its last collective completed but *before* it wrote the
-        # step its peers already have durably.  Resuming each rank from its
-        # own latest() would then restart the loop at different iterations
-        # on different ranks, the collective sequences diverge, and the run
-        # deadlocks.  All ranks therefore agree on the newest step every
-        # rank holds and roll back to it (possible because the manager
-        # keeps earlier snapshots unless keep_last prunes them).
-        local_step = resumed[0] if resumed is not None else -1
-        common_step = int(comm.allreduce(local_step, op="min"))
-        if common_step < 0:
-            resumed = None  # some rank has no snapshot: everyone starts fresh
-        elif resumed is None or resumed[0] != common_step:
-            resumed = (common_step, checkpoint.manager.load(common_step))
-    if resumed is not None:
-        start_iteration, state = resumed
-        x = np.array(state["x"])
-        hx = np.array(state["hx"])
-        p = np.array(state["p"]) if state.get("p") is not None else None
-        hp = np.array(state["hp"]) if state.get("hp") is not None else None
-        best_residual = float(state["best_residual"])
-        history = [float(v) for v in state["history"]]
-    else:
-        hx = apply_h_local(x)
-
-    theta = np.zeros(k)
-    residual_norms = np.full(k, np.inf)
-    iteration = start_iteration
-    for iteration in range(start_iteration + 1, max_iter + 1):
-        h_xx = symmetrize(_dot(comm, x, hx))
-        theta, rot = np.linalg.eigh(h_xx)
-        x = x @ rot
-        hx = hx @ rot
-
-        residual = hx - x * theta
-        residual_norms = np.sqrt(
-            np.abs(np.diag(_dot(comm, residual, residual)).real)
-        )
-        max_residual = float(residual_norms.max())
-        history.append(max_residual)
-        active = residual_norms > tol * np.maximum(1.0, np.abs(theta))
-        if not active.any():
-            return EigenResult(theta, x, iteration, residual_norms, True, tuple(history))
-
-        if max_residual > 1e3 * best_residual and p is not None:
-            p = None
-            hp = None
-            hx = apply_h_local(x)
-            continue
-        best_residual = min(best_residual, max_residual)
-
-        w = residual[:, active]
-        if preconditioner_local is not None:
-            w = preconditioner_local(w, theta[active])
-        # Orthogonalize W against X (distributed projections) + CholQR.
-        w = w - x @ _dot(comm, x, w)
-        w = w - x @ _dot(comm, x, w)
-        w = _orthonormalize_distributed(comm, w)
-
-        blocks = [x, w]
-        h_blocks = [hx, apply_h_local(w)]
-        if p is not None and p.shape[1] > 0:
-            col_norms = np.sqrt(np.abs(np.diag(_dot(comm, p, p)).real))
-            keep = col_norms > 1e-12
-            if keep.any():
-                scale = 1.0 / col_norms[keep]
-                blocks.append(p[:, keep] * scale)
-                h_blocks.append(hp[:, keep] * scale)
-
-        subspace = np.hstack(blocks)
-        h_subspace = np.hstack(h_blocks)
-        h_proj = symmetrize(_dot(comm, subspace, h_subspace))
-        s_proj = symmetrize(_dot(comm, subspace, subspace))
-        evals, coeffs = stable_generalized_eigh(h_proj, s_proj)
-        coeffs = coeffs[:, :k]
-
-        c_x = coeffs[:k, :]
-        c_rest = coeffs[k:, :]
-        rest = subspace[:, k:]
-        h_rest = h_subspace[:, k:]
-        p = rest @ c_rest
-        hp = h_rest @ c_rest
-        x = blocks[0] @ c_x + p
-        hx = h_blocks[0] @ c_x + hp
-
-        if checkpoint is not None:
-            checkpoint.save(
-                iteration,
-                {
-                    "x": x,
-                    "hx": hx,
-                    "p": p,
-                    "hp": hp,
-                    "best_residual": np.float64(best_residual),
-                    "history": np.asarray(history),
-                },
-            )
-
-    h_xx = symmetrize(_dot(comm, x, hx))
-    theta, rot = np.linalg.eigh(h_xx)
-    x = x @ rot
-    hx = hx @ rot
-    residual = hx - x * theta
-    residual_norms = np.sqrt(np.abs(np.diag(_dot(comm, residual, residual)).real))
-    converged = bool((residual_norms <= tol * np.maximum(1.0, np.abs(theta))).all())
-    return EigenResult(theta, x, iteration, residual_norms, converged, tuple(history))
+    return lobpcg(
+        apply_h_local, x0_local, preconditioner=preconditioner_local, tol=tol,
+        max_iter=max_iter, checkpoint=checkpoint, reducer=CommReducer(comm, 0),
+    )
 
 
 def make_distributed_implicit_apply(
     comm: Communicator,
-    isdf: ISDFDecomposition,
+    v_pts: np.ndarray,
+    c_pts: np.ndarray,
     eps_v: np.ndarray,
     eps_c: np.ndarray,
     vtilde: np.ndarray,
     pair_dist: BlockDistribution1D,
-) -> tuple[ApplyLocalFn, Callable, np.ndarray]:
+) -> tuple[ApplyFn, PrecondFn]:
     """Row-distributed application of the implicit TDA Hamiltonian.
 
     ``H X = D ∘ X + 2 C^T (Vtilde (C X))`` with ``X`` distributed over
-    pairs: each rank contracts its pair rows against its columns of ``C``
-    (one local GEMM), the ``(N_mu, k)`` partial is Allreduced, and the
+    pairs and ``C`` the ``(N_mu, N_cv)`` pair products of the replicated
+    point values ``v_pts`` ``(N_v, N_mu)`` and ``c_pts`` ``(N_c, N_mu)``:
+    each rank contracts its pair rows against its columns of ``C`` (one
+    local GEMM), the ``(N_mu, k)`` partial is Allreduced, and the
     back-projection is again local.  Returns
-    ``(apply_local, preconditioner_local, d_local)``.
+    ``(apply_local, preconditioner_local)``; the preconditioner is the
+    paper's Eq. 17 on this rank's rows.
     """
     d = pair_energies(np.asarray(eps_v, float), np.asarray(eps_c, float))
     sl = pair_dist.local_slice(comm.rank)
     d_local = d[sl]
-    c = isdf.coefficients()  # (N_mu, N_cv); each rank keeps only its columns
-    c_local = np.ascontiguousarray(c[:, sl])
+    c = (v_pts.T[:, :, None] * c_pts.T[:, None, :]).reshape(v_pts.shape[1], -1)
+    c_local = np.ascontiguousarray(c[:, sl])  # each rank keeps only its columns
 
     def apply_local(x_local: np.ndarray) -> np.ndarray:
         cx = comm.allreduce(c_local @ x_local)  # (N_mu, k)
@@ -237,4 +85,4 @@ def make_distributed_implicit_apply(
         denom = np.maximum(np.abs(d_local[:, None] - theta[None, :]), 1e-2)
         return r_local / denom
 
-    return apply_local, preconditioner_local, d_local
+    return apply_local, preconditioner_local

@@ -17,8 +17,9 @@ The rank program:
    - ``MPI_Allreduce`` sums the exactly symmetric partials;
 
 4. the Hamiltonian diagonal is added and the matrix diagonalized (dense on
-   the root for the naive version, LOBPCG on the ISDF-compressed operator
-   for the optimized version).
+   the root for the naive version; the optimized version runs distributed
+   LOBPCG on the ISDF-compressed operator,
+   :func:`repro.parallel.parallel_isdf.distributed_optimized_lrtddft`).
 
 So the paper's lines 4-7 (FFT, ``4 pi / G^2``, inverse FFT, transpose
 back, GEMM) no longer run as written: the spectral exchanges carry half
@@ -33,7 +34,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.fitting import solve_vtilde
-from repro.core.isdf import ISDFDecomposition
 from repro.core.kernel import HxcKernel
 from repro.core.pair_products import pair_energies
 from repro.eigen.dense import dense_lowest
@@ -41,7 +41,6 @@ from repro.parallel.comm import Communicator
 from repro.parallel.distributions import BlockDistribution1D
 from repro.parallel.redistribute import transpose_to_row_block
 from repro.utils.linalg import weighted_gram
-from repro.utils.threads import blas_threads
 from repro.utils.validation import require
 
 
@@ -181,51 +180,3 @@ def distributed_isdf_vtilde(
     gram = distributed_kernel_gram(comm, rows_local, kernel, row_dist)
     return solve_vtilde(v_pts, c_pts, gram)
 
-
-def distributed_implicit_solve(
-    comm: Communicator,
-    isdf: ISDFDecomposition,
-    eps_v: np.ndarray,
-    eps_c: np.ndarray,
-    kernel: HxcKernel,
-    row_dist: BlockDistribution1D,
-    n_excitations: int,
-    *,
-    tol: float = 1e-9,
-    max_iter: int = 300,
-    checkpoint=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Optimized distributed path: grid-distributed fit rows -> Vtilde ->
-    replicated implicit LOBPCG (the O(N_mu^2) state is tiny by design).
-
-    Every rank returns identical eigenpairs.
-
-    ``checkpoint`` (optional
-    :class:`~repro.resilience.checkpoint.LoopCheckpointer`) snapshots the
-    replicated LOBPCG state.  All ranks may share one checkpointer: the
-    iterate is replicated, so every rank writes identical snapshots (the
-    atomic staging uses per-thread temp names) and every rank resumes from
-    the same file, keeping the restarted solve in lockstep.
-    """
-    from repro.core.implicit import ImplicitCasidaOperator
-    from repro.eigen.lobpcg import lobpcg
-    from repro.utils.rng import default_rng
-
-    rows_local = isdf.fit_rows[:, row_dist.local_slice(comm.rank)]
-    vtilde = distributed_isdf_vtilde(
-        comm, rows_local, isdf.psi_v_mu, isdf.psi_c_mu, kernel, row_dist
-    )
-    op = ImplicitCasidaOperator(isdf, eps_v, eps_c, vtilde=vtilde)
-
-    diag = op.diagonal_d
-    k = n_excitations
-    x0 = np.zeros((diag.shape[0], k))
-    lowest = np.argsort(diag)[:k]
-    x0[lowest, np.arange(k)] = 1.0
-    x0 += 1e-3 * default_rng(0).standard_normal(x0.shape)
-    with blas_threads(1):
-        res = lobpcg(
-            op.apply, x0, preconditioner=op.preconditioner, tol=tol,
-            max_iter=max_iter, checkpoint=checkpoint,
-        )
-    return res.eigenvalues, res.eigenvectors

@@ -7,6 +7,8 @@ projection, and error metrics used throughout the test-suite.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 import scipy.linalg as sla
 
@@ -14,6 +16,14 @@ import scipy.linalg as sla
 def symmetrize(matrix: np.ndarray) -> np.ndarray:
     """Return the Hermitian part ``(A + A^H) / 2`` of ``matrix``."""
     return 0.5 * (matrix + matrix.conj().T)
+
+
+ReduceFn = Callable[[np.ndarray], np.ndarray]
+
+
+def no_reduce(array: np.ndarray) -> np.ndarray:
+    """The cross-row sum when every row is local: the identity."""
+    return array
 
 
 #: Grid columns per block of the column-blocked passes over ``(N_mu, N_r)``
@@ -43,7 +53,9 @@ def weighted_gram(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return gram
 
 
-def orthonormalize(block: np.ndarray, *, b_block: np.ndarray | None = None) -> np.ndarray:
+def orthonormalize(
+    block: np.ndarray, *, b_block: np.ndarray | None = None, reduce: ReduceFn = no_reduce
+) -> np.ndarray:
     """Orthonormalize the columns of ``block`` (optionally B-orthonormalize).
 
     Uses Cholesky-QR (one Gram matrix + one triangular solve, the standard
@@ -60,14 +72,18 @@ def orthonormalize(block: np.ndarray, *, b_block: np.ndarray | None = None) -> n
         Optional ``B @ block`` for a metric ``B``; when given the result is
         B-orthonormal (``X^H B X = I``) which LOBPCG needs for generalized
         problems.
+    reduce:
+        Sum over ranks of a row-distributed ``block`` (an allreduce).  Only
+        the Gram needs it: the triangular solve and the fallback are
+        row-local, and the branch is taken on the reduced Gram, so every
+        rank takes the same one.
 
     Returns
     -------
     ``(n, k)`` array with (B-)orthonormal columns spanning the same space.
     """
     other = block if b_block is None else b_block
-    gram = block.conj().T @ other
-    gram = symmetrize(gram)
+    gram = symmetrize(reduce(block.conj().T @ other))
     try:
         chol = sla.cholesky(gram, lower=False)
         return sla.solve_triangular(chol, block.T, trans="T", lower=False).T
@@ -82,17 +98,19 @@ def orthonormalize(block: np.ndarray, *, b_block: np.ndarray | None = None) -> n
 
 
 def orthonormalize_against(
-    block: np.ndarray, basis: np.ndarray, *, reorthogonalize: bool = True
+    block: np.ndarray, basis: np.ndarray, *, reorthogonalize: bool = True,
+    reduce: ReduceFn = no_reduce,
 ) -> np.ndarray:
     """Project ``basis`` out of ``block`` then orthonormalize the remainder.
 
     ``basis`` must itself have orthonormal columns.  Classical Gram-Schmidt
     with one reorthogonalization pass ("twice is enough", Kahan/Parlett).
+    ``reduce`` sums the projections over ranks, as in :func:`orthonormalize`.
     """
-    projected = block - basis @ (basis.conj().T @ block)
+    projected = block - basis @ reduce(basis.conj().T @ block)
     if reorthogonalize:
-        projected -= basis @ (basis.conj().T @ projected)
-    return orthonormalize(projected)
+        projected -= basis @ reduce(basis.conj().T @ projected)
+    return orthonormalize(projected, reduce=reduce)
 
 
 def rayleigh_ritz(

@@ -27,15 +27,30 @@ def _dense_apply_local(comm, matrix, dist):
     return apply_local
 
 
+def _symmetric_problem(seed, n, k):
+    rng = default_rng(seed)
+    a = rng.standard_normal((n, n))
+    a = (a + a.T) / 2 + np.diag(np.arange(n, dtype=float))
+    return a, rng.standard_normal((n, k))
+
+
 class TestGenericOperator:
-    @pytest.mark.parametrize("n_ranks", [1, 2, 3, 4])
-    def test_matches_dense_reference(self, n_ranks):
-        rng = default_rng(0)
-        n, k = 120, 4
-        a = rng.standard_normal((n, n))
-        a = (a + a.T) / 2 + np.diag(np.arange(n, dtype=float))
+    @pytest.mark.parametrize(
+        "n_ranks, n",
+        [
+            pytest.param(1, 120, id="1"),
+            pytest.param(2, 120, id="2"),
+            pytest.param(3, 120, id="3"),
+            pytest.param(4, 120, id="4"),
+            # One rank owns no rows: empty local slabs through every
+            # product, the triangular solve and the norm reduction.
+            pytest.param(6, 5, id="6-ranks-5-rows"),
+        ],
+    )
+    def test_matches_dense_reference(self, n_ranks, n):
+        k = 4
+        a, x0 = _symmetric_problem(0, n, k)
         ref, _ = dense_lowest(a, k)
-        x0 = rng.standard_normal((n, k))
         dist = BlockDistribution1D(n, n_ranks)
 
         def prog(comm):
@@ -91,6 +106,41 @@ class TestGenericOperator:
             v = vectors[:, j]
             np.testing.assert_allclose(a @ v, evals[j] * v, atol=1e-7)
 
+    def test_more_pairs_than_rows_raises_on_every_rank(self):
+        """The order is the global row count: 4 pairs of an order-3
+        operator is an error on every rank, not a spurious eigenvalue."""
+        a, x0 = _symmetric_problem(3, 3, 4)
+        dist = BlockDistribution1D(3, 2)
+
+        def prog(comm):
+            apply_local = _dense_apply_local(comm, a, dist)
+            with pytest.raises(ValueError, match="4 pairs from an order-3"):
+                distributed_lobpcg(comm, apply_local, x0[dist.local_slice(comm.rank)])
+            return True
+
+        assert spmd_run(2, prog) == [True, True]
+
+    @pytest.mark.parametrize(
+        "backend",
+        ["thread", pytest.param("process", marks=pytest.mark.process_backend)],
+    )
+    def test_one_rank_is_the_serial_solve(self, backend):
+        """On one rank every reduction is the identity, so the distributed
+        solve is the serial one bit for bit."""
+        a, x0 = _symmetric_problem(0, 120, 4)
+        serial = lobpcg(lambda x: a @ x, x0, tol=1e-9, max_iter=300)
+
+        def prog(comm):
+            res = distributed_lobpcg(
+                comm, lambda x: a @ x, x0, tol=1e-9, max_iter=300
+            )
+            return res.eigenvalues, res.eigenvectors, res.iterations
+
+        [(evals, evecs, iterations)] = spmd_run(1, prog, backend=backend)
+        assert iterations == serial.iterations
+        np.testing.assert_array_equal(evals, serial.eigenvalues)
+        np.testing.assert_array_equal(evecs, serial.eigenvectors)
+
 
 class TestImplicitCasidaDistributed:
     @pytest.fixture(scope="class")
@@ -117,8 +167,8 @@ class TestImplicitCasidaDistributed:
         dist = BlockDistribution1D(op.n_pairs, n_ranks)
 
         def prog(comm):
-            apply_local, precond_local, _ = make_distributed_implicit_apply(
-                comm, isdf, eps_v, eps_c, op.vtilde, dist
+            apply_local, precond_local = make_distributed_implicit_apply(
+                comm, isdf.psi_v_mu, isdf.psi_c_mu, eps_v, eps_c, op.vtilde, dist
             )
             res = distributed_lobpcg(
                 comm, apply_local, x0[dist.local_slice(comm.rank)],
@@ -138,8 +188,8 @@ class TestImplicitCasidaDistributed:
         x0 = rng.standard_normal((op.n_pairs, 3))
 
         def prog(comm):
-            apply_local, precond_local, _ = make_distributed_implicit_apply(
-                comm, isdf, eps_v, eps_c, op.vtilde, dist
+            apply_local, precond_local = make_distributed_implicit_apply(
+                comm, isdf.psi_v_mu, isdf.psi_c_mu, eps_v, eps_c, op.vtilde, dist
             )
             res = distributed_lobpcg(
                 comm, apply_local, x0[dist.local_slice(comm.rank)],

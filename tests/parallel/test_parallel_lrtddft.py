@@ -14,7 +14,6 @@ from repro.core import (
 from repro.parallel import (
     BlockDistribution1D,
     distributed_build_vhxc,
-    distributed_implicit_solve,
     distributed_isdf_vtilde,
     distributed_kernel_gram,
     distributed_lrtddft_solve,
@@ -260,24 +259,6 @@ class TestDistributedISDF:
 
         for vtilde in spmd_run(n_ranks, prog):
             np.testing.assert_allclose(vtilde, serial, atol=1e-12)
-
-    def test_implicit_solve_matches_serial(self, problem, isdf):
-        gs, psi_v, eps_v, psi_c, eps_c, kernel = problem
-        from repro.core import ImplicitCasidaOperator
-        from repro.eigen import dense_lowest
-
-        serial_op = ImplicitCasidaOperator(isdf, eps_v, eps_c, kernel)
-        ref, _ = dense_lowest(serial_op.materialize(), 4)
-        dist = BlockDistribution1D(gs.basis.n_r, 2)
-
-        def prog(comm):
-            evals, _ = distributed_implicit_solve(
-                comm, isdf, eps_v, eps_c, kernel, dist, 4, tol=1e-10
-            )
-            return evals
-
-        for evals in spmd_run(2, prog):
-            np.testing.assert_allclose(evals, ref, atol=1e-7)
 
     def test_isdf_moves_less_data_than_naive(self, problem, isdf):
         """The headline claim: the optimized pipeline's alltoall volume is
