@@ -7,7 +7,7 @@ the paper's Algorithm 1) and the ALDA half is diagonal in real space.
 Matrix elements between the rows of one block (:meth:`HxcKernel.gram`)
 skip the inverse transform: by Parseval they are a Gram of the spectrum,
 summed one ``k3``-slab of it at a time
-(:meth:`~repro.pw.fft.ConvolutionPlan.scaled_slabs`), and the ALDA half
+(:meth:`~repro.pw.fft.ConvolutionPlan.gram`), and the ALDA half
 one block of grid columns at a time
 (:func:`~repro.utils.linalg.weighted_gram`), so neither holds a second
 array the size of the rows.

@@ -33,10 +33,11 @@ HOT_PATH_MANIFEST: dict[str, frozenset[str]] = {
     # been hoisted: the kernel and its half-spectrum slice are built once
     # per (grid, kernel) in the PlanCache, and the scratch pool reuses
     # input staging buffers.  The Parseval Gram holds no whole spectrum:
-    # ``scaled_slabs`` allocates one k3-slab per pass in ``_scaled_slab``
-    # (the z-transform GEMM writes into it, ``fft2`` and the scale work in
-    # place), which its consumers drop before the next; ``gram`` adds only
-    # its m x m result.  The manifest entries keep the rule
+    # ``block_gram`` allocates one k3-slab's z-transform per pass in
+    # ``_BlockLines.transform`` (the z-transform GEMM writes into it; the
+    # exchange's spectrum, ``fft2`` and the scale then work on one array in
+    # place), which it drops before the next, and its m x m result.  The
+    # manifest entries keep the rule
     # watching so any *new* per-call allocation added here is flagged.
     "repro/pw/fft.py": frozenset(
         {
@@ -44,8 +45,8 @@ HOT_PATH_MANIFEST: dict[str, frozenset[str]] = {
             "FourierGrid.convolve_real",
             "ConvolutionPlan.apply",
             "ConvolutionPlan.gram",
-            "ConvolutionPlan.scaled_slabs",
-            "_scaled_slab",
+            "ConvolutionPlan.block_gram",
+            "_BlockLines.transform",
         }
     ),
     "repro/core/isdf.py": frozenset(

@@ -329,6 +329,11 @@ class Communicator:
         exchange barriers (by reference here, whatever ``copy`` says)."""
         return self._shared.slots[src][self._rank]
 
+    def _unpost(self) -> None:
+        """Drop this rank's deposit after :meth:`_complete`: every peer has
+        read it, so the slot need not keep it alive."""
+        self._shared.slots[self._rank] = None
+
     def _post(self, value):
         """Deposit + first barrier; returns the snapshot for *reading only*.
 
@@ -514,6 +519,9 @@ class Communicator:
             else:
                 _receive_tile(self._rank, src, tile, recv[src])
         self._complete()
+        # Every peer holds its tiles now, so the chunks (and the arrays
+        # they view) may be freed before the next collective.
+        self._unpost()
         moved = sum(
             _nbytes(chunks[d]) for d in range(self.size) if d != self._rank
         )

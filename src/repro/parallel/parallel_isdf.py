@@ -13,9 +13,10 @@ with the orbitals arriving row-block distributed over grid points and
    rows, no solve and no communication,
 5. projected kernel ``Vtilde`` — a Parseval Gram of the fit rows'
    spectra, not Algorithm 1's inverse FFT and GEMM
-   (:func:`repro.parallel.parallel_lrtddft.distributed_kernel_gram`): one
-   alltoall to whole rows, then per ``k3``-slab of their spectra a forward
-   transform, one alltoall to spectral columns and a SYRK, then
+   (:func:`repro.parallel.parallel_lrtddft.distributed_kernel_gram`): per
+   ``k3``-slab of their spectra, each rank z-transforms its own z-lines,
+   one alltoall sends each plane to the rank that finishes the transform
+   and a SYRK, with no transpose of the rows themselves; then
    the replicated ``N_mu x N_mu`` Cholesky of Eq. 10 on both sides of the
    Gram (:func:`~repro.parallel.parallel_lrtddft.distributed_isdf_vtilde`),
 6. implicit LOBPCG over pair-distributed Ritz vectors: the serial

@@ -9,11 +9,11 @@ The rank program:
 
    - the f_xc half is a local weighted Gram over this rank's grid rows
      (f_xc is diagonal in real space, so it needs no exchange);
-   - ``MPI_Alltoall`` gives each rank whole pair fields, whose spectra,
-     scaled so that by Parseval the Hartree half is a real Gram of them
-     (no inverse FFT), are formed one ``k3``-slab at a time;
-   - per slab, ``MPI_Alltoall`` moves it to blocks of spectral columns and
-     a local SYRK adds this rank's share of the Hartree half;
+   - the Hartree half is a slab-decomposed 3-D transform of the pairs'
+     spectra, scaled so that by Parseval it is a real Gram of them (no
+     inverse FFT): per ``k3``-slab each rank z-transforms its own
+     z-lines, one ``MPI_Alltoall`` sends each plane to the rank that
+     finishes it, and a local SYRK adds that rank's share;
    - ``MPI_Allreduce`` sums the exactly symmetric partials;
 
 4. the Hamiltonian diagonal is added and the matrix diagonalized (dense on
@@ -21,9 +21,10 @@ The rank program:
    LOBPCG on the ISDF-compressed operator,
    :func:`repro.parallel.parallel_isdf.distributed_optimized_lrtddft`).
 
-So the paper's lines 4-7 (FFT, ``4 pi / G^2``, inverse FFT, transpose
-back, GEMM) no longer run as written: the spectral exchanges carry half
-spectra instead of kernel-applied fields (THEORY §7).  The ISDF variant
+So the paper's lines 3-7 (transpose, FFT, ``4 pi / G^2``, inverse FFT,
+transpose back, GEMM) no longer run as written: one exchange per slab
+carries z-spectra, and no fields or kernel-applied fields move
+(THEORY §7).  The ISDF variant
 (:func:`distributed_isdf_vtilde`) runs the same Gram on the ``N_mu`` fit
 rows instead of the ``N_cv`` pairs — that is the entire point of the
 paper — and solves the replicated ``N_mu x N_mu`` result for ``Vtilde``.
@@ -39,9 +40,70 @@ from repro.core.pair_products import pair_energies
 from repro.eigen.dense import dense_lowest
 from repro.parallel.comm import Communicator
 from repro.parallel.distributions import BlockDistribution1D
-from repro.parallel.redistribute import transpose_to_row_block
+from repro.pw.fft import line_span
 from repro.utils.linalg import weighted_gram
 from repro.utils.validation import require
+
+
+class CommPlanes:
+    """The exchange of :meth:`~repro.pw.fft.ConvolutionPlan.block_gram`
+    over grid blocks: one alltoall per ``k3``-slab sends each plane of
+    the ranks' z-transforms to the rank that finishes it.
+
+    A rank's planes of slab ``[lo, hi)`` are its count in a block split of
+    the first ``hi`` planes minus its count in a split of the first
+    ``lo``: even to one plane per slab, and over all slabs one block split
+    of the ``n3 // 2 + 1`` planes.  The chunks are views of the
+    z-transform.  Each source's tile lands in the rows of its z-lines,
+    except that a source whose first line an earlier rank holds part of
+    lands in scratch; the owner then adds that line's parts in rank order
+    and copies the rest of the tile.  :class:`repro.pw.fft.SerialPlanes`
+    is the 1-rank case.
+    """
+
+    def __init__(
+        self, comm: Communicator, grid_dist: BlockDistribution1D, n3: int
+    ) -> None:
+        self.comm = comm
+        self.start = grid_dist.displacement(comm.rank)
+        self.n_lines = grid_dist.n_global // n3
+        blocks = [grid_dist.local_slice(r) for r in range(comm.size)]
+        self.spans = [line_span(b.start, b.stop, n3) for b in blocks]
+        self.shared = [b.stop > b.start and b.start % n3 != 0 for b in blocks]
+
+    def shares(self, lo: int, hi: int) -> list[slice]:
+        """Every rank's planes of slab ``[lo, hi)``."""
+        size = self.comm.size
+        before = BlockDistribution1D(lo, size)
+        after = BlockDistribution1D(hi, size)
+        edges = [
+            lo + after.displacement(r) - before.displacement(r)
+            for r in range(size + 1)
+        ]
+        return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+    def planes(self, lo: int, hi: int) -> slice:
+        return self.shares(lo, hi)[self.comm.rank]
+
+    def __call__(self, zt: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        shares = self.shares(lo, hi)
+        mine = shares[self.comm.rank]
+        m = zt.shape[0]
+        spec = np.empty((m, self.n_lines, mine.stop - mine.start), dtype=complex)
+        recv, late = [], []
+        for span, shared in zip(self.spans, self.shared):
+            if shared:
+                recv.append(np.empty((m, len(span), spec.shape[2]), dtype=complex))
+                late.append((span, recv[-1]))
+            else:
+                recv.append(spec[:, span.start : span.stop])
+        self.comm.alltoall(
+            [zt[:, :, s.start - lo : s.stop - lo] for s in shares], recv=recv
+        )
+        for span, tile in late:
+            spec[:, span.start] += tile[:, 0]
+            spec[:, span.start + 1 : span.stop] = tile[:, 1:]
+        return spec
 
 
 def distributed_kernel_gram(
@@ -54,53 +116,28 @@ def distributed_kernel_gram(
 
     ``rows_local`` is ``(m, my_grid_points)``: all ``m`` fields over this
     rank's block of ``grid_dist``.  The result equals the serial
-    :meth:`HxcKernel.gram` to rounding and is exactly symmetric.
+    :meth:`HxcKernel.gram` to rounding (on one rank, bit for bit) and is
+    exactly symmetric.
 
+    * Hartree half — :meth:`ConvolutionPlan.block_gram` with
+      :class:`CommPlanes`: per ``k3``-slab, this rank z-transforms its own
+      z-lines, one alltoall sends each plane to the rank that finishes it
+      (``fft2``, scale, SYRK).  No field transpose and no inverse FFT.
+      Ranks that own no plane of a slab still take part in its exchange.
     * f_xc half — :func:`weighted_gram` on the local grid columns.
-    * Hartree half — one alltoall to whole fields ``(my_fields, N_r)``,
-      then per ``k3``-slab of their scaled spectrum
-      (:meth:`ConvolutionPlan.scaled_slabs`, the serial Gram's
-      transform), one alltoall to a block of its columns ``(m, my_cols)``
-      and a local SYRK; the slab is dropped before the next.  No inverse
-      FFT.  Ranks that own no field still take part in every exchange.
     * One allreduce of the summed partials.
-
-    A rank's columns of each slab are its share of a near-even split of
-    the slab whose per-rank totals over all slabs are those of one block
-    split of the whole spectrum, so the exchanges move the same bytes as
-    a single transpose of it.
     """
     m, my_points = rows_local.shape
     require(my_points == grid_dist.count(comm.rank), "slab/distribution mismatch")
-    fxc = kernel.fxc_diagonal
-    if fxc is None:
-        gram = np.zeros((m, m))
-    else:
-        weights = fxc[grid_dist.local_slice(comm.rank)] * kernel.basis.grid.dv
-        gram = weighted_gram(rows_local, weights)
+    gram = np.zeros((m, m))
     plan = kernel.coulomb_plan
     if plan is not None:
-        field_dist = BlockDistribution1D(m, comm.size)
-        fields = transpose_to_row_block(comm, rows_local, field_dist, grid_dist)
-        done = 0
-        for slab in plan.scaled_slabs(fields):
-            before = BlockDistribution1D(done, comm.size)
-            done += slab.shape[1]
-            after = BlockDistribution1D(done, comm.size)
-            cols = [
-                slice(
-                    after.displacement(r) - before.displacement(r),
-                    after.displacement(r + 1) - before.displacement(r + 1),
-                )
-                for r in range(comm.size)
-            ]
-            mine = np.empty((m, cols[comm.rank].stop - cols[comm.rank].start))
-            comm.alltoall(
-                [slab[:, c] for c in cols],
-                recv=[mine[field_dist.local_slice(src)] for src in range(comm.size)],
-            )
-            gram += mine @ mine.T
-            del slab, mine  # before the next slab is built
+        exchange = CommPlanes(comm, grid_dist, kernel.basis.grid.shape[2])
+        gram += plan.block_gram(rows_local, exchange)
+    fxc = kernel.fxc_diagonal
+    if fxc is not None:
+        weights = fxc[grid_dist.local_slice(comm.rank)] * kernel.basis.grid.dv
+        gram += weighted_gram(rows_local, weights)
     return comm.allreduce(gram)
 
 

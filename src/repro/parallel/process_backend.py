@@ -347,6 +347,9 @@ class ProcessCommunicator(Communicator):
     def _peer_tile(self, src: int, copy: bool):
         return self._peer_item(src, self._rank, copy=copy)
 
+    def _unpost(self) -> None:
+        self._published_local = None
+
     # -- exchange primitives (base collectives build on these) ---------------
 
     def _post(self, value):

@@ -111,8 +111,9 @@ def _vtilde_phases(
     two transposes of ``N_r`` reals per vector, GEMM, allreduce), which is
     what the Cori calibration and the ``benchmarks/`` figures measure.  The
     runtime's Parseval Gram (``distributed_kernel_gram``) instead makes one
-    FFT per vector, a SYRK, and a second transpose of ``2 N_half`` floats
-    per vector (THEORY §7).
+    forward FFT per vector, a SYRK, and a single transpose of the
+    z-spectra, ``2 N_half`` floats per vector: ``(1 + 2 / n3) / 2`` of the
+    two transposes modelled here (THEORY §7).
     """
     tpp = threads_per_process
     fft = time_fft_batch(2.0 * w.n_mu, w.n_r, spec, cores)

@@ -159,7 +159,7 @@ def _rfft_convolve(
     return grid.flatten_from_grid(out)
 
 
-#: ``k3`` planes per slab of :meth:`ConvolutionPlan.scaled_slabs`.
+#: ``k3`` planes per slab of :meth:`ConvolutionPlan.block_gram`.
 SLAB_PLANES = 4
 
 
@@ -174,26 +174,89 @@ def _half_dft(n3: int) -> np.ndarray:
     return dft
 
 
-def _scaled_slab(
-    grid: RealSpaceGrid, lines: np.ndarray, dft: np.ndarray, root: np.ndarray
-) -> np.ndarray:
-    """The ``rfftn`` spectrum of real fields on the ``k3`` planes whose
-    columns of :func:`_half_dft` are ``dft``, times ``root``: complex128
-    ``(m, n1, n2, planes)`` viewed as float64 ``(m, 2 n1 n2 planes)``.
+def line_span(start: int, stop: int, n3: int) -> range:
+    """The z-lines (index ``i1 n2 + i2``) that points ``[start, stop)`` of
+    the C-ordered flattened grid touch, in order; empty for no points."""
+    if stop <= start:
+        return range(start // n3, start // n3)
+    return range(start // n3, (stop - 1) // n3 + 1)
 
-    ``lines`` are the fields' z-lines, ``(m n1 n2, n3)``.  One real GEMM of
-    them against ``dft`` gives the z-transform on those planes, written
-    straight into the slab; an in-place ``fft2`` over ``(k1, k2)`` finishes
-    it.
+
+class _BlockLines:
+    """The z-lines of real fields ``(m, n)`` held over points
+    ``[start, start + n)`` of the flattened grid, z-transformed one slab of
+    ``k3`` planes at a time.
+
+    Whole lines are a view of the fields.  A line the block cuts (at most
+    one at each end) is copied once into zero-padded scratch, so its
+    transform is this block's part of the line's: the parts of one line
+    held by different blocks add up to it.
     """
-    n1, n2, _ = grid.shape
-    m = lines.shape[0] // (n1 * n2)
-    planes = dft.shape[1] // 2
-    spec = np.empty((m, n1, n2, planes), dtype=complex)  # repro-lint: disable=no-alloc-in-hot -- the slab itself, one per pass
-    np.matmul(lines, dft, out=spec.view(np.float64).reshape(lines.shape[0], 2 * planes))
-    spec = scipy.fft.fft2(spec, axes=(1, 2), overwrite_x=True, workers=fft_workers())
-    spec *= root
-    return spec.view(np.float64).reshape(m, 2 * n1 * n2 * planes)
+
+    def __init__(self, rows: np.ndarray, start: int, n3: int) -> None:
+        if rows.strides[1] != rows.itemsize:
+            rows = np.ascontiguousarray(rows)  # e.g. the transposed pair products
+        m, n = rows.shape
+        stop = start + n
+        self.m = m
+        self.span = line_span(start, stop, n3)
+        first = -(-start // n3)  # the first whole line
+        whole = max(stop // n3 - first, 0)
+        offset = first * n3 - start
+        self.head = int(n > 0 and start % n3 != 0)
+        if whole * n3 == n and rows.flags.c_contiguous:
+            self.whole = rows.reshape(m * whole, n3)  # one GEMM
+        else:
+            self.whole = rows[:, offset : offset + whole * n3].reshape(m, whole, n3)
+        cut = []  # (row of the transform, z-range, point range)
+        if self.head:
+            z0 = start % n3
+            k = min(n, n3 - z0)
+            cut.append((0, slice(z0, z0 + k), slice(0, k)))
+        if n and stop % n3 and (not self.head or stop // n3 != start // n3):
+            k = stop % n3
+            cut.append((len(self.span) - 1, slice(0, k), slice(n - k, n)))
+        self.cut = []  # (row of the transform, zero-padded line)
+        for row, z, points in cut:
+            line = np.zeros((m, n3))
+            line[:, z] = rows[:, points]
+            self.cut.append((row, line))
+
+    def transform(self, dft: np.ndarray) -> np.ndarray:
+        """The lines' ``rfft`` along z on the ``k3`` planes whose columns of
+        :func:`_half_dft` are ``dft``: complex128 ``(m, lines, planes)``."""
+        planes = dft.shape[1] // 2
+        out = np.empty((self.m, len(self.span), planes), dtype=complex)  # repro-lint: disable=no-alloc-in-hot -- the slab's z-transform, one per pass
+        flat = out.view(np.float64)
+        if self.whole.ndim == 2:
+            np.matmul(self.whole, dft, out=flat.reshape(self.whole.shape[0], 2 * planes))
+        else:
+            lines = slice(self.head, self.head + self.whole.shape[1])
+            np.matmul(self.whole, dft, out=flat[:, lines])
+        for row, line in self.cut:
+            np.matmul(line, dft, out=flat[:, row])
+        return out
+
+
+class SerialPlanes:
+    """The exchange of :meth:`ConvolutionPlan.block_gram` on one rank.
+
+    The rank holds every z-line and finishes every ``k3`` plane, so a
+    slab's z-transform already is the slab: the exchange is the identity.
+    :class:`repro.parallel.parallel_lrtddft.CommPlanes` runs it as an
+    alltoall.
+    """
+
+    start = 0
+
+    def planes(self, lo: int, hi: int) -> slice:
+        return slice(lo, hi)
+
+    def __call__(self, zt: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        return zt
+
+
+_SERIAL = SerialPlanes()
 
 
 class ConvolutionPlan:
@@ -231,40 +294,62 @@ class ConvolutionPlan:
         returns={"shape": ("m", "m"), "dtype": "float64"},
     )
     def gram(self, fields: np.ndarray) -> np.ndarray:
-        """``fields K fields^T dV`` for real ``(m, N_r)`` fields, by Parseval:
-        ``S S^T`` for ``S`` of :meth:`scaled_slabs`, one SYRK per slab.  No
-        inverse transform; exactly symmetric."""
-        gram = np.zeros((fields.shape[0], fields.shape[0]))  # repro-lint: disable=no-alloc-in-hot -- the m x m result
-        for slab in self.scaled_slabs(fields):
-            gram += slab @ slab.T
-            del slab  # before the next slab is built
-        return gram
+        """``fields K fields^T dV`` for real ``(m, N_r)`` fields: the 1-rank
+        case of :meth:`block_gram`.  No inverse transform; exactly
+        symmetric."""
+        return self.block_gram(fields, _SERIAL)
 
-    def scaled_slabs(self, fields: np.ndarray):
-        """The factor ``S`` of :meth:`gram` (``gram = S S^T``) for real
-        ``(m, N_r)`` fields, one block of its columns at a time: their
-        ``rfftn`` spectrum on :data:`SLAB_PLANES` ``k3`` planes, scaled by
-        ``sqrt(w K dV / N_r)``, as ``(m, 2 n1 n2 planes)`` float64 rows.
+    @array_contract(
+        shapes={"rows": ("m", "n")},
+        dtypes={"rows": "float64"},
+        returns={"shape": ("m", "m"), "dtype": "float64"},
+    )
+    def block_gram(self, rows: np.ndarray, exchange) -> np.ndarray:
+        """This rank's part of ``fields K fields^T dV``, by Parseval, for
+        real fields of which ``rows`` holds points ``[exchange.start,
+        exchange.start + n)`` of the flattened grid.
 
-        Yields ``ceil((n3 // 2 + 1) / SLAB_PLANES)`` slabs in ``k3`` order
-        (the last may hold fewer planes).  Each is a fresh array: drop it
-        before asking for the next, or two slabs sit beside the fields.
-        ``m = 0`` is allowed.
+        ``S S^T``, where ``S`` is the fields' ``rfftn`` spectrum scaled by
+        ``sqrt(w K dV / N_r)``, one slab of :data:`SLAB_PLANES` ``k3``
+        planes at a time (``ceil((n3 // 2 + 1) / SLAB_PLANES)`` slabs, the
+        last may hold fewer):
+
+        * a real GEMM of the rank's z-lines against the slab's columns of
+          the half DFT (:class:`_BlockLines`);
+        * ``exchange(zt, lo, hi)`` gives the rank the complex
+          ``(m, n1 n2, planes)`` z-spectrum of its planes
+          ``exchange.planes(lo, hi)`` of slab ``[lo, hi)``, every z-line
+          summed over the blocks that hold parts of it;
+        * an in-place ``fft2`` over ``(k1, k2)``, the scale and one SYRK.
+
+        Summed over the ranks the parts are the Gram.  The slab is dropped
+        before the next is built.  ``m = 0`` is allowed.
         """
         if (self.kernel_half < 0).any():
             raise ValueError("the Parseval Gram needs a nonnegative kernel")
         grid = self.fourier.grid
         n1, n2, n3 = grid.shape
+        m = rows.shape[0]
         # w = 1 on the self-conjugate planes k3 = 0 and k3 = n3 / 2 (even
         # n3); every other half-spectrum entry also stands for -G (w = 2).
         k3 = np.arange(n3 // 2 + 1)
         weight = np.where((k3 == 0) | (2 * k3 == n3), 1.0, 2.0)
         root = np.sqrt(self.kernel_half * weight * (grid.dv / grid.n_points))
         dft = _half_dft(n3)
-        lines = fields.reshape(fields.shape[0] * n1 * n2, n3)
-        for start in range(0, k3.size, SLAB_PLANES):
-            planes = slice(start, start + SLAB_PLANES)
-            yield _scaled_slab(grid, lines, dft[:, 2 * start : 2 * planes.stop], root[..., planes])
+        lines = _BlockLines(rows, exchange.start, n3)
+        gram = np.zeros((m, m))  # repro-lint: disable=no-alloc-in-hot -- the m x m result
+        for lo in range(0, k3.size, SLAB_PLANES):
+            hi = min(lo + SLAB_PLANES, k3.size)
+            spec = exchange(lines.transform(dft[:, 2 * lo : 2 * hi]), lo, hi)
+            spec = scipy.fft.fft2(
+                spec.reshape(m, n1, n2, spec.shape[2]),
+                axes=(1, 2), overwrite_x=True, workers=fft_workers(),
+            )
+            spec *= root[..., exchange.planes(lo, hi)]
+            slab = spec.view(np.float64).reshape(m, 2 * n1 * n2 * spec.shape[3])
+            gram += slab @ slab.T
+            del spec, slab  # before the next slab is built
+        return gram
 
 
 class PlanCache:

@@ -53,10 +53,10 @@ class TestDistributedVhxc:
         for vhxc in spmd_run(n_ranks, prog):
             np.testing.assert_allclose(vhxc, serial_vhxc, atol=1e-12)
 
-    def test_uses_two_alltoalls(self, problem):
-        """Two transposes: the pair fields in one alltoall, their spectra in
-        one per k3-slab, moving the bytes of one transpose of the whole
-        spectrum."""
+    def test_uses_one_alltoall_per_slab(self, problem):
+        """No field transpose: one alltoall per k3-slab sends each plane of
+        the ranks' z-transforms to the rank that finishes it, moving the
+        bytes of one transpose of the complex z-spectrum."""
         gs, psi_v, _, psi_c, _, kernel = problem
         dist = BlockDistribution1D(gs.basis.n_r, 2)
 
@@ -65,9 +65,9 @@ class TestDistributedVhxc:
             distributed_build_vhxc(comm, psi_v[:, sl], psi_c[:, sl], kernel, dist)
 
         _, traffic = spmd_run(2, prog, return_traffic=True)
-        assert traffic.calls_by_op["alltoall"] == (1 + _n_slabs(gs.basis)) * 2
+        assert traffic.calls_by_op["alltoall"] == _n_slabs(gs.basis) * 2
         n_cv = psi_v.shape[0] * psi_c.shape[0]
-        assert traffic.bytes_by_op["alltoall"] == _two_transpose_bytes(gs.basis, n_cv, 2)
+        assert traffic.bytes_by_op["alltoall"] == _spectral_transpose_bytes(gs.basis, n_cv, 2)
         assert traffic.calls_by_op["allreduce"] == 1  # one collective (line 8)
 
 
@@ -76,26 +76,45 @@ def _relative_error(got, ref):
 
 
 def _n_slabs(basis):
-    """k3-slabs of the half spectrum: one spectral alltoall each."""
+    """k3-slabs of the half spectrum: one alltoall each."""
     from repro.pw.fft import SLAB_PLANES
 
     return -(-(basis.grid.shape[2] // 2 + 1) // SLAB_PLANES)
 
 
-def _two_transpose_bytes(basis, m, n_ranks):
-    """Off-rank alltoall bytes of the Hartree half as two whole transposes:
-    ``m`` fields from grid blocks to field blocks, then their float64 half
-    spectra from field blocks to blocks of spectral columns."""
-    n1, n2, n3 = basis.grid.shape
+def _spectral_transpose_bytes(basis, m, n_ranks):
+    """Off-rank alltoall bytes of the Hartree half: every rank sends the
+    complex z-transform of each z-line it holds points of (a line the grid
+    split cuts counts on both sides) on the planes each other rank
+    finishes, which over all slabs are that rank's block of the
+    ``n3 // 2 + 1`` planes."""
+    n3 = basis.grid.shape[2]
     grid = BlockDistribution1D(basis.n_r, n_ranks)
-    fields = BlockDistribution1D(m, n_ranks)
-    spectra = BlockDistribution1D(2 * n1 * n2 * (n3 // 2 + 1), n_ranks)
-    return 8 * sum(
-        grid.count(s) * fields.count(d) + fields.count(s) * spectra.count(d)
+    planes = BlockDistribution1D(n3 // 2 + 1, n_ranks)
+
+    def lines(rank):
+        block = grid.local_slice(rank)
+        return -(-block.stop // n3) - block.start // n3 if block.stop > block.start else 0
+
+    return 16 * m * sum(
+        lines(s) * planes.count(d)
         for s in range(n_ranks)
         for d in range(n_ranks)
         if s != d
     )
+
+
+def _cube_problem():
+    """A 10^3 grid (6 half-spectrum planes, 100 z-lines) with a random
+    density and fields: 3 and 8 ranks cut z-lines, 8 ranks leave two
+    ranks without a plane."""
+    from repro.pw import PlaneWaveBasis, UnitCell
+
+    basis = PlaneWaveBasis(UnitCell.cubic(9.0), ecut=5.0)
+    assert basis.grid.shape == (10, 10, 10)
+    rng = default_rng(12)
+    kernel = HxcKernel(basis, rng.random(basis.n_r) + 0.1)
+    return basis, kernel, rng.standard_normal((7, basis.n_r))
 
 
 class TestDistributedKernelGram:
@@ -120,14 +139,13 @@ class TestDistributedKernelGram:
     @pytest.mark.parametrize("n_ranks", [1, 2, 3, 4])
     @pytest.mark.parametrize("m", [1, 3, 7, 40])
     def test_matches_serial_gram(self, problem, rows, n_ranks, m):
-        """m < P included: a rank that owns no field still enters every
-        alltoall (the sanitizer checks that the collectives line up)."""
+        """Every rank enters one alltoall per k3-slab, whatever ``m``
+        (the sanitizer checks that the collectives line up)."""
         gs, kernel = problem[0], problem[-1]
         serial = kernel.gram(rows[:m])
         results, traffic = self._gram(kernel, rows[:m], n_ranks, return_traffic=True)
-        calls = 1 + _n_slabs(gs.basis)
-        assert traffic.calls_by_op["alltoall"] == calls * n_ranks
-        assert traffic.bytes_by_op["alltoall"] == _two_transpose_bytes(gs.basis, m, n_ranks)
+        assert traffic.calls_by_op["alltoall"] == _n_slabs(gs.basis) * n_ranks
+        assert traffic.bytes_by_op["alltoall"] == _spectral_transpose_bytes(gs.basis, m, n_ranks)
         for gram in results:
             assert gram.shape == (m, m)
             assert _relative_error(gram, serial) <= 1e-13
@@ -143,8 +161,8 @@ class TestDistributedKernelGram:
         ],
     )
     def test_kernel_variants(self, problem, rows, options, exchanges):
-        """``exchanges`` counts transposes: with a Hartree half, the fields
-        in one alltoall and the spectra in one per k3-slab."""
+        """``exchanges`` is nonzero with a Hartree half: then the z-spectra
+        move in one alltoall per k3-slab, and no fields move."""
         gs = problem[0]
         kernel = HxcKernel(gs.basis, gs.density, **options)
         serial = kernel.gram(rows[:7])
@@ -152,45 +170,71 @@ class TestDistributedKernelGram:
         for gram in results:
             assert _relative_error(gram, serial) <= 1e-13
             assert np.array_equal(gram, gram.T)
-        calls = 1 + _n_slabs(gs.basis) if exchanges else 0
+        calls = _n_slabs(gs.basis) if exchanges else 0
         assert traffic.calls_by_op.get("alltoall", 0) == calls * 3
-        moved = _two_transpose_bytes(gs.basis, 7, 3) if exchanges else 0
+        moved = _spectral_transpose_bytes(gs.basis, 7, 3) if exchanges else 0
         assert traffic.bytes_by_op.get("alltoall", 0) == moved
         assert traffic.calls_by_op["allreduce"] == 1
 
     def test_slab_widths_not_divisible_by_the_ranks(self):
-        """On a 10^3 grid the two slabs are 800 and 400 columns wide, so
-        three ranks cannot split each one evenly: the per-slab shares still
-        add up to one block split of the whole spectrum (same bytes as one
-        transpose) and the Gram is the serial one."""
-        from repro.pw import PlaneWaveBasis, UnitCell
-
-        basis = PlaneWaveBasis(UnitCell.cubic(9.0), ecut=5.0)
-        assert basis.grid.shape == (10, 10, 10)
-        rng = default_rng(12)
-        kernel = HxcKernel(basis, rng.random(basis.n_r) + 0.1)
-        rows = rng.standard_normal((7, basis.n_r))
+        """On a 10^3 grid the two slabs hold 4 and 2 planes, so three ranks
+        cannot split each one evenly: the per-slab shares still add up to
+        one block split of the 6 planes (same bytes as one transpose), the
+        split cuts z-lines, and the Gram is the serial one."""
+        basis, kernel, rows = _cube_problem()
         results, traffic = self._gram(kernel, rows, 3, return_traffic=True)
         for gram in results:
             assert _relative_error(gram, kernel.gram(rows)) <= 1e-13
-        assert traffic.calls_by_op["alltoall"] == (1 + _n_slabs(basis)) * 3
-        assert traffic.bytes_by_op["alltoall"] == _two_transpose_bytes(basis, 7, 3)
+        assert traffic.calls_by_op["alltoall"] == _n_slabs(basis) * 3
+        assert traffic.bytes_by_op["alltoall"] == _spectral_transpose_bytes(basis, 7, 3)
 
     @pytest.mark.parametrize(
         "backend", ["thread", pytest.param("process", marks=pytest.mark.process_backend)]
     )
-    def test_ranks_without_fields(self, problem, rows, backend):
-        """One field on three ranks: two ranks own no field and no slab
-        rows, yet enter every exchange; the Gram is the serial one and the
-        same on both backends."""
-        kernel = problem[-1]
-        serial = kernel.gram(rows[:1])
-        results = self._gram(kernel, rows[:1], 3, backend=backend)
+    def test_ranks_without_planes(self, backend):
+        """A 10^3 grid (6 planes) on 8 ranks: ranks 6 and 7 finish no
+        plane, ranks 4-7 none of the first slab, and every rank's block
+        (125 points) cuts a z-line; all still enter every exchange, and the
+        Gram is the serial one and the same on both backends."""
+        basis, kernel, rows = _cube_problem()
+        serial = kernel.gram(rows)
+        results, traffic = self._gram(kernel, rows, 8, backend=backend, return_traffic=True)
+        assert traffic.calls_by_op["alltoall"] == _n_slabs(basis) * 8
+        assert traffic.bytes_by_op["alltoall"] == _spectral_transpose_bytes(basis, 7, 8)
         for gram in results:
-            assert gram.shape == (1, 1)
             assert _relative_error(gram, serial) <= 1e-13
-        thread = self._gram(kernel, rows[:1], 3, backend="thread")
+            np.testing.assert_array_equal(gram, results[0])
+        thread = self._gram(kernel, rows, 8, backend="thread")
         np.testing.assert_array_equal(results[0], thread[0])
+
+    @pytest.mark.parametrize(
+        "options", [{}, {"include_xc": False}, {"include_hartree": False}]
+    )
+    @pytest.mark.parametrize("m", [0, 1, 7])
+    def test_one_rank_is_the_serial_gram(self, problem, rows, options, m):
+        """One rank runs the serial Gram's transform, bit for bit."""
+        gs = problem[0]
+        kernel = HxcKernel(gs.basis, gs.density, **options)
+        (gram,) = self._gram(kernel, rows[:m], 1)
+        assert np.array_equal(gram, kernel.gram(rows[:m]))
+
+    @pytest.mark.process_backend
+    @pytest.mark.parametrize("n_ranks", [2, 3, 4])
+    @pytest.mark.parametrize("grid", ["si8", "cube"])
+    def test_backends_are_bit_identical(self, problem, rows, grid, n_ranks):
+        """Thread and process ranks give the same Gram bit for bit, also
+        where the grid split cuts z-lines (the 10^3 grid on 3 ranks), and
+        it is the serial one to 1e-13."""
+        if grid == "si8":
+            kernel, fields = problem[-1], rows[:7]
+        else:
+            _, kernel, fields = _cube_problem()
+        serial = kernel.gram(fields)
+        thread = self._gram(kernel, fields, n_ranks, backend="thread")
+        process = self._gram(kernel, fields, n_ranks, backend="process")
+        for a, b in zip(thread, process):
+            np.testing.assert_array_equal(a, b)
+        assert np.abs(thread[0] - serial).max() <= 1e-13 * np.abs(serial).max()
 
     def test_forward_transforms_only(self, problem, rows, monkeypatch):
         """No inverse FFT anywhere on the distributed path, and summed over

@@ -34,13 +34,14 @@ def problem():
 
 
 def test_naive_alltoall_volume_matches_model_formula(problem):
-    """Runtime: the first transpose moves the (N_cv x N_r) pair fields to
-    whole-field blocks, the second their half spectra (2 N_half floats per
-    field) to spectral-row blocks, each moving the off-diagonal tiles.
+    """Runtime: one transpose of the pair fields' complex z-spectra (2 N_half
+    floats per field) from grid blocks to blocks of k3 planes, moving the
+    off-diagonal tiles; a z-line the grid split cuts is sent by both of
+    the ranks holding parts of it.
 
     The cost model (repro.perf) keeps the paper's Algorithm 1: two
     transposes of 8 N_r N_cv bytes.  Runtime over model is exactly
-    (N_r + 2 N_half) / (2 N_r), i.e. 1 + 1 / n3 for even n3."""
+    2 N_half / (2 N_r), i.e. (1 + 2 / n3) / 2 for even n3."""
     gs, psi_v, psi_c, kernel = problem
     n_ranks = 4
     dist = BlockDistribution1D(gs.basis.n_r, n_ranks)
@@ -52,24 +53,24 @@ def test_naive_alltoall_volume_matches_model_formula(problem):
     _, traffic = spmd_run(n_ranks, prog, return_traffic=True)
 
     n_r = gs.basis.n_r
+    n1, n2, n3 = gs.basis.grid.shape
     n_cv = psi_v.shape[0] * psi_c.shape[0]
     two_n_half = 2 * kernel.coulomb_plan.kernel_half.size
-    pair_dist = BlockDistribution1D(n_cv, n_ranks)
-    spec_dist = BlockDistribution1D(two_n_half, n_ranks)
+    plane_dist = BlockDistribution1D(n3 // 2 + 1, n_ranks)
     off_diagonal = [(s, d) for s in range(n_ranks) for d in range(n_ranks) if s != d]
-    # Sender s ships its grid rows of the pairs d owns, then its pairs'
-    # spectra on the spectral rows d owns.
-    fields = sum(dist.count(s) * pair_dist.count(d) * 8 for s, d in off_diagonal)
-    spectra = sum(pair_dist.count(s) * spec_dist.count(d) * 8 for s, d in off_diagonal)
-    assert traffic.bytes_by_op["alltoall"] == fields + spectra
+    # Sender s ships its z-lines' spectra on the planes d finishes.
+    blocks = [dist.local_slice(r) for r in range(n_ranks)]
+    lines = [-(-b.stop // n3) - b.start // n3 for b in blocks]
+    spectra = sum(16 * n_cv * lines[s] * plane_dist.count(d) for s, d in off_diagonal)
+    assert traffic.bytes_by_op["alltoall"] == spectra
     # The (P-1)/P closed form agrees within the uneven-split slack.
-    closed_form = 8.0 * n_cv * (n_r + two_n_half) * (n_ranks - 1) / n_ranks
+    closed_form = 8.0 * n_cv * two_n_half * (n_ranks - 1) / n_ranks
     assert traffic.bytes_by_op["alltoall"] == pytest.approx(closed_form, rel=0.05)
     model = 2 * 8.0 * n_r * n_cv * (n_ranks - 1) / n_ranks
-    n3 = gs.basis.grid.shape[2]
     assert n3 % 2 == 0
-    assert closed_form / model == pytest.approx((n_r + two_n_half) / (2 * n_r), rel=1e-12)
-    assert closed_form / model == pytest.approx(1 + 1 / n3, rel=1e-12)
+    assert two_n_half == 2 * n1 * n2 * (n3 // 2 + 1)
+    assert closed_form / model == pytest.approx(two_n_half / (2 * n_r), rel=1e-12)
+    assert closed_form / model == pytest.approx((1 + 2 / n3) / 2, rel=1e-12)
 
 
 def test_isdf_alltoall_volume_scales_with_rank_ratio(problem):

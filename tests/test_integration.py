@@ -144,13 +144,16 @@ class TestSerialEqualsDistributedEqualsModel:
         results, traffic = spmd_run(3, prog, return_traffic=True)
         np.testing.assert_allclose(results[0], serial, atol=1e-12)
 
-        # The traced alltoall volume equals the exact tile sum of the two
-        # exchanges: the pair fields, then their half spectra.
+        # The traced alltoall volume equals the exact tile sum of the one
+        # exchange: each rank's z-lines' complex z-spectra on the k3 planes
+        # every other rank finishes (a block split of the half spectrum's).
         n_cv = psi_v.shape[0] * psi_c.shape[0]
-        pair_dist = BlockDistribution1D(n_cv, 3)
-        spec_dist = BlockDistribution1D(2 * kernel.coulomb_plan.kernel_half.size, 3)
+        n3 = gs.basis.grid.shape[2]
+        plane_dist = BlockDistribution1D(n3 // 2 + 1, 3)
+        blocks = [dist.local_slice(r) for r in range(3)]
+        lines = [-(-b.stop // n3) - b.start // n3 for b in blocks]
         expected = sum(
-            (dist.count(s) * pair_dist.count(d) + pair_dist.count(s) * spec_dist.count(d)) * 8
+            16 * n_cv * lines[s] * plane_dist.count(d)
             for s in range(3)
             for d in range(3)
             if s != d
